@@ -20,12 +20,10 @@ import sys
 from .ffield import NotPrime, OutOfRange
 from .identities import (
     AomotoParams,
-    DegreeInfeasible,
     InterpolationMismatch,
     ParameterOutOfRange,
     aomoto_closed_form,
     aomoto_constant_term,
-    aomoto_inverted_closed_form,
     dyson_closed_form,
     dyson_constant_term,
     key_coefficient,
@@ -40,12 +38,9 @@ from .sumsets import (
     DEFAULT_BUDGET,
     HYPOTHESIS_CHOICES,
     InstanceFormatError,
-    _soundness_violations,
-    certificate_check,
-    certificate_check_literal,
-    compute_bounds,
+    analyze,
     coverage_sweep,
-    enumerate_restricted_sumset,
+    instance_to_dict,
     load_instance,
     run_experiment,
 )
@@ -229,7 +224,7 @@ def _cmd_identities(args, budget):
                             ct = {side: aomoto_constant_term(params, side)
                                   for side in ("a", "b")}
                             closed = aomoto_closed_form(params)
-                            inverted = aomoto_inverted_closed_form(a, b, s, m, n)
+                            inverted = aomoto_closed_form(params, "b")
                             agree = (closed == ct[args.chi_side]
                                      and inverted == ct[other])
                             rows.append({
@@ -331,7 +326,7 @@ def _certificate_dict(cert):
     return {
         "method": cert.method,
         "coefficient": cert.coefficient_integer,
-        "coefficient_mod_p": cert.coefficient_mod_p.value,
+        "coefficient_mod_p": cert.coefficient_mod_p,
         "claimed_bound": cert.claimed_bound,
         "valid": cert.certificate_valid,
     }
@@ -339,40 +334,21 @@ def _certificate_dict(cert):
 
 def _cmd_sumset(args, budget):
     inst = load_instance(args.instance)
-    sumset = sorted(enumerate_restricted_sumset(inst, budget))
-    bounds = compute_bounds(inst, len(sumset))
-    certificate = None
-    skip_reason = None
-    if inst.uniform_m is not None:
-        try:
-            certificate = certificate_check(inst)
-        except DegreeInfeasible as exc:
-            skip_reason = f"degree-infeasible: {exc}"
-    else:
-        try:
-            certificate = certificate_check_literal(inst, budget)
-        except DegreeInfeasible as exc:
-            skip_reason = f"degree-infeasible: {exc}"
-        except BudgetExceeded as exc:
-            skip_reason = f"budget: {exc}"
-    violations = _soundness_violations(len(sumset), bounds, certificate)
+    result = analyze(inst, budget)
+    skip_reason = (None if result.degree_infeasible is None
+                   else f"degree-infeasible: {result.degree_infeasible}")
     report = {
         "command": "sumset",
-        "instance": {
-            "p": inst.p,
-            "sets": [list(A) for A in inst.sets],
-            "forbidden": {f"{i + 1},{j + 1}": sorted(S)
-                          for (i, j), S in sorted(inst.forbidden.items()) if S},
-        },
-        "sumset": sumset,
-        "cardinality": len(sumset),
-        "bounds": _bounds_dict(bounds),
-        "certificate": _certificate_dict(certificate) if certificate else None,
+        "instance": instance_to_dict(inst),
+        "sumset": list(result.sumset),
+        "cardinality": len(result.sumset),
+        "bounds": _bounds_dict(result.bounds),
+        "certificate": _certificate_dict(result.certificate) if result.certificate else None,
         "certificate_skip_reason": skip_reason,
-        "violations": list(violations),
+        "violations": list(result.violations),
         "notes": [_CHAR0_NOTE],
     }
-    return (EXIT_DISAGREEMENT if violations else EXIT_OK), report
+    return (EXIT_DISAGREEMENT if result.violations else EXIT_OK), report
 
 
 # ----------------------------------------------------------------------

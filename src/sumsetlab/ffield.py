@@ -1,8 +1,9 @@
-"""Arithmetic in Z/pZ with a validated prime modulus.
+"""Validated prime moduli for Z/pZ.
 
-This is the only field family the package enumerates over; coefficient
-work in characteristic 0 is done directly with Python integers elsewhere
-and never goes through a field object.
+This is the only field family the package enumerates over.  Residues
+are plain Python ints reduced with ``% p`` (inverses with
+``pow(x, -1, p)``); coefficient work in characteristic 0 is done
+directly with Python integers elsewhere.
 """
 
 
@@ -12,14 +13,6 @@ class OutOfRange(ValueError):
 
 class NotPrime(ValueError):
     """Composite modulus passed where a prime is required."""
-
-
-class FieldMismatch(ValueError):
-    """Operands belong to fields with different moduli."""
-
-
-class DivisionByZero(ZeroDivisionError):
-    """Multiplicative inverse of zero requested."""
 
 
 def is_prime(n: int) -> bool:
@@ -37,11 +30,10 @@ def is_prime(n: int) -> bool:
 
 
 class PrimeField:
-    """The field Z/pZ; p is also the additive order of 1.
+    """The field Z/pZ, identified by its validated prime modulus p.
 
-    >>> F = PrimeField(7)
-    >>> F(3) * F(5)
-    1 mod 7
+    >>> PrimeField(7).p
+    7
     """
 
     __slots__ = ("p",)
@@ -53,16 +45,6 @@ class PrimeField:
             raise NotPrime(f"modulus {p} is composite")
         self.p = p
 
-    def element(self, value: int) -> "FieldElem":
-        return FieldElem(value, self)
-
-    __call__ = element
-
-    def elements(self):
-        """All residues, ascending."""
-        for v in range(self.p):
-            yield FieldElem(v, self)
-
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p
 
@@ -71,93 +53,3 @@ class PrimeField:
 
     def __repr__(self):
         return f"PrimeField({self.p})"
-
-
-class FieldElem:
-    """A canonical residue 0 <= value < p tied to its field.
-
-    Values are immutable; every operation returns a fresh canonical
-    representative.  Plain ints mix freely (they are reduced mod p);
-    elements of two different fields do not.
-    """
-
-    __slots__ = ("value", "field")
-
-    def __init__(self, value: int, field: PrimeField):
-        self.value = value % field.p
-        self.field = field
-
-    def _coerce(self, other):
-        if isinstance(other, FieldElem):
-            if other.field.p != self.field.p:
-                raise FieldMismatch(
-                    f"cannot mix residues mod {self.field.p} and mod {other.field.p}"
-                )
-            return other
-        if isinstance(other, int):
-            return FieldElem(other, self.field)
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return FieldElem(self.value + o.value, self.field)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return FieldElem(self.value - o.value, self.field)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return FieldElem(o.value - self.value, self.field)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return FieldElem(self.value * o.value, self.field)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return FieldElem(-self.value, self.field)
-
-    def inv(self) -> "FieldElem":
-        """Multiplicative inverse, via Fermat: x**(p-2) mod p."""
-        if self.value == 0:
-            raise DivisionByZero("0 has no multiplicative inverse")
-        return FieldElem(pow(self.value, self.field.p - 2, self.field.p), self.field)
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inv()
-
-    def __pow__(self, e: int):
-        if e < 0:
-            return self.inv() ** (-e)
-        return FieldElem(pow(self.value, e, self.field.p), self.field)
-
-    def __eq__(self, other):
-        if isinstance(other, FieldElem):
-            return self.field.p == other.field.p and self.value == other.value
-        if isinstance(other, int):
-            return self.value == other % self.field.p
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.value, self.field.p))
-
-    def __int__(self):
-        return self.value
-
-    def __repr__(self):
-        return f"{self.value} mod {self.field.p}"

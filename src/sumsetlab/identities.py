@@ -211,13 +211,22 @@ def aomoto_constant_term(params: AomotoParams, chi_side: str = "a") -> int:
     return constant_term_laurent(_aomoto_factors(params, chi_side))
 
 
-def aomoto_closed_form(params: AomotoParams) -> int:
-    """Factorial product equal to the chi-side-'a' constant term:
+def aomoto_closed_form(params: AomotoParams, chi_side: str = "a") -> int:
+    """Factorial product equal to the constant term on the same chi side.
+
+    For chi_side "a":
 
         prod_{l=0}^{n-1} (a+b+ml+chi(l>=n-s))! (ml+m)!
                          / [ (a+ml+chi(l>=n-s))! (ml+b)! m! ]
+
+    Substituting x_l -> 1/x_l swaps the roles of a and b, so the chi_side
+    "b" form is the same product with a and b exchanged.
     """
+    if chi_side not in ("a", "b"):
+        raise ValueError(f"chi_side must be 'a' or 'b', got {chi_side!r}")
     n, s, a, b, m = params.n, params.s, params.a, params.b, params.m
+    if chi_side == "b":
+        a, b = b, a
     val = Fraction(1)
     for l in range(n):
         c = chi(l >= n - s)
@@ -228,36 +237,19 @@ def aomoto_closed_form(params: AomotoParams) -> int:
     return _as_integer(val)
 
 
-def aomoto_inverted_closed_form(a: int, b: int, s: int, m: int, n: int) -> int:
-    """Factorial product equal to the chi-side-'b' constant term.
-
-    Substituting x_l -> 1/x_l swaps the roles of a and b, which moves the
-    chi shift onto the b-side factorials:
-
-        prod_{l=0}^{n-1} (a+b+ml+chi(l>=n-s))! (ml+m)!
-                         / [ (ml+a)! (b+ml+chi(l>=n-s))! m! ]
-    """
-    AomotoParams(n=n, s=s, a=a, b=b, m=m)  # reuse the range checks
-    val = Fraction(1)
-    for l in range(n):
-        c = chi(l >= n - s)
-        val *= Fraction(
-            factorial(a + b + m * l + c) * factorial(m * l + m),
-            factorial(m * l + a) * factorial(b + m * l + c) * factorial(m),
-        )
-    return _as_integer(val)
-
-
 # ----------------------------------------------------------------------
 # The key coefficient and its closed form
 # ----------------------------------------------------------------------
 
-def key_coefficient(sizes, m: int) -> int:
-    """[prod_j x_j^{sizes_j - 1}] prod_{i != j} (x_i - x_j)^m (x_1+...+x_n)^E
+def key_coefficient(sizes, m) -> int:
+    """[prod_j x_j^{sizes_j - 1}] prod_{i != j} (x_i - x_j)^{m_ij} (x_1+...+x_n)^E
 
-    with E = sum(sizes_j - 1) - m*n*(n-1), evaluated by pruned expansion.
+    with E = sum(sizes_j - 1) - sum(m_ij), evaluated by pruned expansion.
+    ``m`` is either the common multiplicity of every ordered pair or a map
+    {(i, j): m_ij} over 0-based pairs, where a missing pair counts 0.
     This is the coefficient whose nonvanishing mod p certifies the
-    restricted-sumset lower bound for sets of the given sizes.
+    restricted-sumset lower bound for sets of the given sizes and
+    forbidden sets with |S_ij| = m_ij.
     """
     sizes = tuple(int(sz) for sz in sizes)
     n = len(sizes)
@@ -265,19 +257,20 @@ def key_coefficient(sizes, m: int) -> int:
         raise ParameterOutOfRange("need at least one set size")
     if any(sz < 1 for sz in sizes):
         raise ParameterOutOfRange(f"sizes must be >= 1, got {sizes}")
-    if m < 0:
+    if isinstance(m, dict):
+        mults, names = dict(m), ("sum(|A_j| - 1)", "deg P")
+        if any(not (0 <= i < n and 0 <= j < n) or i == j for i, j in mults):
+            raise ParameterOutOfRange(f"bad index pairs in {sorted(mults)} for n={n}")
+    else:
+        mults = {(i, j): m for i in range(n) for j in range(n) if i != j}
+        names = ("sum(sizes_j - 1)", "m*n*(n-1)")
+    if any(e < 0 for e in mults.values()):
         raise ParameterOutOfRange(f"m must be >= 0, got {m}")
-    balance = sum(sizes) - n - m * n * (n - 1)
+    deg = sum(mults.values())
+    balance = sum(sizes) - n - deg
     if balance < 0:
-        raise DegreeInfeasible(
-            f"sum(sizes_j - 1) = {sum(sizes) - n} < m*n*(n-1) = {m * n * (n - 1)}"
-        )
-    factors = []
-    if m:
-        for i in range(n):
-            for j in range(n):
-                if i != j:
-                    factors.append((_difference(n, i, j), m))
+        raise DegreeInfeasible(f"{names[0]} = {sum(sizes) - n} < {names[1]} = {deg}")
+    factors = [(_difference(n, i, j), e) for (i, j), e in sorted(mults.items()) if e]
     factors.append((sum_of_variables(n), balance))
     return targeted_coeff(factors, tuple(sz - 1 for sz in sizes))
 
@@ -360,12 +353,12 @@ class LeadingCoefficientReport:
 
 def leading_coefficient_check(n: int, s: int, b: int, m: int,
                               degree_bound_slack: int = 2) -> LeadingCoefficientReport:
-    """Check that the inverted closed form is a polynomial in its first
-    argument and that its leading coefficient matches an independent
-    constant-term computation.
+    """Check that the chi-side-'b' closed form is a polynomial in a and
+    that its leading coefficient matches an independent constant-term
+    computation.
 
     With a_l = b + chi(l <= s) for l = 1..n and D = sum(a_l), the value
-    f(a) = aomoto_inverted_closed_form(a, b, s, m, n) is sampled at
+    f(a) = aomoto_closed_form(AomotoParams(n, s, a, b, m), "b") is sampled at
     a = 0..D+slack.  The first D+1 samples determine a degree-<=D
     interpolant; the slack samples must fall on it (else
     InterpolationMismatch).  Its degree-D coefficient is compared with
@@ -380,7 +373,8 @@ def leading_coefficient_check(n: int, s: int, b: int, m: int,
     a_l = [b + chi(l <= s) for l in range(1, n + 1)]
     degree = sum(a_l)
     xs = list(range(degree + 1 + degree_bound_slack))
-    ys = [aomoto_inverted_closed_form(a, b, s, m, n) for a in xs]
+    ys = [aomoto_closed_form(AomotoParams(n=n, s=s, a=a, b=b, m=m), "b")
+          for a in xs]
     coeffs = _interpolate(xs[: degree + 1], ys[: degree + 1])
     for x, y in zip(xs[degree + 1:], ys[degree + 1:]):
         got = _eval_poly(coeffs, x)

@@ -10,6 +10,7 @@ This module enumerates C exactly, evaluates the lower-bound formulas the
 CLI reports as thm1/thm2/thm3 (plus the older floor bound they improve
 on), checks coefficient certificates for those bounds, and carries the
 shrink and coverage-threshold constructions built on top of them.
+:func:`analyze` runs the whole per-instance pipeline.
 Instances can be serialized to a small JSON document and regenerated
 deterministically from a seed.
 """
@@ -19,9 +20,8 @@ import json
 from dataclasses import dataclass
 from math import comb, isqrt, prod
 
-from .ffield import FieldElem, PrimeField
+from .ffield import PrimeField
 from .identities import DegreeInfeasible, ParameterOutOfRange, key_coefficient
-from .mpoly import SparsePoly, sum_of_variables, targeted_coeff
 
 DEFAULT_BUDGET = 10 ** 7
 BUDGET_ENV_VAR = "SUMSETLAB_BUDGET"
@@ -39,10 +39,6 @@ class NotInShrinkRegime(ValueError):
 
 class CannotSatisfyHypothesis(ValueError):
     """No instance with these parameters can satisfy the requested hypothesis."""
-
-
-class NonUniformForbidden(ValueError):
-    """An operation requiring uniform |S_ij| met a non-uniform instance."""
 
 
 class InstanceFormatError(ValueError):
@@ -297,66 +293,30 @@ class CertificateReport:
 
     method: str                  # "leading-form" or "literal-product"
     coefficient_integer: int
-    coefficient_mod_p: FieldElem
+    coefficient_mod_p: int       # canonical residue in [0, p)
     claimed_bound: int
     certificate_valid: bool
 
 
 def certificate_check(inst: SumsetInstance) -> CertificateReport:
-    """Certificate via the leading form prod_{i != j} (x_i - x_j)^m.
+    """Certificate for |C| >= sum(|A_j| - 1) - deg P + 1.
 
-    Requires uniform |S_ij| = m.  Only the top-degree homogeneous part of
-    the constraint polynomial reaches the extracted coefficient, so the
-    certificate does not depend on the forbidden sets' actual elements.
+    P = prod_{i != j} prod_{s in S_ij} (x_i - x_j - s) has degree
+    deg P = sum |S_ij|, and the target monomial prod x_j^{|A_j| - 1} has
+    total degree deg P + E, so only the top-degree part
+    prod_{i != j} (x_i - x_j)^{|S_ij|} of P reaches it; a nonzero
+    coefficient mod p proves the bound by the Combinatorial
+    Nullstellensatz.  The certificate therefore depends on the sizes
+    |S_ij| only, and ``method`` just records whether they are uniform.
+    Raises DegreeInfeasible when E would be negative.
     """
     m = inst.uniform_m
-    if m is None:
-        raise NonUniformForbidden(
-            "the leading-form certificate needs all |S_ij| equal; "
-            "use certificate_check_literal"
-        )
-    sizes = inst.sizes
-    n = inst.n
-    coefficient = key_coefficient(sizes, m)  # may raise DegreeInfeasible
-    claimed = sum(sz - 1 for sz in sizes) - m * n * (n - 1) + 1
-    cmod = inst.field.element(coefficient)
-    return CertificateReport("leading-form", coefficient, cmod, claimed, cmod.value != 0)
-
-
-def certificate_check_literal(inst: SumsetInstance, budget: int = DEFAULT_BUDGET) -> CertificateReport:
-    """Certificate from the literal constraint polynomial.
-
-    Expands P = prod_{i != j} prod_{s in S_ij} (x_i - x_j - s) against the
-    balancing power of (x_1 + ... + x_n) and extracts the coefficient of
-    prod x_j^{|A_j| - 1} directly.  Works for non-uniform forbidden sets;
-    on uniform instances it agrees exactly with :func:`certificate_check`.
-    The pruned partial products are capped by prod |A_j|, so that product
-    must stay within the budget.
-    """
-    n = inst.n
-    sizes = inst.sizes
-    deg = sum(len(S) for S in inst.forbidden.values())
-    balance = sum(sz - 1 for sz in sizes) - deg
-    if balance < 0:
-        raise DegreeInfeasible(
-            f"sum(|A_j| - 1) = {sum(sz - 1 for sz in sizes)} < deg P = {deg}"
-        )
-    if prod(sizes) > budget:
-        raise BudgetExceeded(
-            f"{prod(sizes)} partial monomials exceed the budget of {budget}"
-        )
-    factors = []
-    for (i, j) in sorted(inst.forbidden):
-        ei = tuple(1 if t == i else 0 for t in range(n))
-        ej = tuple(1 if t == j else 0 for t in range(n))
-        for s in sorted(inst.forbidden[i, j]):
-            factors.append(SparsePoly(n, [(ei, 1), (ej, -1), ((0,) * n, -s)]))
-    factors.append((sum_of_variables(n), balance))
-    coefficient = targeted_coeff(factors, tuple(sz - 1 for sz in sizes))
-    cmod = inst.field.element(coefficient)
-    return CertificateReport(
-        "literal-product", coefficient, cmod, balance + 1, cmod.value != 0
-    )
+    mults = m if m is not None else {pair: len(S) for pair, S in inst.forbidden.items()}
+    coefficient = key_coefficient(inst.sizes, mults)
+    claimed = sum(sz - 1 for sz in inst.sizes) - sum(map(len, inst.forbidden.values())) + 1
+    residue = coefficient % inst.p
+    method = "leading-form" if m is not None else "literal-product"
+    return CertificateReport(method, coefficient, residue, claimed, residue != 0)
 
 
 # ----------------------------------------------------------------------
@@ -589,15 +549,13 @@ def parameter_hypothesis_met(enforce: str, p: int, n: int, k: int, m: int) -> bo
     raise ValueError(f"enforce must be one of {HYPOTHESIS_CHOICES}, got {enforce!r}")
 
 
-def random_instance(seed: int, p: int, n: int, k: int, m: int,
-                    enforce: str = "none") -> SumsetInstance:
-    """Deterministic uniform instance from a seed.
+def _draw_instance(rng: SplitMix64, p: int, n: int, k: int, m: int,
+                   enforce: str = "none") -> SumsetInstance:
+    """Uniform instance drawn from ``rng`` after the parameters are checked.
 
     Draws A_1..A_n first (each a sorted k-subset of Z/pZ), then S_ij in
-    ascending (i, j) order, all from one SplitMix64 stream, so the same
-    seed always yields the same instance.  Because the enforced
-    hypotheses depend only on (p, n, k, m), an unsatisfiable request
-    fails immediately — resampling the elements could never help.
+    ascending (i, j) order.  Nothing is drawn unless p, n, k, m are in
+    range and the enforced hypothesis holds.
     """
     field = PrimeField(p)
     if n < 1:
@@ -611,19 +569,68 @@ def random_instance(seed: int, p: int, n: int, k: int, m: int,
             f"hypothesis {enforce!r} fails for p={p}, n={n}, k={k}, m={m} "
             "and does not depend on the sampled elements"
         )
-    rng = SplitMix64(seed)
     sets = [rng.sample(p, k) for _ in range(n)]
-    forbidden = {}
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                forbidden[(i, j)] = rng.sample(p, m)
+    forbidden = {
+        (i, j): rng.sample(p, m)
+        for i in range(n) for j in range(n) if i != j
+    }
     return SumsetInstance(field, sets, forbidden)
 
 
+def random_instance(seed: int, p: int, n: int, k: int, m: int,
+                    enforce: str = "none") -> SumsetInstance:
+    """Deterministic uniform instance from a seed.
+
+    All draws come from one SplitMix64 stream, so the same seed always
+    yields the same instance.  Because the enforced hypotheses depend
+    only on (p, n, k, m), an unsatisfiable request fails immediately —
+    resampling the elements could never help.
+    """
+    return _draw_instance(SplitMix64(seed), p, n, k, m, enforce)
+
+
 # ----------------------------------------------------------------------
-# Experiment harness
+# Per-instance pipeline and experiment harness
 # ----------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class InstanceAnalysis:
+    """Everything :func:`analyze` learns about one instance."""
+
+    sumset: tuple                    # C, ascending
+    bounds: BoundReport
+    certificate: CertificateReport | None
+    degree_infeasible: str | None    # DegreeInfeasible message when skipped
+    violations: tuple
+
+
+def analyze(inst: SumsetInstance, budget: int = DEFAULT_BUDGET) -> InstanceAnalysis:
+    """The per-instance pipeline: enumerate C, evaluate the bounds, try
+    the certificate, and record every |C| < bound event as a violation.
+
+    Only bounds whose hypothesis holds and certificates that are valid
+    can be violated.  Raises BudgetExceeded from the enumeration.
+    """
+    sumset = tuple(sorted(enumerate_restricted_sumset(inst, budget)))
+    cardinality = len(sumset)
+    bounds = compute_bounds(inst, cardinality)
+    certificate = infeasible = None
+    try:
+        certificate = certificate_check(inst)
+    except DegreeInfeasible as exc:
+        infeasible = str(exc)
+    violations = [
+        f"cardinality {cardinality} < {entry.name} bound {entry.value}"
+        for entry in bounds.entries()
+        if entry.hypothesis_met and entry.value is not None and cardinality < entry.value
+    ]
+    if certificate is not None and certificate.certificate_valid \
+            and cardinality < certificate.claimed_bound:
+        violations.append(
+            f"cardinality {cardinality} < certified bound {certificate.claimed_bound}"
+        )
+    return InstanceAnalysis(sumset, bounds, certificate, infeasible, tuple(violations))
+
 
 @dataclass(frozen=True)
 class ExperimentTrial:
@@ -643,21 +650,6 @@ class ExperimentTrial:
         return not self.violations
 
 
-def _soundness_violations(cardinality, bounds, certificate):
-    out = []
-    for entry in bounds.entries():
-        if entry.hypothesis_met and entry.value is not None and cardinality < entry.value:
-            out.append(
-                f"cardinality {cardinality} < {entry.name} bound {entry.value}"
-            )
-    if certificate is not None and certificate.certificate_valid \
-            and cardinality < certificate.claimed_bound:
-        out.append(
-            f"cardinality {cardinality} < certified bound {certificate.claimed_bound}"
-        )
-    return tuple(out)
-
-
 def run_experiment(seed: int, trials: int, p_set, n_set, m_set, k_max: int,
                    enforce: str = "none", budget: int = DEFAULT_BUDGET,
                    max_retries: int = 1000) -> list:
@@ -666,19 +658,22 @@ def run_experiment(seed: int, trials: int, p_set, n_set, m_set, k_max: int,
     Per trial the stream draws p, n, m, k in that order (k uniform on
     [1, min(k_max, p)]); parameter tuples failing the enforced hypothesis
     are redrawn, each redraw consuming stream output, so the whole run is
-    a pure function of its arguments.  Every accepted instance is
-    enumerated, its bounds and (when degree-feasible) its certificate are
-    computed, and any |C| < bound event is recorded as a violation.
+    a pure function of its arguments.  Every accepted instance goes
+    through :func:`analyze`.
     """
     if enforce not in HYPOTHESIS_CHOICES:
         raise ValueError(f"enforce must be one of {HYPOTHESIS_CHOICES}, got {enforce!r}")
     if trials < 0:
         raise ParameterOutOfRange(f"trials must be >= 0, got {trials}")
+    if k_max < 1:
+        raise ParameterOutOfRange(f"k_max must be >= 1, got {k_max}")
     p_choices = sorted(set(int(x) for x in p_set))
     n_choices = sorted(set(int(x) for x in n_set))
     m_choices = sorted(set(int(x) for x in m_set))
     if not (p_choices and n_choices and m_choices):
         raise ParameterOutOfRange("parameter ranges must be nonempty")
+    if p_choices[0] < 2:
+        raise ParameterOutOfRange(f"p must be >= 2, got {p_choices[0]}")
     rng = SplitMix64(seed)
     rows = []
     for t in range(trials):
@@ -693,27 +688,13 @@ def run_experiment(seed: int, trials: int, p_set, n_set, m_set, k_max: int,
             raise CannotSatisfyHypothesis(
                 f"no (p, n, k, m) draw satisfied {enforce!r} in {max_retries} tries"
             )
-        field = PrimeField(p)
-        sets = [rng.sample(p, k) for _ in range(n)]
-        forbidden = {
-            (i, j): rng.sample(p, m)
-            for i in range(n) for j in range(n) if i != j
-        }
-        inst = SumsetInstance(field, sets, forbidden)
-        cardinality = len(enumerate_restricted_sumset(inst, budget))
-        bounds = compute_bounds(inst, cardinality)
-        certificate = None
-        skip_reason = None
-        try:
-            certificate = certificate_check(inst)
-        except DegreeInfeasible as exc:
-            skip_reason = str(exc)
-        violations = _soundness_violations(cardinality, bounds, certificate)
+        result = analyze(_draw_instance(rng, p, n, k, m), budget)
         rows.append(ExperimentTrial(
             index=t, p=p, n=n, k=k, m=m,
-            cardinality=cardinality, bounds=bounds,
-            certificate=certificate, certificate_skip_reason=skip_reason,
-            violations=violations,
+            cardinality=len(result.sumset), bounds=result.bounds,
+            certificate=result.certificate,
+            certificate_skip_reason=result.degree_infeasible,
+            violations=result.violations,
         ))
     return rows
 

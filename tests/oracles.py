@@ -7,7 +7,7 @@ multiplication and the wanted coefficient is read off at the end.
 
 from functools import reduce
 
-from sumsetlab import SparsePoly
+from sumsetlab import CertificateReport, DegreeInfeasible, SparsePoly, sum_of_variables
 
 
 def expand_factors(factors):
@@ -31,3 +31,33 @@ def naive_coeff(factors, target):
 def naive_laurent_constant_term(factors):
     product = expand_factors(factors)
     return product.coeff((0,) * product.nvars)
+
+
+def literal_certificate(inst) -> CertificateReport:
+    """Certificate from the literal constraint polynomial.
+
+    Expands P = prod_{i != j} prod_{s in S_ij} (x_i - x_j - s) against the
+    balancing power of (x_1 + ... + x_n) and extracts the coefficient of
+    prod x_j^{|A_j| - 1} directly.  This is the reference route for
+    sumsetlab.certificate_check, which keeps only the top-degree part of P.
+    """
+    n = inst.n
+    sizes = inst.sizes
+    deg = sum(len(S) for S in inst.forbidden.values())
+    balance = sum(sz - 1 for sz in sizes) - deg
+    if balance < 0:
+        raise DegreeInfeasible(
+            f"sum(|A_j| - 1) = {sum(sz - 1 for sz in sizes)} < deg P = {deg}"
+        )
+    factors = [SparsePoly.one(n)]  # keeps the product nonempty when E = deg P = 0
+    for (i, j) in sorted(inst.forbidden):
+        ei = tuple(1 if t == i else 0 for t in range(n))
+        ej = tuple(1 if t == j else 0 for t in range(n))
+        for s in sorted(inst.forbidden[i, j]):
+            factors.append(SparsePoly(n, [(ei, 1), (ej, -1), ((0,) * n, -s)]))
+    factors.append((sum_of_variables(n), balance))
+    coefficient = naive_coeff(factors, tuple(sz - 1 for sz in sizes))
+    residue = coefficient % inst.p
+    return CertificateReport(
+        "literal-product", coefficient, residue, balance + 1, residue != 0
+    )

@@ -20,7 +20,6 @@ from sumsetlab import (
     SumsetInstance,
     aomoto_closed_form,
     aomoto_constant_term,
-    aomoto_inverted_closed_form,
     certificate_check,
     compute_bounds,
     coverage_sweep,
@@ -75,7 +74,7 @@ def criterion_2_aomoto_identity():
                         assert aomoto_constant_term(params, "a") == \
                             aomoto_closed_form(params), point
                         assert aomoto_constant_term(params, "b") == \
-                            aomoto_inverted_closed_form(a, b, s, m, n), point
+                            aomoto_closed_form(params, "b"), point
 
 
 def criterion_3_key_coefficient_closed_form():
@@ -173,7 +172,7 @@ def criterion_9_negative_controls():
     inst = SumsetInstance(2, [(0, 1), (0, 1)], uniform_forbidden(2, {0}))
     cert = certificate_check(inst)
     assert cert.coefficient_integer == 2
-    assert cert.coefficient_mod_p.value == 0
+    assert cert.coefficient_mod_p == 0
     assert cert.certificate_valid is False
     with pytest.raises(NotPrime):
         PrimeField(6)

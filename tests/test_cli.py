@@ -243,6 +243,19 @@ def test_experiment_unsatisfiable_enforce(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["--k-max", "0"],
+    ["--k-max", "-3"],
+    ["--m-set", "-1"],
+    ["--m-set", "9", "--p-set", "5"],
+    ["--p-set", "0,5"],
+])
+def test_experiment_out_of_range_is_usage_error(capsys, argv):
+    code, out, err = run(capsys, ["experiment", "--trials", "2"] + argv)
+    assert code == 1 and out == ""
+    assert err.startswith("sumsetlab: error: ")
+
+
 def test_experiment_table(capsys):
     code, out, _ = run(capsys, ["experiment", "--trials", "3", "--seed", "2"])
     assert code == 0

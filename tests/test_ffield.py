@@ -1,10 +1,6 @@
-import random
-
 import pytest
 
 from sumsetlab import (
-    DivisionByZero,
-    FieldMismatch,
     NotPrime,
     OutOfRange,
     PrimeField,
@@ -39,79 +35,3 @@ def test_is_prime_spots():
     assert [n for n in range(2, 30) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
     assert not is_prime(1)
     assert not is_prime(-7)
-
-
-def test_inverse_of_three_mod_seven():
-    F = PrimeField(7)
-    inv = F(3).inv()
-    assert inv.value == 5
-    # independent check: 3 * 5 = 15 = 2*7 + 1
-    assert (F(3) * inv).value == 1
-
-
-def test_add_wraps():
-    F = PrimeField(7)
-    assert (F(4) + F(5)).value == 2
-
-
-def test_mul_by_zero():
-    F = PrimeField(7)
-    for x in F.elements():
-        assert (F(0) * x).value == 0
-
-
-def test_inverse_of_zero():
-    with pytest.raises(DivisionByZero):
-        PrimeField(5)(0).inv()
-
-
-def test_mixed_moduli_rejected():
-    with pytest.raises(FieldMismatch):
-        PrimeField(7)(1) + PrimeField(5)(1)
-    with pytest.raises(FieldMismatch):
-        PrimeField(7)(1) * PrimeField(11)(2)
-
-
-def test_canonical_representative():
-    F = PrimeField(7)
-    assert F(9).value == 2
-    assert F(-1).value == 6
-    assert (-F(3)).value == 4
-    assert (F(2) - F(5)).value == 4
-
-
-def test_int_operands_coerce():
-    F = PrimeField(7)
-    assert (F(3) + 10).value == 6
-    assert (10 + F(3)).value == 6
-    assert (1 - F(3)).value == 5
-    assert F(3) == 10
-    assert F(3) != 4
-
-
-def test_division():
-    F = PrimeField(11)
-    assert ((F(7) / F(3)) * F(3)).value == 7
-
-
-def test_pow():
-    F = PrimeField(11)
-    assert (F(2) ** 10).value == 1  # Fermat
-    assert (F(2) ** -1) == F(2).inv()
-
-
-def test_field_axioms_random():
-    rng = random.Random(20260808)
-    for p in (2, 3, 5, 13, 101):
-        F = PrimeField(p)
-        for _ in range(60):
-            x, y, z = (F(rng.randrange(p)) for _ in range(3))
-            assert (x + y) + z == x + (y + z)
-            assert x + y == y + x
-            assert (x * y) * z == x * (y * z)
-            assert x * y == y * x
-            assert x * (y + z) == x * y + x * z
-            if x.value:
-                assert (x * x.inv()).value == 1
-            for result in (x + y, x - y, x * y, -x):
-                assert 0 <= result.value < p

@@ -1,0 +1,49 @@
+"""Byte-for-byte pins of ``--format doc`` output.
+
+Each argv's stdout is hashed with SHA-256 and compared with a digest
+recorded before the per-instance pipeline and the certificate route were
+unified, so any change to a doc byte fails here.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from sumsetlab.cli import main
+
+INSTANCES = {
+    "uniform.json": {"p": 7, "sets": [[0, 1, 2, 3], [0, 1, 2, 3]],
+                     "forbidden": {"1,2": [0], "2,1": [0]}},
+    "asym.json": {"p": 5, "sets": [[0, 1], [0, 1, 2]], "forbidden": {"1,2": [0]}},
+    "spread.json": {"p": 7, "sets": [[0], [0, 1, 2, 3]]},
+    "infeasible.json": {"p": 7, "sets": [[0, 1], [0, 1]],
+                        "forbidden": {"1,2": [0, 1], "2,1": [3]}},
+}
+
+GOLDEN = [
+    (["sumset", "uniform.json"],
+     "022088fbb941854a74d3cf557973e3a7315abb0ab0be797a6f035228226895fb"),
+    (["sumset", "asym.json"],
+     "6c4671165d0a8b0aea9031bdd73966f6a4643d21e8c172d3a8fa0058f0618328"),
+    (["sumset", "spread.json"],
+     "105a112e1c3d165fb37d0b7014c4c848032453f4a0566d51c0fb5b117d35b845"),
+    (["sumset", "infeasible.json"],
+     "ab6ef31f85cad95dfc207ca57800a6c2dbbfe3dcd1269f4258a80f1bb7c27bcf"),
+    (["experiment", "--trials", "8", "--seed", "5"],
+     "1a4f17883d8da1df4d0f9f55d7ee6116568ac4fd38eaa5ab0b9d7a715dec74c5"),
+    (["identities", "aomoto"],
+     "38f9d6b175fb589bdbb1857f1f9b8fbe4cf441ee55ac027f55a0495482ad1a5a"),
+    (["identities", "lemma22"],
+     "054b9d02754a8d83d348fafe9ea6037f3632f893987a2458239cc262524c4725"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", GOLDEN, ids=[" ".join(a) for a, _ in GOLDEN])
+def test_doc_output_is_pinned(capsys, tmp_path, argv, digest):
+    for name, doc in INSTANCES.items():
+        (tmp_path / name).write_text(json.dumps(doc))
+    argv = [str(tmp_path / a) if a in INSTANCES else a for a in argv]
+    assert main(argv + ["--format", "doc"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

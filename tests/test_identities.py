@@ -13,7 +13,6 @@ from sumsetlab import (
     TooFewVariables,
     aomoto_closed_form,
     aomoto_constant_term,
-    aomoto_inverted_closed_form,
     chi,
     dyson_closed_form,
     dyson_constant_term,
@@ -130,10 +129,10 @@ def test_aomoto_full_shift():
 
 def test_inverted_closed_form_values():
     # n=2, m=1, s=0, b=1: the product telescopes to (a+1)(a+2)
-    assert aomoto_inverted_closed_form(1, 1, 0, 1, 2) == 6
-    assert aomoto_inverted_closed_form(0, 1, 0, 1, 2) == 2
+    assert aomoto_closed_form(AomotoParams(n=2, s=0, a=1, b=1, m=1), "b") == 6
+    assert aomoto_closed_form(AomotoParams(n=2, s=0, a=0, b=1, m=1), "b") == 2
     # the m! factors cancel
-    assert aomoto_inverted_closed_form(1, 1, 0, 5, 1) == 2
+    assert aomoto_closed_form(AomotoParams(n=1, s=0, a=1, b=1, m=5), "b") == 2
 
 
 def test_orientations_differ_when_shift_is_asymmetric():
@@ -142,7 +141,7 @@ def test_orientations_differ_when_shift_is_asymmetric():
     ct_b = aomoto_constant_term(params, "b")
     assert ct_a == 1 and ct_b == 2
     assert aomoto_closed_form(params) == ct_a
-    assert aomoto_inverted_closed_form(1, 0, 1, 0, 1) == ct_b
+    assert aomoto_closed_form(params, "b") == ct_b
 
 
 def test_orientation_sweep_small():
@@ -154,12 +153,14 @@ def test_orientation_sweep_small():
                         params = AomotoParams(n=n, s=s, a=a, b=b, m=m)
                         assert aomoto_constant_term(params, "a") == aomoto_closed_form(params)
                         assert aomoto_constant_term(params, "b") == \
-                            aomoto_inverted_closed_form(a, b, s, m, n)
+                            aomoto_closed_form(params, "b")
 
 
 def test_bad_chi_side():
     with pytest.raises(ValueError):
         aomoto_constant_term(AomotoParams(n=1, s=0, a=1, b=1, m=0), "c")
+    with pytest.raises(ValueError):
+        aomoto_closed_form(AomotoParams(n=1, s=0, a=1, b=1, m=0), "c")
 
 
 # ----------------------------------------------------------------------
@@ -170,6 +171,10 @@ def test_key_coefficient_pinned():
     assert key_coefficient((3, 3), 1) == 2
     assert key_coefficient((4, 4), 1) == 4
     assert key_coefficient((2, 2), 0) == 2
+    # per-pair multiplicities: the uniform map equals the common m, and
+    # (x_1 - x_2)^1 (x_1 + x_2)^2 has [x_1 x_2^2] = -1
+    assert key_coefficient((4, 4), {(0, 1): 1, (1, 0): 1}) == 4
+    assert key_coefficient((2, 3), {(0, 1): 1}) == -1
 
 
 def test_key_coefficient_degree_infeasible():
@@ -184,6 +189,10 @@ def test_key_coefficient_validation():
         key_coefficient((2, 2), -1)
     with pytest.raises(ParameterOutOfRange):
         key_coefficient((), 1)
+    with pytest.raises(ParameterOutOfRange):
+        key_coefficient((2, 2), {(0, 1): -1})
+    with pytest.raises(ParameterOutOfRange):
+        key_coefficient((2, 2), {(0, 2): 1})
 
 
 def test_closed_form_pinned():

@@ -1,21 +1,22 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from oracles import literal_certificate
 from sumsetlab import (
     BudgetExceeded,
     CannotSatisfyHypothesis,
     DegreeInfeasible,
     InstanceFormatError,
-    NonUniformForbidden,
     NotInShrinkRegime,
     NotPrime,
     ParameterOutOfRange,
     PrimeField,
     SplitMix64,
     SumsetInstance,
+    analyze,
     certificate_check,
-    certificate_check_literal,
     compute_bounds,
     coverage_check,
     coverage_sweep,
@@ -205,7 +206,7 @@ def test_improvement_over_floor_bound():
 def test_certificate_erdos_heilbronn():
     cert = certificate_check(eh_instance())
     assert cert.coefficient_integer == 4
-    assert cert.coefficient_mod_p.value == 4
+    assert cert.coefficient_mod_p == 4
     assert cert.claimed_bound == 5
     assert cert.certificate_valid
 
@@ -214,21 +215,17 @@ def test_certificate_vanishes_mod_two():
     inst = SumsetInstance(2, [(0, 1), (0, 1)], uniform_forbidden(2, {0}))
     cert = certificate_check(inst)
     assert cert.coefficient_integer == 2
-    assert cert.coefficient_mod_p.value == 0
+    assert cert.coefficient_mod_p == 0
     assert not cert.certificate_valid
 
 
-def test_certificate_requires_uniform_forbidden():
-    inst = SumsetInstance(5, [(0, 1), (0, 1, 2)], {(0, 1): [0]})
-    with pytest.raises(NonUniformForbidden):
-        certificate_check(inst)
-
-
 def test_certificate_literal_asymmetric():
+    # only the (1,2) direction is constrained, so the |S_ij| are not uniform
     inst = SumsetInstance(5, [(0, 1), (0, 1, 2)], {(0, 1): [0]})
-    cert = certificate_check_literal(inst)
+    cert = certificate_check(inst)
+    assert cert.method == "literal-product"
     assert cert.coefficient_integer == -1
-    assert cert.coefficient_mod_p.value == 4
+    assert cert.coefficient_mod_p == 4
     assert cert.claimed_bound == 3
     assert cert.certificate_valid
     assert sorted(enumerate_restricted_sumset(inst)) == [1, 2, 3]
@@ -239,12 +236,7 @@ def test_certificate_degree_infeasible():
     with pytest.raises(DegreeInfeasible):
         certificate_check(inst)
     with pytest.raises(DegreeInfeasible):
-        certificate_check_literal(inst)
-
-
-def test_certificate_literal_budget():
-    with pytest.raises(BudgetExceeded):
-        certificate_check_literal(eh_instance(), budget=3)
+        literal_certificate(inst)
 
 
 def test_literal_agrees_with_leading_form():
@@ -253,9 +245,44 @@ def test_literal_agrees_with_leading_form():
     for seed in range(8):
         inst = random_instance(seed, 11, 2, 4, 1)
         lead = certificate_check(inst)
-        literal = certificate_check_literal(inst)
+        literal = literal_certificate(inst)
         assert lead.coefficient_integer == literal.coefficient_integer
         assert lead.claimed_bound == literal.claimed_bound
+
+
+@st.composite
+def small_instances(draw):
+    """p <= 13, n <= 3, |A_j| <= 4, |S_ij| <= 2; uniform or per-pair S_ij."""
+    p = draw(st.sampled_from((2, 3, 5, 7, 11, 13)))
+    uniform = draw(st.integers(0, 2)) == 0
+    n = draw(st.integers(1 if uniform else 2, 3))
+
+    def subset(lo, hi):
+        size = draw(st.integers(lo, min(hi, p)))
+        return draw(st.sets(st.integers(0, p - 1), min_size=size, max_size=size))
+
+    sets = [subset(1, 4) for _ in range(n)]
+    if uniform:
+        forbidden = uniform_forbidden(n, subset(0, 2))
+    else:
+        forbidden = {(i, j): subset(0, 2) for i in range(n) for j in range(n) if i != j}
+    return SumsetInstance(p, sets, forbidden)
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_instances())
+def test_certificate_matches_literal_oracle(inst):
+    try:
+        expected = literal_certificate(inst)
+    except DegreeInfeasible:
+        with pytest.raises(DegreeInfeasible):
+            certificate_check(inst)
+        return
+    cert = certificate_check(inst)
+    assert cert.coefficient_integer == expected.coefficient_integer
+    assert cert.coefficient_mod_p == expected.coefficient_mod_p
+    assert cert.claimed_bound == expected.claimed_bound
+    assert cert.method == ("literal-product" if inst.uniform_m is None else "leading-form")
 
 
 def test_certificate_soundness_on_seeded_instances():
@@ -265,6 +292,32 @@ def test_certificate_soundness_on_seeded_instances():
         if cert.certificate_valid:
             card = len(enumerate_restricted_sumset(inst))
             assert card >= cert.claimed_bound
+
+
+# ----------------------------------------------------------------------
+# per-instance pipeline
+# ----------------------------------------------------------------------
+
+def test_analyze_erdos_heilbronn():
+    result = analyze(eh_instance())
+    assert result.sumset == (1, 2, 3, 4, 5)
+    assert result.bounds.thm2.value == 5
+    assert result.certificate == certificate_check(eh_instance())
+    assert result.degree_infeasible is None
+    assert result.violations == ()
+
+
+def test_analyze_degree_infeasible():
+    inst = SumsetInstance(7, [(0, 1), (0, 1)], {(0, 1): [0, 1], (1, 0): [3]})
+    result = analyze(inst)
+    assert result.certificate is None
+    assert result.degree_infeasible == "sum(|A_j| - 1) = 2 < deg P = 3"
+    assert result.violations == ()
+
+
+def test_analyze_budget():
+    with pytest.raises(BudgetExceeded):
+        analyze(eh_instance(), budget=3)
 
 
 # ----------------------------------------------------------------------
