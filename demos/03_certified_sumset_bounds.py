@@ -23,7 +23,7 @@ inst = SumsetInstance(7, [A, A], uniform_forbidden(2, {0}))
 C = sorted(enumerate_restricted_sumset(inst))
 print(f"C = {C}, |C| = {len(C)} = 2|A| - 3")
 
-report = compute_bounds(inst, len(C))
+report = compute_bounds(inst)
 for entry in report.entries():
     value = "n/a" if entry.value is None else entry.value
     print(f"  {entry.name:>4}: value {value:>3}  hypothesis {entry.hypothesis_met!s:>5}  ({entry.reason})")

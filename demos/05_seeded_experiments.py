@@ -33,14 +33,16 @@ header = f"{'trial':>5} {'p':>3} {'n':>2} {'k':>2} {'m':>2} {'|C|':>4} {'thm3':>
 print(header)
 print("-" * len(header))
 for row in rows:
-    cert = ("skipped" if row.certificate is None
-            else "valid" if row.certificate.certificate_valid else "vanishes")
+    result = row.analysis  # the InstanceAnalysis of this trial's instance
+    cert = ("skipped" if result.certificate is None
+            else "valid" if result.certificate.certificate_valid else "vanishes")
     print(f"{row.index:>5} {row.p:>3} {row.n:>2} {row.k:>2} {row.m:>2} "
-          f"{row.cardinality:>4} {row.bounds.thm3.value:>5} {cert:>9}")
+          f"{len(result.sumset):>4} {result.bounds.thm3.value:>5} {cert:>9}")
 
-violations = sum(len(row.violations) for row in rows)
+violations = sum(len(row.analysis.violations) for row in rows)
 certified = Counter(
-    "valid" if row.certificate and row.certificate.certificate_valid else "other"
+    "valid" if row.analysis.certificate and row.analysis.certificate.certificate_valid
+    else "other"
     for row in rows
 )
 print(f"\nviolations: {violations}; certificates valid on {certified['valid']}/25 trials")

@@ -56,6 +56,67 @@ _CHAR0_NOTE = ("characteristic 0: identity-level verification only "
                "(enumeration runs over Z/pZ)")
 
 
+# What each identities option means, and per scope its (default, low,
+# high), high None meaning unbounded.  The help text, the range checks
+# and the rejection of options a scope does not read all come from here.
+_ID_OPTIONS = {
+    "max_vars": "largest variable count",
+    "max_entry": "largest exponent entry",
+    "min_n": "smallest n",
+    "max_n": "largest n",
+    "fix_n": "the fixed n",
+    "max_a": "largest a",
+    "max_b": "largest b",
+    "max_m": "largest symmetric exponent m",
+    "max_s": "largest shift count s",
+    "k_span": "k sweeps m(n-1)+1 .. m(n-1)+k-span",
+    "slack": "extra interpolation samples",
+    "chi_side": "which product orientation the closed form is paired with "
+                "('b' is a deliberate negative control)",
+}
+_DYSON_LIMITS = {"max_vars": (4, 2, 6), "max_entry": (2, 0, 4)}
+_SCOPE_LIMITS = {
+    "dyson": _DYSON_LIMITS,
+    "zeilberger": _DYSON_LIMITS,
+    "aomoto": {"max_n": (3, 1, 4), "max_a": (2, 0, 3), "max_b": (2, 0, 3),
+               "max_m": (1, 0, 2), "chi_side": ("a", "a", "b")},
+    "lemma22": {"fix_n": (2, 1, 4), "max_b": (2, 0, 3), "max_s": (2, 0, None),
+                "max_m": (1, 0, 2), "slack": (2, 0, 4)},
+    "prop21": {"min_n": (2, 1, 4), "max_n": (3, 1, 4), "max_m": (2, 1, 3),
+               "k_span": (4, 1, 6)},
+}
+
+
+def _flag(dest):
+    return "--" + dest.replace("_", "-")
+
+
+def _span(low, high):
+    return f"in [{low}, {high}]" if high is not None else f">= {low}"
+
+
+def _option_help(dest):
+    by_limits = {}
+    for scope, limits in _SCOPE_LIMITS.items():
+        if dest in limits:
+            by_limits.setdefault(limits[dest], []).append(scope)
+    return f"{_ID_OPTIONS[dest]}; " + "; ".join(
+        f"{'/'.join(scopes)}: default {default}, {_span(low, high)}"
+        for (default, low, high), scopes in by_limits.items()
+    )
+
+
+# Built once at import, not per parser: main() builds a parser on every
+# call, and the dead parsers wait for the cyclic collector, so per-call
+# strings would pile up with them.
+_ID_ARGUMENTS = [
+    (_flag(dest), {"default": None, "help": _option_help(dest),
+                   **({"choices": _SCOPE_LIMITS["aomoto"]["chi_side"][1:]}
+                      if dest == "chi_side" else {"type": int, "metavar": "N"})})
+    for dest in _ID_OPTIONS
+]
+
+
 class _UsageError(Exception):
     pass
 
@@ -99,32 +160,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_id.add_argument("scope", choices=("dyson", "zeilberger", "aomoto", "lemma22", "prop21"),
                       help="which identity family to sweep")
-    p_id.add_argument("--max-vars", type=int, default=None, metavar="N",
-                      help="dyson/zeilberger: largest variable count (default 4, cap 6)")
-    p_id.add_argument("--max-entry", type=int, default=None, metavar="N",
-                      help="dyson/zeilberger: largest exponent entry (default 2, cap 4)")
-    p_id.add_argument("--max-n", type=int, default=None, metavar="N",
-                      help="aomoto/prop21: largest n (default 3, cap 4)")
-    p_id.add_argument("--min-n", type=int, default=None, metavar="N",
-                      help="prop21: smallest n (default 2)")
-    p_id.add_argument("--max-a", type=int, default=None, metavar="N",
-                      help="aomoto: largest a (default 2, cap 3)")
-    p_id.add_argument("--max-b", type=int, default=None, metavar="N",
-                      help="aomoto/lemma22: largest b (default 2, cap 3)")
-    p_id.add_argument("--max-m", type=int, default=None, metavar="N",
-                      help="largest symmetric exponent m (defaults: aomoto/lemma22 1, "
-                           "prop21 2; cap 3)")
-    p_id.add_argument("--max-s", type=int, default=None, metavar="N",
-                      help="lemma22: largest shift count s (default 2)")
-    p_id.add_argument("--fix-n", type=int, default=None, metavar="N",
-                      help="lemma22: the fixed n (default 2, cap 4)")
-    p_id.add_argument("--k-span", type=int, default=None, metavar="N",
-                      help="prop21: k sweeps m(n-1)+1 .. m(n-1)+k-span (default 4, cap 6)")
-    p_id.add_argument("--slack", type=int, default=None, metavar="N",
-                      help="lemma22: extra interpolation samples (default 2, cap 4)")
-    p_id.add_argument("--chi-side", choices=("a", "b"), default="a",
-                      help="aomoto: which product orientation the closed form is "
-                           "paired with (default a; 'b' is a deliberate negative control)")
+    for flag, kwargs in _ID_ARGUMENTS:
+        p_id.add_argument(flag, **kwargs)
 
     p_sum = sub.add_parser(
         "sumset", parents=[common],
@@ -166,10 +203,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _default(value, fallback):
-    return fallback if value is None else value
-
-
 def _require(condition, message):
     if not condition:
         raise _UsageError(message)
@@ -179,19 +212,31 @@ def _require(condition, message):
 # identities
 # ----------------------------------------------------------------------
 
+def _scope_config(args):
+    """The options of the chosen identities scope, defaulted and range
+    checked; an option the scope does not read is a usage error."""
+    limits = _SCOPE_LIMITS[args.scope]
+    unread = [dest for dest in _ID_OPTIONS
+              if dest not in limits and getattr(args, dest) is not None]
+    _require(not unread, f"identities {args.scope} does not read "
+             + ", ".join(map(_flag, unread)))
+    config = {}
+    for dest, (default, low, high) in limits.items():
+        value = default if getattr(args, dest) is None else getattr(args, dest)
+        _require(low <= value and (high is None or value <= high),
+                 f"{_flag(dest)} must be {_span(low, high)}")
+        config[dest] = value
+    return config
+
+
 def _cmd_identities(args, budget):
     scope = args.scope
     rows = []
-    config = {"scope": scope}
+    config = _scope_config(args)
 
     if scope in ("dyson", "zeilberger"):
-        max_vars = _default(args.max_vars, 4)
-        max_entry = _default(args.max_entry, 2)
-        _require(2 <= max_vars <= 6, "--max-vars must lie in [2, 6]")
-        _require(0 <= max_entry <= 4, "--max-entry must lie in [0, 4]")
-        config.update(max_vars=max_vars, max_entry=max_entry)
-        for nv in range(2, max_vars + 1):
-            for avec in itertools.product(range(max_entry + 1), repeat=nv):
+        for nv in range(2, config["max_vars"] + 1):
+            for avec in itertools.product(range(config["max_entry"] + 1), repeat=nv):
                 ct = dyson_constant_term(avec)
                 closed = dyson_closed_form(avec)
                 row = {"avec": list(avec), "constant_term": ct, "closed_form": closed}
@@ -204,29 +249,19 @@ def _cmd_identities(args, budget):
                 rows.append(row)
 
     elif scope == "aomoto":
-        max_n = _default(args.max_n, 3)
-        max_a = _default(args.max_a, 2)
-        max_b = _default(args.max_b, 2)
-        max_m = _default(args.max_m, 1)
-        _require(1 <= max_n <= 4, "--max-n must lie in [1, 4]")
-        _require(0 <= max_a <= 3, "--max-a must lie in [0, 3]")
-        _require(0 <= max_b <= 3, "--max-b must lie in [0, 3]")
-        _require(0 <= max_m <= 2, "--max-m must lie in [0, 2]")
-        other = "b" if args.chi_side == "a" else "a"
-        config.update(max_n=max_n, max_a=max_a, max_b=max_b, max_m=max_m,
-                      chi_side=args.chi_side)
-        for n in range(1, max_n + 1):
+        chi_side = config["chi_side"]
+        other = "b" if chi_side == "a" else "a"
+        for n in range(1, config["max_n"] + 1):
             for s in range(n + 1):
-                for a in range(max_a + 1):
-                    for b in range(max_b + 1):
-                        for m in range(max_m + 1):
+                for a in range(config["max_a"] + 1):
+                    for b in range(config["max_b"] + 1):
+                        for m in range(config["max_m"] + 1):
                             params = AomotoParams(n=n, s=s, a=a, b=b, m=m)
                             ct = {side: aomoto_constant_term(params, side)
                                   for side in ("a", "b")}
                             closed = aomoto_closed_form(params)
                             inverted = aomoto_closed_form(params, "b")
-                            agree = (closed == ct[args.chi_side]
-                                     and inverted == ct[other])
+                            agree = closed == ct[chi_side] and inverted == ct[other]
                             rows.append({
                                 "n": n, "s": s, "a": a, "b": b, "m": m,
                                 "ct_chi_a": ct["a"], "ct_chi_b": ct["b"],
@@ -235,23 +270,13 @@ def _cmd_identities(args, budget):
                             })
 
     elif scope == "lemma22":
-        n = _default(args.fix_n, 2)
-        max_b = _default(args.max_b, 2)
-        max_s = _default(args.max_s, 2)
-        max_m = _default(args.max_m, 1)
-        slack = _default(args.slack, 2)
-        _require(1 <= n <= 4, "--fix-n must lie in [1, 4]")
-        _require(0 <= max_b <= 3, "--max-b must lie in [0, 3]")
-        _require(0 <= max_s, "--max-s must be >= 0")
-        _require(0 <= max_m <= 2, "--max-m must lie in [0, 2]")
-        _require(0 <= slack <= 4, "--slack must lie in [0, 4]")
-        config.update(n=n, max_b=max_b, max_s=max_s, max_m=max_m, slack=slack)
-        for b in range(max_b + 1):
-            for s in range(min(max_s, n) + 1):
-                for m in range(max_m + 1):
+        n = config["n"] = config.pop("fix_n")  # reported as "n"
+        for b in range(config["max_b"] + 1):
+            for s in range(min(config["max_s"], n) + 1):
+                for m in range(config["max_m"] + 1):
                     base = {"n": n, "s": s, "b": b, "m": m}
                     try:
-                        rep = leading_coefficient_check(n, s, b, m, slack)
+                        rep = leading_coefficient_check(n, s, b, m, config["slack"])
                     except InterpolationMismatch as exc:
                         rows.append({**base, "agree": False, "error": str(exc)})
                         continue
@@ -264,17 +289,10 @@ def _cmd_identities(args, budget):
                     })
 
     elif scope == "prop21":
-        min_n = _default(args.min_n, 2)
-        max_n = _default(args.max_n, 3)
-        max_m = _default(args.max_m, 2)
-        k_span = _default(args.k_span, 4)
-        _require(1 <= min_n <= max_n <= 4, "--min-n/--max-n must satisfy 1 <= min <= max <= 4")
-        _require(1 <= max_m <= 3, "--max-m must lie in [1, 3]")
-        _require(1 <= k_span <= 6, "--k-span must lie in [1, 6]")
-        config.update(min_n=min_n, max_n=max_n, max_m=max_m, k_span=k_span)
-        for n in range(min_n, max_n + 1):
-            for m in range(1, max_m + 1):
-                for k in range(m * (n - 1) + 1, m * (n - 1) + k_span + 1):
+        _require(config["min_n"] <= config["max_n"], "--min-n must not exceed --max-n")
+        for n in range(config["min_n"], config["max_n"] + 1):
+            for m in range(1, config["max_m"] + 1):
+                for k in range(m * (n - 1) + 1, m * (n - 1) + config["k_span"] + 1):
                     for s in range(n + 1):
                         closed = key_coefficient_closed_form(n, m, k, s)
                         sizes = (k + 1,) * s + (k,) * (n - s)
@@ -289,17 +307,16 @@ def _cmd_identities(args, budget):
     first_failure = next((row for row in rows if not row["agree"]), None)
     report = {
         "command": "identities",
-        "config": config,
+        "config": {"scope": scope, **config},
         "rows": rows,
         "all_agree": all_agree,
         "first_failure": first_failure,
     }
     if scope == "aomoto":
-        other = "b" if args.chi_side == "a" else "a"
         report["orientation"] = {
             "closed_form": "chi shift on the a-side factorials",
             "inverted_form": "chi shift on the b-side factorials",
-            "closed_form_paired_with": f"ct_chi_{args.chi_side}",
+            "closed_form_paired_with": f"ct_chi_{chi_side}",
             "inverted_form_paired_with": f"ct_chi_{other}",
         }
     return (EXIT_OK if all_agree else EXIT_DISAGREEMENT), report
@@ -309,43 +326,38 @@ def _cmd_identities(args, budget):
 # sumset
 # ----------------------------------------------------------------------
 
-def _bound_entry_dict(entry):
+def _analysis_dict(result, skip_prefix=""):
+    """The report fields of one :class:`InstanceAnalysis`, shared by the
+    sumset report and the experiment rows."""
+    cert = result.certificate
+    skip = result.degree_infeasible
     return {
-        "formula": entry.formula,
-        "value": entry.value,
-        "hypothesis_met": entry.hypothesis_met,
-        "reason": entry.reason,
-    }
-
-
-def _bounds_dict(report):
-    return {entry.name: _bound_entry_dict(entry) for entry in report.entries()}
-
-
-def _certificate_dict(cert):
-    return {
-        "method": cert.method,
-        "coefficient": cert.coefficient_integer,
-        "coefficient_mod_p": cert.coefficient_mod_p,
-        "claimed_bound": cert.claimed_bound,
-        "valid": cert.certificate_valid,
+        "cardinality": len(result.sumset),
+        "bounds": {
+            entry.name: {"formula": entry.formula, "value": entry.value,
+                         "hypothesis_met": entry.hypothesis_met, "reason": entry.reason}
+            for entry in result.bounds.entries()
+        },
+        "certificate": None if cert is None else {
+            "method": cert.method,
+            "coefficient": cert.coefficient_integer,
+            "coefficient_mod_p": cert.coefficient_mod_p,
+            "claimed_bound": cert.claimed_bound,
+            "valid": cert.certificate_valid,
+        },
+        "certificate_skip_reason": None if skip is None else skip_prefix + skip,
+        "violations": list(result.violations),
     }
 
 
 def _cmd_sumset(args, budget):
     inst = load_instance(args.instance)
     result = analyze(inst, budget)
-    skip_reason = (None if result.degree_infeasible is None
-                   else f"degree-infeasible: {result.degree_infeasible}")
     report = {
         "command": "sumset",
         "instance": instance_to_dict(inst),
         "sumset": list(result.sumset),
-        "cardinality": len(result.sumset),
-        "bounds": _bounds_dict(result.bounds),
-        "certificate": _certificate_dict(result.certificate) if result.certificate else None,
-        "certificate_skip_reason": skip_reason,
-        "violations": list(result.violations),
+        **_analysis_dict(result, skip_prefix="degree-infeasible: "),
         "notes": [_CHAR0_NOTE],
     }
     return (EXIT_DISAGREEMENT if result.violations else EXIT_OK), report
@@ -394,18 +406,9 @@ def _cmd_experiment(args, budget):
         args.seed, args.trials, args.p_set, args.n_set, args.m_set,
         args.k_max, enforce=args.enforce, budget=budget,
     )
-    rows = []
-    for t in trials:
-        rows.append({
-            "trial": t.index,
-            "p": t.p, "n": t.n, "k": t.k, "m": t.m,
-            "cardinality": t.cardinality,
-            "bounds": _bounds_dict(t.bounds),
-            "certificate": _certificate_dict(t.certificate) if t.certificate else None,
-            "certificate_skip_reason": t.certificate_skip_reason,
-            "violations": list(t.violations),
-        })
-    total = sum(len(t.violations) for t in trials)
+    rows = [{"trial": t.index, "p": t.p, "n": t.n, "k": t.k, "m": t.m,
+             **_analysis_dict(t.analysis)} for t in trials]
+    total = sum(len(row["violations"]) for row in rows)
     report = {
         "command": "experiment",
         "config": {
@@ -565,6 +568,7 @@ def main(argv=None) -> int:
     try:
         budget = _resolve_budget(args)
         code, report = _HANDLERS[args.command](args, budget)
+        _emit(report, args)
     except _UsageError as exc:
         sys.stderr.write(f"sumsetlab: error: {exc}\n")
         return EXIT_USAGE
@@ -575,7 +579,6 @@ def main(argv=None) -> int:
             CannotSatisfyHypothesis, OSError) as exc:
         sys.stderr.write(f"sumsetlab: error: {exc}\n")
         return EXIT_USAGE
-    _emit(report, args)
     return code
 
 

@@ -15,17 +15,39 @@ class NotPrime(ValueError):
     """Composite modulus passed where a prime is required."""
 
 
+# Miller-Rabin with the prime bases 2..41 decides primality exactly below
+# this ceiling (Sorenson and Webster, Math. Comp. 86 (2017)); at or above
+# it these bases are not known to suffice, so such moduli are refused.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_CEILING = 3_317_044_064_679_887_385_961_981
+
+
 def is_prime(n: int) -> bool:
-    """Deterministic trial division up to sqrt(n); instant at desk scale (p < 10**6)."""
+    """Deterministic Miller-Rabin, exact for n < PRIME_CEILING.
+
+    Raises OutOfRange for n >= PRIME_CEILING.
+    """
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    if n >= PRIME_CEILING:
+        raise OutOfRange(f"primality is only decided below {PRIME_CEILING}, got {n}")
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 

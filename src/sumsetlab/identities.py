@@ -365,6 +365,10 @@ def leading_coefficient_check(n: int, s: int, b: int, m: int,
 
         (1/D!) * constant term of (x_1+...+x_n)^D prod_l x_l^{-a_l}
                                   prod_{i != j} (1 - x_i/x_j)^m.
+
+    Since prod_{i != j} (1 - x_i/x_j)^m
+    = prod_j x_j^{-m(n-1)} prod_{i != j} (x_i - x_j)^m, that constant
+    term is the key coefficient for sizes a_l + m(n-1) + 1.
     """
     if n < 1 or b < 0 or m < 0 or not 0 <= s <= n:
         raise ParameterOutOfRange(f"bad parameters n={n}, s={s}, b={b}, m={m}")
@@ -383,16 +387,8 @@ def leading_coefficient_check(n: int, s: int, b: int, m: int,
                 f"sample at a={x} is {y}, but the degree-{degree} "
                 f"interpolant gives {got}"
             )
-    factors = [
-        (sum_of_variables(n), degree),
-        SparsePoly(n, {tuple(-al for al in a_l): 1}),
-    ]
-    if m:
-        for i in range(n):
-            for j in range(n):
-                if i != j:
-                    factors.append((_one_minus_ratio(n, i, j), m))
-    expected = Fraction(constant_term_laurent(factors), factorial(degree))
+    sizes = tuple(al + m * (n - 1) + 1 for al in a_l)
+    expected = Fraction(key_coefficient(sizes, m), factorial(degree))
     leading = coeffs[degree]
     return LeadingCoefficientReport(
         n=n, s=s, b=b, m=m,
@@ -404,16 +400,3 @@ def leading_coefficient_check(n: int, s: int, b: int, m: int,
         agree=leading == expected,
     )
 
-
-@dataclass(frozen=True)
-class IdentityReport:
-    """A single brute-vs-closed comparison, as emitted in CLI rows."""
-
-    identity: str
-    params: dict
-    brute_value: int
-    closed_value: int
-
-    @property
-    def agree(self) -> bool:
-        return self.brute_value == self.closed_value

@@ -198,7 +198,6 @@ class BoundEntry:
 
 @dataclass(frozen=True)
 class BoundReport:
-    brute_cardinality: int | None
     thm1: BoundEntry
     thm2: BoundEntry
     thm3: BoundEntry
@@ -214,28 +213,28 @@ _F3 = "min(p, n*(k-1) - m*n*(n-1) + 1)"
 _FOLD = "n*floor((p-1)/n) + 1"
 
 
-def compute_bounds(inst: SumsetInstance, brute_cardinality: int | None = None) -> BoundReport:
+def compute_bounds(inst: SumsetInstance) -> BoundReport:
     """Evaluate every bound formula and flag each one's hypothesis.
 
     Bounds whose shape prerequisites fail (non-uniform sizes where a
     common k is required, non-uniform forbidden sets) get value None;
     a computable bound whose arithmetic hypothesis fails keeps its value
     but has hypothesis_met False.  Never raises: inapplicable bounds are
-    flagged, not thrown.  The enumerated cardinality is echoed if the
-    caller supplies it.
+    flagged, not thrown.
     """
-    p, n = inst.p, inst.n
-    sizes = inst.sizes
-    k = inst.uniform_size
-    m = inst.uniform_m
+    return _shape_bounds(inst.p, inst.sizes, inst.uniform_m)
+
+
+def _shape_bounds(p: int, sizes: tuple, m: int | None) -> BoundReport:
+    """The bound report for sets of these sizes with every |S_ij| = m
+    (None: the |S_ij| differ).  The one place each hypothesis is stated."""
+    n = len(sizes)
+    k = sizes[0] if len(set(sizes)) == 1 else None
 
     if m is None:
         why = "forbidden-set sizes are not uniform"
-        thm1 = BoundEntry("thm1", _F1, None, False, why)
-        thm2 = BoundEntry("thm2", _F2, None, False, why)
-        thm3 = BoundEntry("thm3", _F3, None, False, why)
-        old = BoundEntry("old", _FOLD, None, False, why)
-        return BoundReport(brute_cardinality, thm1, thm2, thm3, old)
+        return BoundReport(*(BoundEntry(name, formula, None, False, why) for name, formula
+                             in (("thm1", _F1), ("thm2", _F2), ("thm3", _F3), ("old", _FOLD))))
 
     deg = m * n * (n - 1)
 
@@ -275,7 +274,7 @@ def compute_bounds(inst: SumsetInstance, brute_cardinality: int | None = None) -
             "set sizes must lie within {k, k+1} for a single k",
         )
 
-    return BoundReport(brute_cardinality, thm1, thm2, thm3, old)
+    return BoundReport(thm1, thm2, thm3, old)
 
 
 # ----------------------------------------------------------------------
@@ -334,13 +333,9 @@ def shrink_sizes(p: int, n: int, m: int, k: int) -> tuple:
     """
     if p < 2 or n < 1 or m < 0 or k < 1:
         raise ParameterOutOfRange(f"bad parameters p={p}, n={n}, m={m}, k={k}")
-    if p <= m * n:
-        raise NotInShrinkRegime(f"needs p > mn, got p={p}, mn={m * n}")
-    if p > n * (k - 1) - m * n * (n - 1):
-        raise NotInShrinkRegime(
-            f"needs p <= n(k-1)-mn(n-1), got p={p}, "
-            f"n(k-1)-mn(n-1)={n * (k - 1) - m * n * (n - 1)}"
-        )
+    old = _shape_bounds(p, (k,) * n, m).old
+    if not old.hypothesis_met:
+        raise NotInShrinkRegime(old.reason)
     kp = (p - 1) // n + m * (n - 1) + 1
     r = (p - 1) % n
     sizes = (kp + 1,) * r + (kp,) * (n - r)
@@ -520,17 +515,22 @@ class SplitMix64:
     def sample(self, population_size: int, count: int) -> tuple:
         """``count`` distinct values from range(population_size), sorted.
 
-        Partial Fisher-Yates: the first ``count`` slots of a shuffle.
+        Partial Fisher-Yates: the first ``count`` slots of a shuffle of
+        range(population_size).  Slot i is final once step i swaps it with
+        slot j, so only the slots swapped forward are stored (a slot absent
+        from ``moved`` still holds its own index): time and memory are
+        O(count) whatever the population.
         """
         if not 0 <= count <= population_size:
             raise ValueError(
                 f"cannot sample {count} from a population of {population_size}"
             )
-        pool = list(range(population_size))
+        moved, picked = {}, []
         for i in range(count):
             j = i + self.below(population_size - i)
-            pool[i], pool[j] = pool[j], pool[i]
-        return tuple(sorted(pool[:count]))
+            picked.append(moved.get(j, j))
+            moved[j] = moved.get(i, i)
+        return tuple(sorted(picked))
 
 
 def parameter_hypothesis_met(enforce: str, p: int, n: int, k: int, m: int) -> bool:
@@ -539,14 +539,11 @@ def parameter_hypothesis_met(enforce: str, p: int, n: int, k: int, m: int) -> bo
     These conditions depend only on (p, n, k, m) — never on which
     elements get sampled — so they can be decided before generation.
     """
-    if enforce == "none":
-        return True
-    if enforce in ("thm1", "thm2"):
-        # with all |A_j| = k the two hypotheses coincide
-        return p > max(n * (k - 1) - m * n * (n - 1), m * n)
-    if enforce == "thm3":
-        return p > m * n
-    raise ValueError(f"enforce must be one of {HYPOTHESIS_CHOICES}, got {enforce!r}")
+    if enforce not in HYPOTHESIS_CHOICES:
+        raise ValueError(f"enforce must be one of {HYPOTHESIS_CHOICES}, got {enforce!r}")
+    if n < 1:
+        raise ParameterOutOfRange(f"n must be >= 1, got {n}")
+    return enforce == "none" or getattr(_shape_bounds(p, (k,) * n, m), enforce).hypothesis_met
 
 
 def _draw_instance(rng: SplitMix64, p: int, n: int, k: int, m: int,
@@ -613,7 +610,7 @@ def analyze(inst: SumsetInstance, budget: int = DEFAULT_BUDGET) -> InstanceAnaly
     """
     sumset = tuple(sorted(enumerate_restricted_sumset(inst, budget)))
     cardinality = len(sumset)
-    bounds = compute_bounds(inst, cardinality)
+    bounds = compute_bounds(inst)
     certificate = infeasible = None
     try:
         certificate = certificate_check(inst)
@@ -639,27 +636,25 @@ class ExperimentTrial:
     n: int
     k: int
     m: int
-    cardinality: int
-    bounds: BoundReport
-    certificate: CertificateReport | None
-    certificate_skip_reason: str | None
-    violations: tuple
+    analysis: InstanceAnalysis
 
     @property
     def sound(self) -> bool:
-        return not self.violations
+        return not self.analysis.violations
+
+
+_MAX_RETRIES = 1000
 
 
 def run_experiment(seed: int, trials: int, p_set, n_set, m_set, k_max: int,
-                   enforce: str = "none", budget: int = DEFAULT_BUDGET,
-                   max_retries: int = 1000) -> list:
+                   enforce: str = "none", budget: int = DEFAULT_BUDGET) -> list:
     """Seeded soundness sweep; one ExperimentTrial per trial.
 
     Per trial the stream draws p, n, m, k in that order (k uniform on
     [1, min(k_max, p)]); parameter tuples failing the enforced hypothesis
-    are redrawn, each redraw consuming stream output, so the whole run is
-    a pure function of its arguments.  Every accepted instance goes
-    through :func:`analyze`.
+    are redrawn (at most _MAX_RETRIES times), each redraw consuming
+    stream output, so the whole run is a pure function of its arguments.
+    Every accepted instance goes through :func:`analyze`.
     """
     if enforce not in HYPOTHESIS_CHOICES:
         raise ValueError(f"enforce must be one of {HYPOTHESIS_CHOICES}, got {enforce!r}")
@@ -677,7 +672,7 @@ def run_experiment(seed: int, trials: int, p_set, n_set, m_set, k_max: int,
     rng = SplitMix64(seed)
     rows = []
     for t in range(trials):
-        for _ in range(max_retries):
+        for _ in range(_MAX_RETRIES):
             p = rng.choice(p_choices)
             n = rng.choice(n_choices)
             m = rng.choice(m_choices)
@@ -686,16 +681,10 @@ def run_experiment(seed: int, trials: int, p_set, n_set, m_set, k_max: int,
                 break
         else:
             raise CannotSatisfyHypothesis(
-                f"no (p, n, k, m) draw satisfied {enforce!r} in {max_retries} tries"
+                f"no (p, n, k, m) draw satisfied {enforce!r} in {_MAX_RETRIES} tries"
             )
-        result = analyze(_draw_instance(rng, p, n, k, m), budget)
-        rows.append(ExperimentTrial(
-            index=t, p=p, n=n, k=k, m=m,
-            cardinality=len(result.sumset), bounds=result.bounds,
-            certificate=result.certificate,
-            certificate_skip_reason=result.degree_infeasible,
-            violations=result.violations,
-        ))
+        analysis = analyze(_draw_instance(rng, p, n, k, m), budget)
+        rows.append(ExperimentTrial(t, p, n, k, m, analysis))
     return rows
 
 
@@ -769,6 +758,6 @@ def load_instance(path) -> SumsetInstance:
     with open(path, "r", encoding="utf-8") as handle:
         try:
             doc = json.load(handle)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise InstanceFormatError(f"not valid JSON: {exc}") from exc
     return instance_from_dict(doc)

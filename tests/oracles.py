@@ -61,3 +61,46 @@ def literal_certificate(inst) -> CertificateReport:
     return CertificateReport(
         "literal-product", coefficient, residue, balance + 1, residue != 0
     )
+
+
+def lemma22_laurent_factors(n, s, b, m):
+    """(x_1+...+x_n)^D prod_l x_l^{-a_l} prod_{i != j} (1 - x_i/x_j)^m with
+    a_l = b + [l <= s] and D = sum a_l: the Laurent product whose constant
+    term is D! times the leading coefficient leading_coefficient_check
+    expects."""
+    a_l = [b + (1 if l <= s else 0) for l in range(1, n + 1)]
+    factors = [(sum_of_variables(n), sum(a_l)),
+               SparsePoly(n, {tuple(-a for a in a_l): 1})]
+    for i in range(n):
+        for j in range(n):
+            if i != j and m:
+                e = [0] * n
+                e[i] += 1
+                e[j] -= 1
+                factors.append((SparsePoly(n, {(0,) * n: 1, tuple(e): -1}), m))
+    return factors
+
+
+def trial_division_is_prime(n):
+    """Primality by trial division up to sqrt(n); the reference for
+    sumsetlab.is_prime."""
+    if n < 2:
+        return False
+    if n % 2 == 0:
+        return n == 2
+    d = 3
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 2
+    return True
+
+
+def list_sample(rng, population_size, count):
+    """SplitMix64.sample over an explicit list of the population: the
+    reference for the dict-backed version, making the same draws."""
+    pool = list(range(population_size))
+    for i in range(count):
+        j = i + rng.below(population_size - i)
+        pool[i], pool[j] = pool[j], pool[i]
+    return tuple(sorted(pool[:count]))

@@ -110,9 +110,10 @@ def criterion_5_soundness_sweep():
     rows = soundness_sweep()
     assert len(rows) == 200
     for row in rows:
-        assert row.violations == (), (row.index, row.p, row.n, row.k, row.m)
-        if row.certificate is not None and row.certificate.certificate_valid:
-            assert row.cardinality >= row.certificate.claimed_bound
+        result = row.analysis
+        assert result.violations == (), (row.index, row.p, row.n, row.k, row.m)
+        if result.certificate is not None and result.certificate.certificate_valid:
+            assert len(result.sumset) >= result.certificate.claimed_bound
 
 
 def criterion_6_pairwise_distinct_reproduction():
@@ -121,7 +122,7 @@ def criterion_6_pairwise_distinct_reproduction():
     inst = SumsetInstance(7, [A, A], uniform_forbidden(2, {0}))
     card = len(enumerate_restricted_sumset(inst))
     assert card == 5 == 2 * len(A) - 3
-    rep = compute_bounds(inst, card)
+    rep = compute_bounds(inst)
     assert rep.thm2.hypothesis_met and rep.thm2.value == 5
 
 
@@ -134,7 +135,7 @@ def criterion_7_improvement_over_floor_bound():
         if row.p > row.n * (row.k - 1) - row.m * row.n * (row.n - 1):
             continue
         hits += 1
-        bounds = row.bounds
+        bounds = row.analysis.bounds
         assert bounds.thm3.value == row.p
         floor_bound = row.n * ((row.p - 1) // row.n) + 1
         assert bounds.old.value == floor_bound

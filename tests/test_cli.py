@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import sumsetlab
 from sumsetlab import SumsetInstance, instance_to_dict, uniform_forbidden
 from sumsetlab.cli import main
 
@@ -10,6 +14,15 @@ def run(capsys, argv):
     code = main(argv)
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def run_process(argv):
+    """Run the CLI in a fresh interpreter; returns (exit code, stderr)."""
+    src = os.path.dirname(os.path.dirname(sumsetlab.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-m", "sumsetlab.cli"] + argv,
+                          capture_output=True, text=True, env=env)
+    return proc.returncode, proc.stderr
 
 
 def run_doc(capsys, argv):
@@ -82,6 +95,24 @@ def test_identities_range_cap_is_usage_error(capsys):
     assert "max-vars" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["dyson", "--max-a", "3"],
+    ["zeilberger", "--slack", "1"],
+    ["prop21", "--chi-side", "a"],
+    ["lemma22", "--max-n", "2"],
+    ["aomoto", "--fix-n", "2"],
+])
+def test_identities_unread_option_is_usage_error(capsys, argv):
+    code, out, err = run(capsys, ["identities"] + argv)
+    assert code == 1 and out == ""
+    assert err.startswith("sumsetlab: error: ") and argv[1] in err
+
+
+def test_identities_prop21_min_above_max(capsys):
+    code, _, err = run(capsys, ["identities", "prop21", "--min-n", "3", "--max-n", "2"])
+    assert code == 1 and "--min-n" in err
+
+
 def test_identities_table_format(capsys):
     code, out, _ = run(capsys, ["identities", "dyson", "--max-vars", "2"])
     assert code == 0
@@ -146,6 +177,21 @@ def test_sumset_composite_modulus(capsys, tmp_path):
     assert code == 1 and "composite" in err
 
 
+def test_sumset_non_utf8_file(tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"p": 7, "sets": [[0]], "note": "caf\xe9"}')
+    code, err = run_process(["sumset", str(path)])
+    assert code == 1
+    assert err.startswith("sumsetlab: error: ") and "Traceback" not in err
+
+
+def test_sumset_large_prime(capsys, tmp_path):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"p": 10 ** 18 + 3, "sets": [[0, 1], [0, 2]]}))
+    code, rep, _ = run_doc(capsys, ["sumset", str(path)])
+    assert code == 0 and rep["sumset"] == [0, 1, 2, 3]
+
+
 def test_sumset_missing_file(capsys, tmp_path):
     code, _, _ = run(capsys, ["sumset", str(tmp_path / "absent.json")])
     assert code == 1
@@ -163,6 +209,12 @@ def test_budget_env_var(capsys, eh_file, monkeypatch):
     assert run(capsys, ["sumset", eh_file, "--budget", "1000"])[0] == 0
     monkeypatch.setenv("SUMSETLAB_BUDGET", "zebra")
     assert run(capsys, ["sumset", eh_file])[0] == 1
+
+
+def test_out_file_unwritable(tmp_path, eh_file):
+    code, err = run_process(["sumset", eh_file, "--out", str(tmp_path / "absent" / "x")])
+    assert code == 1
+    assert err.startswith("sumsetlab: error: ") and "Traceback" not in err
 
 
 def test_out_file(tmp_path, capsys, eh_file):
@@ -249,11 +301,19 @@ def test_experiment_unsatisfiable_enforce(capsys):
     ["--m-set", "-1"],
     ["--m-set", "9", "--p-set", "5"],
     ["--p-set", "0,5"],
+    ["--n-set", "0", "--enforce", "thm1"],
 ])
 def test_experiment_out_of_range_is_usage_error(capsys, argv):
     code, out, err = run(capsys, ["experiment", "--trials", "2"] + argv)
     assert code == 1 and out == ""
     assert err.startswith("sumsetlab: error: ")
+
+
+def test_experiment_huge_prime(capsys):
+    # sampling costs O(k) per set, not O(p)
+    code, rep, _ = run_doc(capsys, ["experiment", "--p-set", "10000019", "--trials", "3",
+                                    "--k-max", "3", "--n-set", "2", "--m-set", "0"])
+    assert code == 0 and len(rep["rows"]) == 3
 
 
 def test_experiment_table(capsys):

@@ -1,8 +1,10 @@
 """Byte-for-byte pins of ``--format doc`` output.
 
 Each argv's stdout is hashed with SHA-256 and compared with a digest
-recorded before the per-instance pipeline and the certificate route were
-unified, so any change to a doc byte fails here.
+recorded before the refactors that could change it (the per-instance
+pipeline and certificate route; the shared bound hypotheses, analysis
+rows and identities option table), so any change to a doc byte fails
+here.
 """
 
 import hashlib
@@ -36,6 +38,14 @@ GOLDEN = [
      "38f9d6b175fb589bdbb1857f1f9b8fbe4cf441ee55ac027f55a0495482ad1a5a"),
     (["identities", "lemma22"],
      "054b9d02754a8d83d348fafe9ea6037f3632f893987a2458239cc262524c4725"),
+    (["identities", "dyson"],
+     "d54f20c5e6af4fa8304ba53b0b2206035be0659a555638d62e60fa6d9e5abe23"),
+    (["identities", "zeilberger"],
+     "31d5e31fd6d5f7b13861069a71883ab1011c957b8580e1db869f67756ace48c0"),
+    (["identities", "prop21"],
+     "489ef26297e18c91031b283bc59ab6ec0989d146a69317791e31ee1054e2fec4"),
+    (["thm4", "--p", "7", "--m", "1"],
+     "c0cd84fad18af0768bf0fa9dd5096e404d0e119ad7b3f83412273ca12fb8fa58"),
 ]
 
 

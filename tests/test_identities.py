@@ -1,5 +1,6 @@
 import itertools
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -7,7 +8,6 @@ from sumsetlab import (
     AomotoParams,
     DegreeInfeasible,
     HypothesisViolated,
-    IdentityReport,
     ParameterOutOfRange,
     SparsePoly,
     TooFewVariables,
@@ -21,7 +21,7 @@ from sumsetlab import (
     leading_coefficient_check,
     zeilberger_coefficient,
 )
-from oracles import naive_laurent_constant_term
+from oracles import lemma22_laurent_factors, naive_laurent_constant_term
 
 
 def one_minus_ratio(nvars, i, j):
@@ -277,7 +277,15 @@ def test_leading_coefficient_validation():
         leading_coefficient_check(2, 0, 0, 0, degree_bound_slack=-1)
 
 
-def test_identity_report_agree():
-    good = IdentityReport("dyson", {"avec": [1, 1]}, 2, 2)
-    bad = IdentityReport("dyson", {"avec": [1, 1]}, 2, 3)
-    assert good.agree and not bad.agree
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_leading_coefficient_matches_laurent_oracle(n):
+    # the lemma22 grid, b and m up to their caps, n <= 3 (n = 4 takes
+    # seconds to expand): expected_leading comes from the key coefficient,
+    # and the Laurent product it replaced, expanded in full, must equal
+    # D! times it
+    for b in range(4):
+        for s in range(n + 1):
+            for m in range(3):
+                rep = leading_coefficient_check(n, s, b, m)
+                ct = naive_laurent_constant_term(lemma22_laurent_factors(n, s, b, m))
+                assert ct == rep.expected_leading * factorial(rep.degree), (n, s, b, m)

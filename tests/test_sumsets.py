@@ -1,9 +1,10 @@
 import json
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import literal_certificate
+from oracles import list_sample, literal_certificate
 from sumsetlab import (
     BudgetExceeded,
     CannotSatisfyHypothesis,
@@ -119,8 +120,9 @@ def test_enumerate_wraps_mod_p():
 def test_bounds_erdos_heilbronn():
     inst = eh_instance()
     card = len(enumerate_restricted_sumset(inst))
-    rep = compute_bounds(inst, card)
-    assert rep.brute_cardinality == card == 5
+    result = analyze(inst)
+    rep = result.bounds
+    assert len(result.sumset) == card == 5
     assert rep.thm2.value == 5 and rep.thm2.hypothesis_met
     assert rep.thm1.value == 5 and rep.thm1.hypothesis_met
     assert rep.thm3.value == 5 and rep.thm3.hypothesis_met
@@ -131,7 +133,6 @@ def test_bounds_thm3_min():
     inst = SumsetInstance(13, [tuple(range(5))] * 2, uniform_forbidden(2, {0}))
     rep = compute_bounds(inst)
     assert rep.thm3.value == 7
-    assert rep.brute_cardinality is None
 
 
 def test_bounds_floor_value():
@@ -458,6 +459,21 @@ def test_splitmix_sample():
         SplitMix64(7).sample(3, 4)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2 ** 64 - 1), st.integers(1, 60).flatmap(
+    lambda size: st.tuples(st.just(size), st.integers(0, size))))
+def test_splitmix_sample_matches_list_oracle(seed, shape):
+    size, count = shape
+    rng, ref = SplitMix64(seed), SplitMix64(seed)
+    assert rng.sample(size, count) == list_sample(ref, size, count)
+    assert rng.state == ref.state  # same number of draws
+
+
+def test_splitmix_sample_huge_population():
+    drawn = SplitMix64(3).sample(10 ** 12, 50)
+    assert len(set(drawn)) == 50 and all(0 <= x < 10 ** 12 for x in drawn)
+
+
 def test_random_instance_deterministic():
     a = random_instance(99, 13, 3, 4, 1)
     b = random_instance(99, 13, 3, 4, 1)
@@ -499,6 +515,26 @@ def test_parameter_hypothesis():
     assert not parameter_hypothesis_met("thm1", 7, 2, 6, 1)
     with pytest.raises(ValueError):
         parameter_hypothesis_met("thm9", 7, 2, 4, 1)
+    with pytest.raises(ParameterOutOfRange):
+        parameter_hypothesis_met("thm1", 7, 0, 4, 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([2, 3, 5, 7, 11, 13, 17, 19, 23]), st.integers(2, 4),
+       st.integers(1, 8), st.integers(0, 3), st.integers(0, 2 ** 32),
+       st.sampled_from(["thm1", "thm2", "thm3"]))
+def test_parameter_hypothesis_matches_bound_report(p, n, k, m, seed, name):
+    k, m = min(k, p), min(m, p)
+    inst = random_instance(seed, p, n, k, m)
+    entry = getattr(compute_bounds(inst), name)
+    assert parameter_hypothesis_met(name, p, n, k, m) == entry.hypothesis_met
+
+
+def test_shrink_regime_error_is_the_old_bound_reason():
+    p, n, m, k = 13, 2, 1, 5
+    reason = compute_bounds(random_instance(0, p, n, k, m)).old.reason
+    with pytest.raises(NotInShrinkRegime, match=re.escape(reason)):
+        shrink_sizes(p, n, m, k)
 
 
 # ----------------------------------------------------------------------
@@ -510,14 +546,14 @@ def test_experiment_soundness_small():
     assert len(rows) == 40
     for row in rows:
         assert row.sound
-        assert row.violations == ()
+        assert row.analysis.violations == ()
 
 
 def test_experiment_deterministic():
     a = run_experiment(3, 10, (5, 7), (2,), (0, 1), 4)
     b = run_experiment(3, 10, (5, 7), (2,), (0, 1), 4)
-    assert [(r.p, r.n, r.k, r.m, r.cardinality) for r in a] == \
-        [(r.p, r.n, r.k, r.m, r.cardinality) for r in b]
+    assert [(r.p, r.n, r.k, r.m, len(r.analysis.sumset)) for r in a] == \
+        [(r.p, r.n, r.k, r.m, len(r.analysis.sumset)) for r in b]
 
 
 def test_experiment_zero_trials():
@@ -593,7 +629,7 @@ def test_bounds_sound_on_seeded_uniform_instances():
             field_cache.setdefault(p, PrimeField(p))
             inst = random_instance(seed, p, n, k, m)
             card = len(enumerate_restricted_sumset(inst))
-            rep = compute_bounds(inst, card)
+            rep = compute_bounds(inst)
             for entry in rep.entries():
                 if entry.hypothesis_met and entry.value is not None:
                     assert card >= entry.value, (seed, p, n, k, m, entry)
