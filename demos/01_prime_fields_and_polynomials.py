@@ -6,7 +6,6 @@ Run:  python demos/01_prime_fields_and_polynomials.py
 from sumsetlab import (
     PrimeField,
     SparsePoly,
-    constant_term_laurent,
     targeted_coeff,
 )
 
@@ -51,7 +50,8 @@ print(f"(x0-x1)^2 (x0+x1)^2      = {q}")
 c = targeted_coeff([(x0 - x1, 2), (x0 + x1, 2)], (2, 2))
 print(f"targeted [x0^2 x1^2]     = {c}")
 
-# Laurent constant terms: denominators are cleared factor by factor
-f = SparsePoly(2, {(0, 0): 1, (-1, 1): -1})   # 1 - x1/x0
-g = SparsePoly(2, {(0, 0): 1, (1, -1): -1})   # 1 - x0/x1
-print(f"CT (1 - x1/x0)(1 - x0/x1) = {constant_term_laurent([f, g])}")
+# Laurent constant terms: clearing denominators, 1 - x1/x0 = (x0 - x1)/x0
+# and 1 - x0/x1 = (x1 - x0)/x1, so the constant term of their product is
+# the coefficient of x0 x1 in the difference product
+c = targeted_coeff([x0 - x1, x1 - x0], (1, 1))
+print(f"CT (1 - x1/x0)(1 - x0/x1) = [x0 x1] (x0-x1)(x1-x0) = {c}")

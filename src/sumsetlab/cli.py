@@ -12,6 +12,7 @@ Exit codes:
 """
 
 import argparse
+import functools
 import itertools
 import json
 import os
@@ -106,17 +107,6 @@ def _option_help(dest):
     )
 
 
-# Built once at import, not per parser: main() builds a parser on every
-# call, and the dead parsers wait for the cyclic collector, so per-call
-# strings would pile up with them.
-_ID_ARGUMENTS = [
-    (_flag(dest), {"default": None, "help": _option_help(dest),
-                   **({"choices": _SCOPE_LIMITS["aomoto"]["chi_side"][1:]}
-                      if dest == "chi_side" else {"type": int, "metavar": "N"})})
-    for dest in _ID_OPTIONS
-]
-
-
 class _UsageError(Exception):
     pass
 
@@ -138,7 +128,9 @@ def _int_list(text):
     return values
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built on first use and shared by every main() call."""
     parser = _Parser(
         prog="sumsetlab",
         description="Exact verification of restricted-sumset bounds over Z/pZ "
@@ -160,8 +152,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_id.add_argument("scope", choices=("dyson", "zeilberger", "aomoto", "lemma22", "prop21"),
                       help="which identity family to sweep")
-    for flag, kwargs in _ID_ARGUMENTS:
-        p_id.add_argument(flag, **kwargs)
+    for dest in _ID_OPTIONS:
+        kind = ({"choices": _SCOPE_LIMITS["aomoto"]["chi_side"][1:]} if dest == "chi_side"
+                else {"type": int, "metavar": "N"})
+        p_id.add_argument(_flag(dest), default=None, help=_option_help(dest), **kind)
 
     p_sum = sub.add_parser(
         "sumset", parents=[common],

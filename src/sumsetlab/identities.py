@@ -1,10 +1,14 @@
 """Constant-term and coefficient identities, each computed two ways.
 
-Every identity in this module has a brute-force route through the sparse
-polynomial engine and an exact closed form built from factorials.  The
-closed forms are evaluated in rational arithmetic with a final
-integrality assertion — a cheap transcription test — and the pair of
-routes is compared wherever either is used.
+Every identity in this module has a brute-force route and an exact
+closed form built from factorials.  The brute-force routes are all one
+pruned extraction, :func:`_difference_coeff`: a coefficient of a product
+of differences x_i - x_j times a balancing power of the variable sum.
+The Dyson and Aomoto constant terms reach it by clearing denominators,
+1 - x_i/x_j = x_j^{-1} (x_j - x_i).  The closed forms are evaluated in
+rational arithmetic with a final integrality assertion — a cheap
+transcription test — and the pair of routes is compared wherever either
+is used.
 
 Variable conventions follow the classical statements: the Dyson and
 Aomoto products live on variables x_0..x_n, the key coefficient on
@@ -15,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-from .mpoly import SparsePoly, constant_term_laurent, sum_of_variables, targeted_coeff
+from .mpoly import SparsePoly, sum_of_variables, targeted_coeff
 
 
 class TooFewVariables(ValueError):
@@ -58,20 +62,38 @@ def _as_integer(x: Fraction) -> int:
     return x.numerator
 
 
-def _unit(nvars, i, e=1):
-    return tuple(e if j == i else 0 for j in range(nvars))
-
-
-def _one_minus_ratio(nvars, i, j) -> SparsePoly:
-    """1 - x_i/x_j as a Laurent polynomial."""
-    e = list(_unit(nvars, i))
-    e[j] -= 1
-    return SparsePoly(nvars, {(0,) * nvars: 1, tuple(e): -1})
+def _unit(nvars, i):
+    return tuple(1 if j == i else 0 for j in range(nvars))
 
 
 def _difference(nvars, i, j) -> SparsePoly:
     """x_i - x_j."""
     return SparsePoly(nvars, {_unit(nvars, i): 1, _unit(nvars, j): -1})
+
+
+def _difference_coeff(nvars, mults, target) -> int:
+    """[prod_j x_j^{target_j}] prod (x_i - x_j)^e (x_0 + ... + x_{nvars-1})^E
+
+    over the entries ((i, j), e) of ``mults``, multiplied in their order,
+    with the balancing exponent E = sum(target) - sum(e).  Every
+    brute-force coefficient in this module is this one extraction.
+    """
+    factors = [(_difference(nvars, i, j), e) for (i, j), e in mults if e]
+    factors.append((sum_of_variables(nvars), sum(target) - sum(e for _, e in mults)))
+    return targeted_coeff(factors, target)
+
+
+def _ratio_constant_term(nvars, ratios) -> int:
+    """Constant term of prod (1 - x_i/x_j)^e over ``ratios`` = [((i, j), e), ...].
+
+    Since (1 - x_i/x_j)^e = x_j^{-e} (x_j - x_i)^e, it is the coefficient
+    of prod_j x_j^{t_j} in prod (x_j - x_i)^e, where t_j adds up the
+    exponents e of the pairs with denominator x_j (so E = 0).
+    """
+    target = [0] * nvars
+    for (_, j), e in ratios:
+        target[j] += e
+    return _difference_coeff(nvars, [((j, i), e) for (i, j), e in ratios], target)
 
 
 def _check_avec(avec):
@@ -95,14 +117,9 @@ def dyson_constant_term(avec) -> int:
     nv = len(avec)
     if nv < 2:
         raise TooFewVariables(f"need at least 2 variables, got {nv}")
-    factors = []
-    for j in range(nv):
-        if avec[j] == 0:
-            continue
-        for i in range(nv):
-            if i != j:
-                factors.append((_one_minus_ratio(nv, i, j), avec[j]))
-    return constant_term_laurent(factors) if factors else 1
+    return _ratio_constant_term(
+        nv, [((i, j), avec[j]) for j in range(nv) for i in range(nv) if i != j]
+    )
 
 
 def dyson_closed_form(avec) -> int:
@@ -126,9 +143,11 @@ def zeilberger_coefficient(avec) -> int:
     with n = len(avec) - 1 and sign = (-1)^{sum_j j*a_j}.  (The variant
     sometimes quoted with target monomial prod x_j^{a_j} is degree-
     inconsistent for n >= 2: the product is homogeneous of degree
-    n * sum(a_j), so that coefficient is identically zero.)  This route
-    shares no code with :func:`dyson_constant_term` past the raw
-    polynomial engine, so their agreement is a real cross-check.
+    n * sum(a_j), so that coefficient is identically zero.)  Both routes
+    end in the same extraction, but :func:`dyson_constant_term` clears
+    each ordered pair on its own, while this one merges each pair with
+    its reverse and carries the sign, so their agreement checks the
+    clearing and the sign bookkeeping.
     """
     avec = _check_avec(avec)
     nv = len(avec)
@@ -136,14 +155,8 @@ def zeilberger_coefficient(avec) -> int:
         raise TooFewVariables(f"need at least 2 variables, got {nv}")
     n = nv - 1
     sign = -1 if sum(j * a for j, a in enumerate(avec)) % 2 else 1
-    factors = []
-    for i in range(nv):
-        for j in range(i + 1, nv):
-            rep = avec[i] + avec[j]
-            if rep:
-                factors.append((_difference(nv, i, j), rep))
-    target = tuple(n * a for a in avec)
-    return sign * targeted_coeff(factors, target)
+    mults = [((i, j), avec[i] + avec[j]) for i in range(nv) for j in range(i + 1, nv)]
+    return sign * _difference_coeff(nv, mults, tuple(n * a for a in avec))
 
 
 # ----------------------------------------------------------------------
@@ -178,8 +191,8 @@ class AomotoParams:
             )
 
 
-def _aomoto_factors(params: AomotoParams, chi_side: str):
-    """Laurent factors of the Aomoto product.
+def aomoto_constant_term(params: AomotoParams, chi_side: str = "a") -> int:
+    """Constant term of the Aomoto product, by expansion on n+1 variables.
 
     chi_side chooses where the +1 shift for l <= s sits:
       "a" -- on the (1 - x_l/x_0) exponent (the orientation of the
@@ -189,26 +202,14 @@ def _aomoto_factors(params: AomotoParams, chi_side: str):
     """
     if chi_side not in ("a", "b"):
         raise ValueError(f"chi_side must be 'a' or 'b', got {chi_side!r}")
-    nv = params.n + 1
-    factors = []
-    for l in range(1, params.n + 1):
-        up = params.a + (chi(l <= params.s) if chi_side == "a" else 0)
-        down = params.b + (chi(l <= params.s) if chi_side == "b" else 0)
-        if up:
-            factors.append((_one_minus_ratio(nv, l, 0), up))
-        if down:
-            factors.append((_one_minus_ratio(nv, 0, l), down))
-    if params.m:
-        for i in range(1, params.n + 1):
-            for j in range(1, params.n + 1):
-                if i != j:
-                    factors.append((_one_minus_ratio(nv, i, j), params.m))
-    return factors
-
-
-def aomoto_constant_term(params: AomotoParams, chi_side: str = "a") -> int:
-    """Constant term of the Aomoto product, by expansion on n+1 variables."""
-    return constant_term_laurent(_aomoto_factors(params, chi_side))
+    n, s = params.n, params.s
+    ratios = []
+    for l in range(1, n + 1):
+        ratios.append(((l, 0), params.a + chi(l <= s and chi_side == "a")))
+        ratios.append(((0, l), params.b + chi(l <= s and chi_side == "b")))
+    ratios += [((i, j), params.m)
+               for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
+    return _ratio_constant_term(n + 1, ratios)
 
 
 def aomoto_closed_form(params: AomotoParams, chi_side: str = "a") -> int:
@@ -270,9 +271,7 @@ def key_coefficient(sizes, m) -> int:
     balance = sum(sizes) - n - deg
     if balance < 0:
         raise DegreeInfeasible(f"{names[0]} = {sum(sizes) - n} < {names[1]} = {deg}")
-    factors = [(_difference(n, i, j), e) for (i, j), e in sorted(mults.items()) if e]
-    factors.append((sum_of_variables(n), balance))
-    return targeted_coeff(factors, tuple(sz - 1 for sz in sizes))
+    return _difference_coeff(n, sorted(mults.items()), tuple(sz - 1 for sz in sizes))
 
 
 def key_coefficient_closed_form(n: int, m: int, k: int, s: int) -> int:

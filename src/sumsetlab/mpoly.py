@@ -6,13 +6,12 @@ Everything here is exact: coefficients are Python ints, so there is no
 overflow and no modular shortcut — reduction mod p, when wanted, happens
 in the caller.
 
-The two workhorses are :func:`targeted_coeff`, which extracts a single
+The workhorse is :func:`targeted_coeff`, which extracts a single
 coefficient from a product of polynomial factors while pruning every
-partial term that can no longer reach the target, and
-:func:`constant_term_laurent`, which reduces a Laurent constant-term
-computation to a targeted extraction by clearing denominators factor by
-factor.  Negative exponents are legal everywhere except inside
-``targeted_coeff`` itself, which is what makes the pruning rule sound.
+partial term that can no longer reach the target.  Negative exponents
+are legal everywhere except inside ``targeted_coeff`` itself, which is
+what makes the pruning rule sound; a Laurent constant term is reached
+by clearing denominators first (see ``identities``).
 """
 
 
@@ -101,18 +100,6 @@ class SparsePoly:
     def sorted_terms(self, reverse=False):
         """Terms in graded lexicographic order, for deterministic output."""
         return sorted(self.terms.items(), key=lambda t: (sum(t[0]), t[0]), reverse=reverse)
-
-    def shift(self, offsets) -> "SparsePoly":
-        """Multiply by the monomial with the given exponent offsets."""
-        off = tuple(offsets)
-        if len(off) != self.nvars:
-            raise LengthMismatch(
-                f"offset vector {off} has length {len(off)}, expected {self.nvars}"
-            )
-        return SparsePoly(
-            self.nvars,
-            {tuple(a + b for a, b in zip(e, off)): c for e, c in self.terms.items()},
-        )
 
     # -- ring operations ----------------------------------------------
 
@@ -228,38 +215,6 @@ def sum_of_variables(nvars: int) -> SparsePoly:
     )
 
 
-def _factor_list(factors, nvars=None, require_nonnegative=False):
-    """Normalize a factor list to [(poly, repetition)] and validate it.
-
-    Accepts bare polynomials and (polynomial, repetition) pairs.  Factors
-    with repetition 0 are dropped (they contribute the empty product 1).
-    """
-    out = []
-    for item in factors:
-        if isinstance(item, SparsePoly):
-            poly, rep = item, 1
-        else:
-            poly, rep = item
-            rep = int(rep)
-        if not isinstance(poly, SparsePoly):
-            raise TypeError(f"factor {poly!r} is not a SparsePoly")
-        if rep < 0:
-            raise ValueError(f"repetition exponent must be >= 0, got {rep}")
-        if nvars is None:
-            nvars = poly.nvars
-        elif poly.nvars != nvars:
-            raise LengthMismatch(
-                f"factor on {poly.nvars} variables in a {nvars}-variable product"
-            )
-        if require_nonnegative and any(v < 0 for e in poly.terms for v in e):
-            raise NegativeExponentInput(
-                "factors must have nonnegative exponents; clear denominators first"
-            )
-        if rep:
-            out.append((poly, rep))
-    return nvars, out
-
-
 def targeted_coeff(factors, target) -> int:
     """Coefficient of the ``target`` monomial in the product of ``factors``.
 
@@ -277,7 +232,27 @@ def targeted_coeff(factors, target) -> int:
     """
     target = tuple(int(t) for t in target)
     nvars = len(target)
-    _, flist = _factor_list(factors, nvars, require_nonnegative=True)
+    flist = []
+    for item in factors:
+        if isinstance(item, SparsePoly):
+            poly, rep = item, 1
+        else:
+            poly, rep = item
+            rep = int(rep)
+        if not isinstance(poly, SparsePoly):
+            raise TypeError(f"factor {poly!r} is not a SparsePoly")
+        if rep < 0:
+            raise ValueError(f"repetition exponent must be >= 0, got {rep}")
+        if poly.nvars != nvars:
+            raise LengthMismatch(
+                f"factor on {poly.nvars} variables in a {nvars}-variable product"
+            )
+        if any(v < 0 for e in poly.terms for v in e):
+            raise NegativeExponentInput(
+                "factors must have nonnegative exponents; clear denominators first"
+            )
+        if rep:  # a factor repeated 0 times contributes the empty product 1
+            flist.append((poly, rep))
     if any(t < 0 for t in target):
         return 0
     reach = sum(rep * poly.total_degree() for poly, rep in flist)
@@ -307,40 +282,3 @@ def targeted_coeff(factors, target) -> int:
             if not acc:
                 return 0
     return acc.get(target, 0)
-
-
-def constant_term_laurent(factors) -> int:
-    """Constant term of a product of Laurent polynomial factors.
-
-    Each factor is made polynomial by multiplying with the smallest
-    monomial that clears its denominators; the recorded offsets add up to
-    the monomial whose coefficient in the cleared product equals the
-    constant term of the original one.  The extraction itself is a
-    :func:`targeted_coeff` call, so the pruning applies.
-
-    >>> f = SparsePoly(2, {(0, 0): 1, (1, -1): -1})   # 1 - x0/x1
-    >>> g = SparsePoly(2, {(0, 0): 1, (-1, 1): -1})   # 1 - x1/x0
-    >>> constant_term_laurent([f, g])
-    2
-    """
-    nvars, flist = _factor_list(factors)
-    if nvars is None:
-        return 1  # empty product
-    cleared = []
-    target = [0] * nvars
-    for poly, rep in flist:
-        if not poly.terms:
-            return 0  # a zero factor kills the whole product
-        offs = [0] * nvars
-        shifted = False
-        for i in range(nvars):
-            lo = min(e[i] for e in poly.terms)
-            if lo < 0:
-                offs[i] = -lo
-                shifted = True
-        if shifted:
-            poly = poly.shift(offs)
-            for i in range(nvars):
-                target[i] += rep * offs[i]
-        cleared.append((poly, rep))
-    return targeted_coeff(cleared, tuple(target))

@@ -446,7 +446,10 @@ def coverage_sweep(p: int, m: int, mode: str = "exhaustive", count: int = 50,
     The default size is the coverage threshold and the default S is
     {0, ..., m-1}.  Exhaustive mode walks all C(p, size) subsets (budget
     permitting); sample mode draws ``count`` subsets from the seeded
-    generator (repeats possible).
+    generator (repeats possible).  Every subset's check enumerates
+    size^n tuples, n = floor((size - 1 + m) / (2m)), so a sweep whose
+    subsets each exceed the budget is refused before any subset is drawn
+    or any instance built.
     """
     field = PrimeField(p)
     S = tuple(range(m)) if s_set is None else tuple(sorted(set(int(x) for x in s_set)))
@@ -467,10 +470,17 @@ def coverage_sweep(p: int, m: int, mode: str = "exhaustive", count: int = 50,
     elif mode == "sample":
         if count < 0:
             raise ParameterOutOfRange(f"count must be >= 0, got {count}")
-        rng = SplitMix64(seed)
-        subsets = [rng.sample(p, size) for _ in range(count)]
+        n_subsets, rng = count, SplitMix64(seed)
+        subsets = (rng.sample(p, size) for _ in range(count))
     else:
         raise ParameterOutOfRange(f"mode must be 'exhaustive' or 'sample', got {mode!r}")
+    n = (size - 1 + m) // (2 * m)
+    # size >= m + 1 >= 2 once n >= 1, so size^n > budget when n > budget.bit_length()
+    if n_subsets and (n > budget.bit_length() or size ** n > budget):
+        raise BudgetExceeded(
+            f"sums of {n} elements of a {size}-subset exceed the enumeration "
+            f"budget of {budget} tuples"
+        )
     rows = tuple(coverage_check(field, S, A, budget) for A in subsets)
     return CoverageSweepResult(p, m, S, size, threshold, mode, rows)
 
@@ -738,13 +748,17 @@ def instance_from_dict(doc) -> SumsetInstance:
         raise InstanceFormatError("'forbidden' must be an object keyed \"i,j\"")
     for key, S in raw_forbidden.items():
         parts = key.split(",") if isinstance(key, str) else []
-        if len(parts) != 2 or not all(part.strip().isdigit() for part in parts):
+        if len(parts) != 2 or not all(
+            part.isascii() and part.strip().isdigit() for part in parts
+        ):
             raise InstanceFormatError(f"bad forbidden key {key!r}, expected \"i,j\"")
         i, j = (int(part) for part in parts)
         if not (1 <= i <= n and 1 <= j <= n) or i == j:
             raise InstanceFormatError(
                 f"forbidden key {key!r} must name two distinct sets in 1..{n}"
             )
+        if (i - 1, j - 1) in forbidden:
+            raise InstanceFormatError(f"forbidden key {key!r} repeats the pair {i},{j}")
         if not isinstance(S, list) or not all(
             isinstance(x, int) and not isinstance(x, bool) for x in S
         ):

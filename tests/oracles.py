@@ -1,8 +1,9 @@
 """Independent reference routes used to check the pruned engine.
 
-Everything here deliberately avoids targeted_coeff and
-constant_term_laurent: products are expanded in full with plain
-multiplication and the wanted coefficient is read off at the end.
+Everything here deliberately avoids targeted_coeff: products are
+expanded in full with plain multiplication and the wanted coefficient is
+read off at the end.  Laurent products stay Laurent, with no clearing of
+denominators.
 """
 
 from functools import reduce
@@ -63,6 +64,33 @@ def literal_certificate(inst) -> CertificateReport:
     )
 
 
+def one_minus_ratio(nvars, i, j):
+    """1 - x_i/x_j as a Laurent polynomial."""
+    e = [0] * nvars
+    e[i] += 1
+    e[j] -= 1
+    return SparsePoly(nvars, {(0,) * nvars: 1, tuple(e): -1})
+
+
+def aomoto_laurent_factors(params, chi_side):
+    """The Aomoto product on x_0..x_n as Laurent factors:
+    prod_l (1 - x_l/x_0)^{a + [l <= s]} (1 - x_0/x_l)^b
+    prod_{1 <= i != j <= n} (1 - x_i/x_j)^m for chi_side "a"; for
+    chi_side "b" the [l <= s] shift moves to the b exponent."""
+    nv = params.n + 1
+    factors = [SparsePoly.one(nv)]  # keeps the product nonempty
+    for l in range(1, nv):
+        shift = 1 if l <= params.s else 0
+        up = params.a + (shift if chi_side == "a" else 0)
+        down = params.b + (shift if chi_side == "b" else 0)
+        factors += [(one_minus_ratio(nv, l, 0), up), (one_minus_ratio(nv, 0, l), down)]
+    for i in range(1, nv):
+        for j in range(1, nv):
+            if i != j:
+                factors.append((one_minus_ratio(nv, i, j), params.m))
+    return factors
+
+
 def lemma22_laurent_factors(n, s, b, m):
     """(x_1+...+x_n)^D prod_l x_l^{-a_l} prod_{i != j} (1 - x_i/x_j)^m with
     a_l = b + [l <= s] and D = sum a_l: the Laurent product whose constant
@@ -74,10 +102,7 @@ def lemma22_laurent_factors(n, s, b, m):
     for i in range(n):
         for j in range(n):
             if i != j and m:
-                e = [0] * n
-                e[i] += 1
-                e[j] -= 1
-                factors.append((SparsePoly(n, {(0,) * n: 1, tuple(e): -1}), m))
+                factors.append((one_minus_ratio(n, i, j), m))
     return factors
 
 

@@ -6,7 +6,7 @@ import sys
 import pytest
 
 import sumsetlab
-from sumsetlab import SumsetInstance, instance_to_dict, uniform_forbidden
+from sumsetlab import SplitMix64, SumsetInstance, instance_to_dict, uniform_forbidden
 from sumsetlab.cli import main
 
 
@@ -185,6 +185,18 @@ def test_sumset_non_utf8_file(tmp_path):
     assert err.startswith("sumsetlab: error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("forbidden", [
+    {"\u00b2,1": [0]},              # a non-ASCII digit passes str.isdigit
+    {"1,2": [0], "01,2": [1]},     # two spellings of one pair
+])
+def test_sumset_bad_forbidden_keys(tmp_path, forbidden):
+    path = tmp_path / "keys.json"
+    path.write_text(json.dumps({"p": 7, "sets": [[0, 1], [0, 2]], "forbidden": forbidden}))
+    code, err = run_process(["sumset", str(path)])
+    assert code == 1
+    assert err.startswith("sumsetlab: error: ") and "Traceback" not in err
+
+
 def test_sumset_large_prime(capsys, tmp_path):
     path = tmp_path / "big.json"
     path.write_text(json.dumps({"p": 10 ** 18 + 3, "sets": [[0, 1], [0, 2]]}))
@@ -255,6 +267,20 @@ def test_thm4_tiny_sets_vacuous(capsys):
 def test_thm4_budget(capsys):
     code, _, _ = run(capsys, ["thm4", "--p", "13", "--m", "1", "--budget", "100"])
     assert code == 3
+
+
+def test_thm4_sample_budget_checked_before_drawing(capsys, monkeypatch):
+    # threshold-size subsets at p = 1000003 need ~1000 summands each
+    def no_draw(self, population_size, count):
+        raise AssertionError("a subset was drawn")
+
+    monkeypatch.setattr(SplitMix64, "sample", no_draw)
+    argv = ["thm4", "--p", "1000003", "--m", "1", "--mode", "sample", "--budget", "1000"]
+    code, out, err = run(capsys, argv + ["--count", "1"])
+    assert code == 3 and out == "" and "budget" in err
+    # a sweep of no subsets does no enumeration
+    code, rep, _ = run_doc(capsys, argv + ["--count", "0"])
+    assert code == 0 and rep["subsets_tested"] == 0
 
 
 def test_thm4_bad_size(capsys):

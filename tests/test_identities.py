@@ -3,6 +3,7 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sumsetlab import (
     AomotoParams,
@@ -21,14 +22,12 @@ from sumsetlab import (
     leading_coefficient_check,
     zeilberger_coefficient,
 )
-from oracles import lemma22_laurent_factors, naive_laurent_constant_term
-
-
-def one_minus_ratio(nvars, i, j):
-    e = [0] * nvars
-    e[i] += 1
-    e[j] -= 1
-    return SparsePoly(nvars, {(0,) * nvars: 1, tuple(e): -1})
+from oracles import (
+    aomoto_laurent_factors,
+    lemma22_laurent_factors,
+    naive_laurent_constant_term,
+    one_minus_ratio,
+)
 
 
 def test_chi():
@@ -161,6 +160,28 @@ def test_bad_chi_side():
         aomoto_constant_term(AomotoParams(n=1, s=0, a=1, b=1, m=0), "c")
     with pytest.raises(ValueError):
         aomoto_closed_form(AomotoParams(n=1, s=0, a=1, b=1, m=0), "c")
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(0, 2), min_size=2, max_size=4))
+def test_dyson_routes_match_laurent_oracle(avec):
+    # the Laurent product expanded in full, denominators never cleared
+    nv = len(avec)
+    factors = [SparsePoly.one(nv)] + [(one_minus_ratio(nv, i, j), avec[j])
+                                      for j in range(nv) for i in range(nv) if i != j]
+    ct = naive_laurent_constant_term(factors)
+    assert dyson_constant_term(avec) == ct
+    assert zeilberger_coefficient(avec) == ct
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda n: st.builds(
+    AomotoParams, n=st.just(n), s=st.integers(0, n), a=st.integers(0, 2),
+    b=st.integers(0, 2), m=st.integers(0, 1 if n == 3 else 2))))
+def test_aomoto_matches_laurent_oracle(params):
+    for chi_side in ("a", "b"):
+        ct = naive_laurent_constant_term(aomoto_laurent_factors(params, chi_side))
+        assert aomoto_constant_term(params, chi_side) == ct, chi_side
 
 
 # ----------------------------------------------------------------------

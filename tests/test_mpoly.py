@@ -7,21 +7,13 @@ from sumsetlab import (
     LengthMismatch,
     NegativeExponentInput,
     SparsePoly,
-    constant_term_laurent,
     sum_of_variables,
     targeted_coeff,
 )
-from oracles import expand_factors, naive_laurent_constant_term
+from oracles import expand_factors, one_minus_ratio
 
 X = SparsePoly.variable(2, 0)
 Y = SparsePoly.variable(2, 1)
-
-
-def one_minus_ratio(nvars, i, j):
-    e = [0] * nvars
-    e[i] += 1
-    e[j] -= 1
-    return SparsePoly(nvars, {(0,) * nvars: 1, tuple(e): -1})
 
 
 # ----------------------------------------------------------------------
@@ -131,42 +123,6 @@ def test_targeted_zero_factor():
 
 
 # ----------------------------------------------------------------------
-# Laurent constant terms
-# ----------------------------------------------------------------------
-
-def test_ct_two_ratios():
-    f = one_minus_ratio(2, 1, 0)  # 1 - x1/x0
-    g = one_minus_ratio(2, 0, 1)  # 1 - x0/x1
-    assert constant_term_laurent([f, g]) == 2
-    assert naive_laurent_constant_term([f, g]) == 2
-
-
-def test_ct_single_ratio():
-    assert constant_term_laurent([one_minus_ratio(2, 0, 1)]) == 1
-
-
-def test_ct_dyson_three_ones():
-    # prod over ordered pairs (i, j), i != j, of (1 - x_i/x_j)
-    factors = [one_minus_ratio(3, i, j)
-               for i in range(3) for j in range(3) if i != j]
-    assert constant_term_laurent(factors) == 6
-    assert naive_laurent_constant_term(factors) == 6
-
-
-def test_ct_empty_product():
-    assert constant_term_laurent([]) == 1
-
-
-def test_ct_zero_factor():
-    assert constant_term_laurent([SparsePoly.zero(2), one_minus_ratio(2, 0, 1)]) == 0
-
-
-def test_shift_requires_matching_length():
-    with pytest.raises(LengthMismatch):
-        X.shift((1, 2, 3))
-
-
-# ----------------------------------------------------------------------
 # properties
 # ----------------------------------------------------------------------
 
@@ -212,18 +168,6 @@ def test_pow_is_iterated_mul(p, e):
     assert p ** e == expected
 
 
-@settings(max_examples=40, deadline=None)
-@given(
-    st.integers(1, 3).flatmap(
-        lambda n: st.tuples(polys(n), exponent_vectors(n, 0, 4), exponent_vectors(n, 0, 3))
-    )
-)
-def test_shift_invariance(data):
-    p, e, d = data
-    shifted = p.shift(d)
-    assert p.coeff(e) == shifted.coeff(tuple(a + b for a, b in zip(e, d)))
-
-
 def factor_lists(nvars):
     factor = st.tuples(polys(nvars, lo=0, hi=2, max_terms=4), st.integers(0, 2))
     return st.lists(factor, min_size=1, max_size=3)
@@ -237,14 +181,3 @@ def test_targeted_agrees_with_full_expansion(data):
     for target in itertools.product(range(5), repeat=nvars):
         assert targeted_coeff(factors, target) == expanded.coeff(target)
 
-
-def laurent_factor_lists(nvars):
-    return st.lists(polys(nvars, lo=-2, hi=2, max_terms=4), min_size=1, max_size=3)
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.integers(1, 3).flatmap(laurent_factor_lists))
-def test_ct_reorder_invariance_and_oracle(factors):
-    ct = constant_term_laurent(factors)
-    assert ct == constant_term_laurent(list(reversed(factors)))
-    assert ct == naive_laurent_constant_term(factors)

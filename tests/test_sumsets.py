@@ -596,6 +596,8 @@ def test_document_canonical_shape():
     {"p": 7, "sets": [[0], [1]], "forbidden": {"1,3": [0]}},
     {"p": 7, "sets": [[0], [1]], "forbidden": {"1,2": [7]}},
     {"p": 7, "sets": [[0], [1]], "forbidden": {"1,2": 3}},
+    {"p": 7, "sets": [[0], [1]], "forbidden": {"\u00b2,1": [0]}},
+    {"p": 7, "sets": [[0], [1]], "forbidden": {"1,2": [0], "01,2": [1]}},
 ])
 def test_document_validation(doc):
     with pytest.raises(InstanceFormatError):
