@@ -7,7 +7,8 @@ variable when --budget is absent); structured output is canonical JSON.
 Exit codes:
   0  everything verified / nothing to disagree with
   1  usage error or malformed input
-  2  mathematical disagreement or soundness violation
+  2  mathematical disagreement, soundness violation or a failed
+     internal consistency check (an ArithmeticError)
   3  budget exceeded
 """
 
@@ -573,6 +574,9 @@ def main(argv=None) -> int:
             CannotSatisfyHypothesis, OSError) as exc:
         sys.stderr.write(f"sumsetlab: error: {exc}\n")
         return EXIT_USAGE
+    except ArithmeticError as exc:  # NonIntegerResult and the consistency checks
+        sys.stderr.write(f"sumsetlab: internal check failed: {exc}\n")
+        return EXIT_DISAGREEMENT
     return code
 
 

@@ -8,11 +8,17 @@ in the caller.
 
 The workhorse is :func:`targeted_coeff`, which extracts a single
 coefficient from a product of polynomial factors while pruning every
-partial term that can no longer reach the target.  Negative exponents
-are legal everywhere except inside ``targeted_coeff`` itself, which is
-what makes the pruning rule sound; a Laurent constant term is reached
-by clearing denominators first (see ``identities``).
+partial term that can no longer reach the target.  A power of the
+variable sum (x_0 + ... + x_{n-1})^E is never expanded: by the
+multinomial theorem its coefficient at any exponent vector d with
+sum(d) = E is E!/prod d_i!, so it is contracted against the expansion
+of the other factors in one pass.  Negative exponents are legal
+everywhere except inside ``targeted_coeff`` itself, which is what makes
+the pruning rule sound; a Laurent constant term is reached by clearing
+denominators first (see ``identities``).
 """
+
+from math import factorial, prod
 
 
 class LengthMismatch(ValueError):
@@ -226,13 +232,26 @@ def targeted_coeff(factors, target) -> int:
     the target, so the result equals the coefficient in the fully
     expanded product.
 
+    Factors equal to ``sum_of_variables(nvars)`` are set aside and their
+    repetitions summed into one power E.  The others are expanded as
+    above into V, and the result is the contraction
+
+        [x^t] V (x_0 + ... + x_{n-1})^E = sum_e [x^e]V * E! / prod_i (t_i - e_i)!
+
+    over the surviving terms e with sum(t - e) = E.  This is exact: the
+    multinomial theorem gives E!/prod d_i! as the coefficient of x^d in
+    the power for every d >= 0 with sum(d) = E and 0 for every other d,
+    and every surviving e has t - e >= 0.
+
     >>> x0, x1 = SparsePoly.variable(2, 0), SparsePoly.variable(2, 1)
     >>> targeted_coeff([(x0 + x1, 4)], (2, 2))
     6
     """
     target = tuple(int(t) for t in target)
     nvars = len(target)
+    variable_sum = sum_of_variables(nvars) if nvars else None
     flist = []
+    power = 0
     for item in factors:
         if isinstance(item, SparsePoly):
             poly, rep = item, 1
@@ -251,11 +270,13 @@ def targeted_coeff(factors, target) -> int:
             raise NegativeExponentInput(
                 "factors must have nonnegative exponents; clear denominators first"
             )
-        if rep:  # a factor repeated 0 times contributes the empty product 1
+        if poly == variable_sum:
+            power += rep
+        elif rep:  # a factor repeated 0 times contributes the empty product 1
             flist.append((poly, rep))
     if any(t < 0 for t in target):
         return 0
-    reach = sum(rep * poly.total_degree() for poly, rep in flist)
+    reach = power + sum(rep * poly.total_degree() for poly, rep in flist)
     if reach < sum(target):
         return 0  # degree-infeasible: the product cannot climb to the target
     acc = {(0,) * nvars: 1}
@@ -281,4 +302,12 @@ def targeted_coeff(factors, target) -> int:
             acc = nxt
             if not acc:
                 return 0
-    return acc.get(target, 0)
+    if not power:
+        return acc.get(target, 0)
+    numerator = factorial(power)
+    coefficient = 0
+    for e, c in acc.items():
+        rest = [t - v for v, t in zip(e, target)]
+        if sum(rest) == power:
+            coefficient += c * (numerator // prod(factorial(r) for r in rest))
+    return coefficient

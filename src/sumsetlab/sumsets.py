@@ -143,6 +143,27 @@ def uniform_forbidden(n: int, s_set) -> dict:
 # Enumeration
 # ----------------------------------------------------------------------
 
+def _count_text(count: int) -> str:
+    """A count for a BudgetExceeded message: in full up to 2^64, beyond that
+    as a power of two, so that a message stays short and never converts an
+    integer of more digits than ``int`` allows to a string."""
+    if count.bit_length() <= 64:
+        return str(count)
+    return f"more than 2^{count.bit_length() - 1}"
+
+
+def _check_sum_budget(size: int, n: int, budget: int) -> None:
+    """Refuse sums of n elements of a size-set when size^n tuples exceed
+    the budget.  The caller guarantees size >= 2 whenever n >= 1, so
+    size^n > budget once n > budget.bit_length(); the power is then never
+    computed."""
+    if n and (n > budget.bit_length() or size ** n > budget):
+        raise BudgetExceeded(
+            f"sums of {n} elements of a {size}-subset exceed the enumeration "
+            f"budget of {budget} tuples"
+        )
+
+
 def enumerate_restricted_sumset(inst: SumsetInstance, budget: int = DEFAULT_BUDGET) -> set:
     """The exact restricted sumset C, as a set of canonical residues.
 
@@ -154,7 +175,7 @@ def enumerate_restricted_sumset(inst: SumsetInstance, budget: int = DEFAULT_BUDG
     total = prod(inst.sizes)
     if total > budget:
         raise BudgetExceeded(
-            f"{total} tuples exceed the enumeration budget of {budget}"
+            f"{_count_text(total)} tuples exceed the enumeration budget of {budget}"
         )
     p = inst.p
     n = inst.n
@@ -385,6 +406,9 @@ def coverage_check(p, s_set, a_set, budget: int = DEFAULT_BUDGET) -> CoverageRep
       - r = (|A| - 1 + m) - 2mn lies in [0, 2m - 1],
       - (|A| - 1 + m)^2 = r^2 (mod 4m),
       - when |A| meets the threshold, n(|A|-1) - mn(n-1) + 1 >= p.
+
+    Raises BudgetExceeded, before any instance is built, when the |A|^n
+    tuples exceed the budget.
     """
     field = p if isinstance(p, PrimeField) else PrimeField(p)
     p = field.p
@@ -396,7 +420,8 @@ def coverage_check(p, s_set, a_set, budget: int = DEFAULT_BUDGET) -> CoverageRep
     if not A:
         raise ParameterOutOfRange("A must be nonempty")
     size = len(A)
-    n = (size - 1 + m) // (2 * m)
+    n = (size - 1 + m) // (2 * m)  # n >= 1 needs size >= m + 1 >= 2
+    _check_sum_budget(size, n, budget)
 
     r = (size - 1 + m) - 2 * m * n
     if not 0 <= r <= 2 * m - 1:
@@ -464,7 +489,8 @@ def coverage_sweep(p: int, m: int, mode: str = "exhaustive", count: int = 50,
         n_subsets = comb(p, size)
         if n_subsets > budget:
             raise BudgetExceeded(
-                f"{n_subsets} subsets of size {size} exceed the budget of {budget}"
+                f"{_count_text(n_subsets)} subsets of size {size} exceed the "
+                f"budget of {budget}"
             )
         subsets = itertools.combinations(range(p), size)
     elif mode == "sample":
@@ -474,13 +500,8 @@ def coverage_sweep(p: int, m: int, mode: str = "exhaustive", count: int = 50,
         subsets = (rng.sample(p, size) for _ in range(count))
     else:
         raise ParameterOutOfRange(f"mode must be 'exhaustive' or 'sample', got {mode!r}")
-    n = (size - 1 + m) // (2 * m)
-    # size >= m + 1 >= 2 once n >= 1, so size^n > budget when n > budget.bit_length()
-    if n_subsets and (n > budget.bit_length() or size ** n > budget):
-        raise BudgetExceeded(
-            f"sums of {n} elements of a {size}-subset exceed the enumeration "
-            f"budget of {budget} tuples"
-        )
+    if n_subsets:
+        _check_sum_budget(size, (size - 1 + m) // (2 * m), budget)
     rows = tuple(coverage_check(field, S, A, budget) for A in subsets)
     return CoverageSweepResult(p, m, S, size, threshold, mode, rows)
 
@@ -767,11 +788,22 @@ def instance_from_dict(doc) -> SumsetInstance:
     return SumsetInstance(p, sets, forbidden)
 
 
+def _unique_keys(pairs) -> dict:
+    """``object_pairs_hook`` for json.load: a JSON object that names one key
+    twice is malformed, rather than silently keeping the last value."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise InstanceFormatError(f"key {key!r} appears twice in one object")
+        doc[key] = value
+    return doc
+
+
 def load_instance(path) -> SumsetInstance:
     """Read an instance document from a JSON file."""
     with open(path, "r", encoding="utf-8") as handle:
         try:
-            doc = json.load(handle)
+            doc = json.load(handle, object_pairs_hook=_unique_keys)
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise InstanceFormatError(f"not valid JSON: {exc}") from exc
     return instance_from_dict(doc)

@@ -1,14 +1,27 @@
 """Independent reference routes used to check the pruned engine.
 
-Everything here deliberately avoids targeted_coeff: products are
+Everything here deliberately avoids targeted_coeff.  Most products are
 expanded in full with plain multiplication and the wanted coefficient is
-read off at the end.  Laurent products stay Laurent, with no clearing of
-denominators.
+read off at the end; Laurent products stay Laurent, with no clearing of
+denominators.  ``pruned_coeff`` is the engine's earlier pruned expansion,
+which multiplies every power of the variable sum through term by term,
+and ``kp_coeff`` reaches the key coefficient by exact evaluation with no
+expansion at all.
 """
 
+import itertools
+from fractions import Fraction
 from functools import reduce
+from math import factorial, prod
 
-from sumsetlab import CertificateReport, DegreeInfeasible, SparsePoly, sum_of_variables
+from sumsetlab import (
+    CertificateReport,
+    DegreeInfeasible,
+    LengthMismatch,
+    NegativeExponentInput,
+    SparsePoly,
+    sum_of_variables,
+)
 
 
 def expand_factors(factors):
@@ -27,6 +40,99 @@ def expand_factors(factors):
 
 def naive_coeff(factors, target):
     return expand_factors(factors).coeff(target)
+
+
+def pruned_coeff(factors, target) -> int:
+    """targeted_coeff as it was before the variable-sum contraction: every
+    factor, powers of the variable sum included, is multiplied through one
+    repetition at a time, dropping partial terms above the target."""
+    target = tuple(int(t) for t in target)
+    nvars = len(target)
+    flist = []
+    for item in factors:
+        if isinstance(item, SparsePoly):
+            poly, rep = item, 1
+        else:
+            poly, rep = item
+            rep = int(rep)
+        if not isinstance(poly, SparsePoly):
+            raise TypeError(f"factor {poly!r} is not a SparsePoly")
+        if rep < 0:
+            raise ValueError(f"repetition exponent must be >= 0, got {rep}")
+        if poly.nvars != nvars:
+            raise LengthMismatch(
+                f"factor on {poly.nvars} variables in a {nvars}-variable product"
+            )
+        if any(v < 0 for e in poly.terms for v in e):
+            raise NegativeExponentInput(
+                "factors must have nonnegative exponents; clear denominators first"
+            )
+        if rep:  # a factor repeated 0 times contributes the empty product 1
+            flist.append((poly, rep))
+    if any(t < 0 for t in target):
+        return 0
+    reach = sum(rep * poly.total_degree() for poly, rep in flist)
+    if reach < sum(target):
+        return 0  # degree-infeasible: the product cannot climb to the target
+    acc = {(0,) * nvars: 1}
+    for poly, rep in flist:
+        items = list(poly.terms.items())
+        for _ in range(rep):
+            nxt = {}
+            for e1, c1 in acc.items():
+                for e2, c2 in items:
+                    e = tuple(a + b for a, b in zip(e1, e2))
+                    oversized = False
+                    for v, t in zip(e, target):
+                        if v > t:
+                            oversized = True
+                            break
+                    if oversized:
+                        continue
+                    c = nxt.get(e, 0) + c1 * c2
+                    if c:
+                        nxt[e] = c
+                    elif e in nxt:
+                        del nxt[e]
+            acc = nxt
+            if not acc:
+                return 0
+    return acc.get(target, 0)
+
+
+def kp_coeff(sizes, mults):
+    """key_coefficient(sizes, mults) by the coefficient formula of Lasoń and
+    Karasev-Petrov, with no expansion.
+
+    For f of degree at most sum(t) and C_i = {0, ..., t_i},
+    [x^t] f = sum over c in C_1 x ... x C_n of f(c) / prod_i phi_i'(c_i),
+    where phi_i'(c) = c! (-1)^{t_i - c} (t_i - c)!.  Here t_j = sizes_j - 1
+    and f = prod_{i != j} (x_i - x_j)^{m_ij} (x_1 + ... + x_n)^E is
+    homogeneous of degree sum(t).  ``mults`` is the common multiplicity or
+    a map {(i, j): m_ij} over 0-based pairs, as for key_coefficient.
+    """
+    t = [int(sz) - 1 for sz in sizes]
+    n = len(t)
+    if isinstance(mults, dict):
+        pairs = dict(mults)
+    else:
+        pairs = {(i, j): mults for i in range(n) for j in range(n) if i != j}
+    balance = sum(t) - sum(pairs.values())
+    if balance < 0:
+        raise DegreeInfeasible(f"sum(t) = {sum(t)} < deg = {sum(pairs.values())}")
+    total = Fraction(0)
+    for c in itertools.product(*(range(ti + 1) for ti in t)):
+        value = sum(c) ** balance
+        for (i, j), e in pairs.items():
+            value *= (c[i] - c[j]) ** e
+        if value:
+            total += Fraction(value, prod(
+                factorial(ci) * (-1) ** (ti - ci) * factorial(ti - ci)
+                for ci, ti in zip(c, t)
+            ))
+    if total.denominator != 1:
+        raise ArithmeticError(f"the formula gave a non-integer {total}")
+    return total.numerator
 
 
 def naive_laurent_constant_term(factors):

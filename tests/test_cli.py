@@ -6,7 +6,13 @@ import sys
 import pytest
 
 import sumsetlab
-from sumsetlab import SplitMix64, SumsetInstance, instance_to_dict, uniform_forbidden
+from sumsetlab import (
+    NonIntegerResult,
+    SplitMix64,
+    SumsetInstance,
+    instance_to_dict,
+    uniform_forbidden,
+)
 from sumsetlab.cli import main
 
 
@@ -197,6 +203,14 @@ def test_sumset_bad_forbidden_keys(tmp_path, forbidden):
     assert err.startswith("sumsetlab: error: ") and "Traceback" not in err
 
 
+def test_sumset_repeated_json_key(tmp_path):
+    path = tmp_path / "twice.json"
+    path.write_text('{"p": 7, "sets": [[0, 1], [0, 2]], "forbidden": {"1,2": [0], "1,2": [1]}}')
+    code, err = run_process(["sumset", str(path)])
+    assert code == 1
+    assert err.startswith("sumsetlab: error: ") and "Traceback" not in err
+
+
 def test_sumset_large_prime(capsys, tmp_path):
     path = tmp_path / "big.json"
     path.write_text(json.dumps({"p": 10 ** 18 + 3, "sets": [[0, 1], [0, 2]]}))
@@ -283,6 +297,12 @@ def test_thm4_sample_budget_checked_before_drawing(capsys, monkeypatch):
     assert code == 0 and rep["subsets_tested"] == 0
 
 
+def test_thm4_huge_subset_count_is_budget_exit(capsys):
+    # C(10000019, 6325) has more digits than int allows to convert to str
+    code, out, err = run(capsys, ["thm4", "--p", "10000019", "--m", "1"])
+    assert code == 3 and out == "" and len(err) < 200
+
+
 def test_thm4_bad_size(capsys):
     code, _, _ = run(capsys, ["thm4", "--p", "7", "--m", "1", "--size", "9"])
     assert code == 1
@@ -362,3 +382,13 @@ def test_unknown_scope_is_usage_error(capsys):
 
 def test_help_exits_zero(capsys):
     assert run(capsys, ["--help"])[0] == 0
+
+
+def test_internal_check_failure_exits_2(capsys, monkeypatch):
+    def broken(avec):
+        raise NonIntegerResult("expected an integer, got 1/2")
+
+    monkeypatch.setattr(sumsetlab.cli, "dyson_closed_form", broken)
+    code, out, err = run(capsys, ["identities", "dyson"])
+    assert code == 2 and out == ""
+    assert err == "sumsetlab: internal check failed: expected an integer, got 1/2\n"

@@ -3,8 +3,9 @@
 Each argv's stdout is hashed with SHA-256 and compared with a digest
 recorded before the refactors that could change it (the per-instance
 pipeline and certificate route; the shared bound hypotheses, analysis
-rows and identities option table), so any change to a doc byte fails
-here.
+rows and identities option table; the variable-sum contraction, which
+the n = 3, 4 experiment with k up to 10 exercises), so any change to a
+doc byte fails here.
 """
 
 import hashlib
@@ -44,6 +45,9 @@ GOLDEN = [
      "31d5e31fd6d5f7b13861069a71883ab1011c957b8580e1db869f67756ace48c0"),
     (["identities", "prop21"],
      "489ef26297e18c91031b283bc59ab6ec0989d146a69317791e31ee1054e2fec4"),
+    (["experiment", "--trials", "12", "--seed", "3", "--p-set", "29,31",
+      "--n-set", "3,4", "--m-set", "1,2", "--k-max", "10"],
+     "edcf35cf3d2bf8c3bc37795d8c6fc057cabc78cab1ee160ab6f538642ee0db9c"),
     (["thm4", "--p", "7", "--m", "1"],
      "c0cd84fad18af0768bf0fa9dd5096e404d0e119ad7b3f83412273ca12fb8fa58"),
 ]

@@ -24,6 +24,7 @@ from sumsetlab import (
 )
 from oracles import (
     aomoto_laurent_factors,
+    kp_coeff,
     lemma22_laurent_factors,
     naive_laurent_constant_term,
     one_minus_ratio,
@@ -214,6 +215,31 @@ def test_key_coefficient_validation():
         key_coefficient((2, 2), {(0, 1): -1})
     with pytest.raises(ParameterOutOfRange):
         key_coefficient((2, 2), {(0, 2): 1})
+
+
+def key_coefficient_cases():
+    """Sizes 1..6 for n <= 4 sets, with a common m <= 2 or per-pair
+    multiplicities m_ij <= 2."""
+    def with_mults(n):
+        pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+        per_pair = (st.dictionaries(st.sampled_from(pairs), st.integers(0, 2))
+                    if pairs else st.just({}))
+        return st.tuples(st.lists(st.integers(1, 6), min_size=n, max_size=n),
+                         st.one_of(st.integers(0, 2), per_pair))
+    return st.integers(1, 4).flatmap(with_mults)
+
+
+@settings(max_examples=150, deadline=None)
+@given(key_coefficient_cases())
+def test_key_coefficient_matches_kp_formula(case):
+    sizes, mults = case
+    try:
+        expected = kp_coeff(sizes, mults)
+    except DegreeInfeasible:
+        with pytest.raises(DegreeInfeasible):
+            key_coefficient(sizes, mults)
+        return
+    assert key_coefficient(sizes, mults) == expected
 
 
 def test_closed_form_pinned():

@@ -10,7 +10,7 @@ from sumsetlab import (
     sum_of_variables,
     targeted_coeff,
 )
-from oracles import expand_factors, one_minus_ratio
+from oracles import expand_factors, one_minus_ratio, pruned_coeff
 
 X = SparsePoly.variable(2, 0)
 Y = SparsePoly.variable(2, 1)
@@ -93,6 +93,8 @@ def test_coeff_of_absent_monomial_is_zero():
 def test_targeted_matches_spec_examples():
     assert targeted_coeff([(X - Y, 2), (X + Y, 2)], (2, 2)) == -2
     assert targeted_coeff([(X + Y, 4)], (2, 2)) == 6
+    # (x+1)^2 (x+y)^3: [x^3 y] = 2 * C(3, 1), the sum power contracted
+    assert targeted_coeff([(X + 1, 2), (X + Y, 3)], (3, 1)) == 6
     assert targeted_coeff([X - Y, X - Y], (5, 0)) == 0  # degree-infeasible
 
 
@@ -181,3 +183,24 @@ def test_targeted_agrees_with_full_expansion(data):
     for target in itertools.product(range(5), repeat=nvars):
         assert targeted_coeff(factors, target) == expanded.coeff(target)
 
+
+def contraction_factor_lists(nvars):
+    """Factor lists mixing arbitrary factors, x_0 + 1 and the variable sum,
+    the last as a bare factor or repeated 0..4 times, at any position."""
+    vsum = sum_of_variables(nvars)
+    factor = st.one_of(
+        st.tuples(polys(nvars, lo=0, hi=2, max_terms=4), st.integers(0, 2)),
+        st.tuples(st.just(SparsePoly.variable(nvars, 0) + 1), st.integers(0, 2)),
+        st.just(vsum),
+        st.tuples(st.just(vsum), st.integers(0, 4)),
+    )
+    return st.lists(factor, max_size=5)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 3).flatmap(
+    lambda n: st.tuples(st.just(n), contraction_factor_lists(n))))
+def test_targeted_matches_pruned_oracle(data):
+    nvars, factors = data
+    for target in itertools.product(range(5), repeat=nvars):
+        assert targeted_coeff(factors, target) == pruned_coeff(factors, target)

@@ -4,6 +4,7 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import sumsetlab.sumsets as sumsets_module
 from oracles import list_sample, literal_certificate
 from sumsetlab import (
     BudgetExceeded,
@@ -414,6 +415,24 @@ def test_coverage_check_zero_summands():
     assert rep.n == 0
     assert not rep.hypothesis_met
     assert rep.missing == (1, 2, 3, 4, 5, 6)
+
+
+def test_coverage_check_budget_before_instance(monkeypatch):
+    # |A| = 633 with S = {0} means n = 316 summands: 633^316 tuples
+    def no_instance(*args, **kwargs):
+        raise AssertionError("an instance was built")
+
+    monkeypatch.setattr(sumsets_module, "SumsetInstance", no_instance)
+    with pytest.raises(BudgetExceeded) as info:
+        coverage_check(100003, [0], range(633), budget=1000)
+    assert len(str(info.value)) < 120
+
+
+def test_budget_message_prints_a_huge_count_as_a_power_of_two():
+    inst = SumsetInstance(7, [[0, 1, 2, 3, 4, 5, 6]] * 40)  # 7^40 tuples
+    with pytest.raises(BudgetExceeded) as info:
+        enumerate_restricted_sumset(inst, budget=10)
+    assert str(info.value) == "more than 2^112 tuples exceed the enumeration budget of 10"
 
 
 def test_coverage_exhaustive_small():
