@@ -8,17 +8,22 @@ in the caller.
 
 The workhorse is :func:`targeted_coeff`, which extracts a single
 coefficient from a product of polynomial factors while pruning every
-partial term that can no longer reach the target.  A power of the
-variable sum (x_0 + ... + x_{n-1})^E is never expanded: by the
+partial term that can no longer reach the target: from above, a term
+already past the target's exponent in some variable, and from below, a
+term that the factors still to come cannot lift to it (a per-variable
+floor).  The factors go in an order that closes one variable after
+another, and a repeated factor goes in as one pruned power.  A power of
+the variable sum (x_0 + ... + x_{n-1})^E is never expanded: by the
 multinomial theorem its coefficient at any exponent vector d with
 sum(d) = E is E!/prod d_i!, so it is contracted against the expansion
 of the other factors in one pass.  Negative exponents are legal
 everywhere except inside ``targeted_coeff`` itself, which is what makes
-the pruning rule sound; a Laurent constant term is reached by clearing
+the pruning rules sound; a Laurent constant term is reached by clearing
 denominators first (see ``identities``).
 """
 
 from math import factorial, prod
+from operator import add
 
 
 class LengthMismatch(ValueError):
@@ -221,20 +226,35 @@ def sum_of_variables(nvars: int) -> SparsePoly:
     )
 
 
+def _bounded_product(acc, items, touched, floor, ceiling):
+    """The product of the term maps ``acc`` and ``items`` (a list of
+    (exponents, coefficient) pairs), keeping only the terms e with
+    floor[v] <= e[v] <= ceiling[v] at every variable v in ``touched``."""
+    out = {}
+    for e1, c1 in acc.items():
+        for e2, c2 in items:
+            e = tuple(map(add, e1, e2))
+            for v in touched:
+                if not floor[v] <= e[v] <= ceiling[v]:
+                    break
+            else:
+                c = out.get(e, 0) + c1 * c2
+                if c:
+                    out[e] = c
+                elif e in out:
+                    del out[e]
+    return out
+
+
 def targeted_coeff(factors, target) -> int:
     """Coefficient of the ``target`` monomial in the product of ``factors``.
 
     ``factors`` is a sequence of SparsePoly (optionally paired with a
-    repetition exponent); all must have nonnegative exponents.  Factors
-    are multiplied in the given order, and any partial-product term whose
-    exponent in some variable already exceeds the target's is dropped.
-    Because exponents only grow, a dropped term can never contribute to
-    the target, so the result equals the coefficient in the fully
-    expanded product.
+    repetition exponent); all must have nonnegative exponents.
 
     Factors equal to ``sum_of_variables(nvars)`` are set aside and their
-    repetitions summed into one power E.  The others are expanded as
-    above into V, and the result is the contraction
+    repetitions summed into one power E.  The others are expanded into V
+    by the rules below, and the result is the contraction
 
         [x^t] V (x_0 + ... + x_{n-1})^E = sum_e [x^e]V * E! / prod_i (t_i - e_i)!
 
@@ -242,6 +262,29 @@ def targeted_coeff(factors, target) -> int:
     multinomial theorem gives E!/prod d_i! as the coefficient of x^d in
     the power for every d >= 0 with sum(d) = E and 0 for every other d,
     and every surviving e has t - e >= 0.
+
+    The expansion keeps only terms that can still reach the target.  For
+    a partial product A and the product B of everything not yet
+    multiplied in (the power of the variable sum included),
+
+        [x^t] A B = sum_e [x^e]A * [x^(t - e)]B,
+
+    and [x^d]B = 0 unless 0 <= d_v <= r_v at every variable v: B has no
+    negative exponents, and r_v, the sum of the top exponents of x_v over
+    the factors of B, bounds the exponent of x_v in B.  So a term e of A
+    with e_v > t_v (the ceiling) or e_v + r_v < t_v (the floor) adds
+    nothing to the coefficient and is dropped; both are exact integer
+    comparisons.  The identity holds however the product is split, so
+    the order is free and is chosen to prune: the factors are
+    multiplied in a stable sort by the lowest variable each one touches.
+    Once the last factor touching x_v is in, r_v = E, and with E = 0
+    (the Dyson, Zeilberger and Aomoto products) the exponent of x_v is
+    pinned to t_v from then on.  A factor repeated ``rep`` times is first
+    raised to its power, dropping terms above the ceiling as the power is
+    built (they stay above it in every product), and then multiplied in
+    as one step; for a binomial x_i - x_j the power has rep + 1 terms.
+    A step changes e_v and r_v only at the variables its factor touches,
+    so only those are tested.
 
     >>> x0, x1 = SparsePoly.variable(2, 0), SparsePoly.variable(2, 1)
     >>> targeted_coeff([(x0 + x1, 4)], (2, 2))
@@ -279,29 +322,32 @@ def targeted_coeff(factors, target) -> int:
     reach = power + sum(rep * poly.total_degree() for poly, rep in flist)
     if reach < sum(target):
         return 0  # degree-infeasible: the product cannot climb to the target
-    acc = {(0,) * nvars: 1}
+    steps = []  # (lowest variable touched, poly, rep, top exponents, touched)
     for poly, rep in flist:
+        tops = [max((e[v] for e in poly.terms), default=0) for v in range(nvars)]
+        touched = [v for v in range(nvars) if tops[v]]
+        steps.append((touched[0] if touched else -1, poly, rep, tops, touched))
+    steps.sort(key=lambda step: step[0])
+    room = [power] * nvars  # r_v: the most the factors still to come add to x_v
+    for _, _, rep, tops, touched in steps:
+        for v in touched:
+            room[v] += rep * tops[v]
+    if any(r < t for r, t in zip(room, target)):
+        return 0
+    one = (0,) * nvars
+    zeros = [0] * nvars
+    acc = {one: 1}
+    for _, poly, rep, tops, touched in steps:
         items = list(poly.terms.items())
+        power_terms = {one: 1}
         for _ in range(rep):
-            nxt = {}
-            for e1, c1 in acc.items():
-                for e2, c2 in items:
-                    e = tuple(a + b for a, b in zip(e1, e2))
-                    oversized = False
-                    for v, t in zip(e, target):
-                        if v > t:
-                            oversized = True
-                            break
-                    if oversized:
-                        continue
-                    c = nxt.get(e, 0) + c1 * c2
-                    if c:
-                        nxt[e] = c
-                    elif e in nxt:
-                        del nxt[e]
-            acc = nxt
-            if not acc:
-                return 0
+            power_terms = _bounded_product(power_terms, items, touched, zeros, target)
+        for v in touched:
+            room[v] -= rep * tops[v]
+        floor = [t - r for t, r in zip(target, room)]
+        acc = _bounded_product(acc, list(power_terms.items()), touched, floor, target)
+        if not acc:
+            return 0
     if not power:
         return acc.get(target, 0)
     numerator = factorial(power)

@@ -18,7 +18,7 @@ deterministically from a seed.
 import itertools
 import json
 from dataclasses import dataclass
-from math import comb, isqrt, prod
+from math import isqrt, prod
 
 from .ffield import PrimeField
 from .identities import DegreeInfeasible, ParameterOutOfRange, key_coefficient
@@ -164,13 +164,30 @@ def _check_sum_budget(size: int, n: int, budget: int) -> None:
         )
 
 
+def _capped_comb(p: int, size: int, cap: int) -> int:
+    """C(p, size) when it is at most ``cap``, else some count above ``cap``.
+
+    The running C(p, i) = C(p, i - 1) (p - i + 1) / i is exact at every
+    step and never decreases for i <= p/2, so it is built up to
+    min(size, p - size) and stops at the first step past the cap.
+    """
+    count = 1
+    for i in range(1, min(size, p - size) + 1):
+        count = count * (p - i + 1) // i
+        if count > cap:
+            break
+    return count
+
+
 def enumerate_restricted_sumset(inst: SumsetInstance, budget: int = DEFAULT_BUDGET) -> set:
     """The exact restricted sumset C, as a set of canonical residues.
 
     Depth-first over A_1 x ... x A_n; each new coordinate is checked
     against all earlier ones (both orientations of the pair constraint)
     before descending, which prunes hard when forbidden sets are dense.
-    The tuple count prod |A_j| must stay within the budget.
+    The walk stops as soon as C is all of Z/pZ: C holds at most p
+    residues, so no later tuple can change the returned set.  The tuple
+    count prod |A_j| must stay within the budget.
     """
     total = prod(inst.sizes)
     if total > budget:
@@ -188,9 +205,10 @@ def enumerate_restricted_sumset(inst: SumsetInstance, budget: int = DEFAULT_BUDG
     chosen = [0] * n
 
     def walk(d, acc):
+        """Add the sums below this node; True once C = Z/pZ."""
         if d == n:
             out.add(acc % p)
-            return
+            return len(out) == p
         for a in sets[d]:
             for i, forb_id, forb_di in earlier[d]:
                 ai = chosen[i]
@@ -198,9 +216,12 @@ def enumerate_restricted_sumset(inst: SumsetInstance, budget: int = DEFAULT_BUDG
                     break
             else:
                 chosen[d] = a
-                walk(d + 1, acc + a)
+                if walk(d + 1, acc + a):
+                    return True
+        return False
 
     walk(0, 0)
+    del walk  # the recursive closure is a reference cycle; free it now
     return out
 
 
@@ -486,11 +507,10 @@ def coverage_sweep(p: int, m: int, mode: str = "exhaustive", count: int = 50,
     if not 1 <= size <= p:
         raise ParameterOutOfRange(f"subset size {size} not in [1, {p}]")
     if mode == "exhaustive":
-        n_subsets = comb(p, size)
+        n_subsets = _capped_comb(p, size, budget)
         if n_subsets > budget:
             raise BudgetExceeded(
-                f"{_count_text(n_subsets)} subsets of size {size} exceed the "
-                f"budget of {budget}"
+                f"more than {budget} subsets of size {size} exceed the budget"
             )
         subsets = itertools.combinations(range(p), size)
     elif mode == "sample":

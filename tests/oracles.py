@@ -212,6 +212,19 @@ def lemma22_laurent_factors(n, s, b, m):
     return factors
 
 
+def brute_sumset(inst):
+    """The restricted sumset by itertools.product over A_1 x ... x A_n,
+    checking every ordered pair (i, j), so both orientations of each pair
+    constraint: the reference for enumerate_restricted_sumset."""
+    p, n = inst.p, inst.n
+    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    return {
+        sum(tup) % p
+        for tup in itertools.product(*inst.sets)
+        if all((tup[i] - tup[j]) % p not in inst.forbidden[i, j] for i, j in pairs)
+    }
+
+
 def trial_division_is_prime(n):
     """Primality by trial division up to sqrt(n); the reference for
     sumsetlab.is_prime."""

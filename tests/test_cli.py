@@ -303,6 +303,13 @@ def test_thm4_huge_subset_count_is_budget_exit(capsys):
     assert code == 3 and out == "" and len(err) < 200
 
 
+def test_thm4_subset_count_stops_at_the_budget(capsys):
+    argv = ["thm4", "--p", "1000000007", "--m", "1", "--budget", "1000"]
+    code, out, err = run(capsys, argv)
+    assert code == 3 and out == ""
+    assert "more than 1000 subsets of size 63246" in err
+
+
 def test_thm4_bad_size(capsys):
     code, _, _ = run(capsys, ["thm4", "--p", "7", "--m", "1", "--size", "9"])
     assert code == 1

@@ -4,8 +4,10 @@ Each argv's stdout is hashed with SHA-256 and compared with a digest
 recorded before the refactors that could change it (the per-instance
 pipeline and certificate route; the shared bound hypotheses, analysis
 rows and identities option table; the variable-sum contraction, which
-the n = 3, 4 experiment with k up to 10 exercises), so any change to a
-doc byte fails here.
+the n = 3, 4 experiment with k up to 10 exercises; the pruning from
+below, which binds hardest on the four-variable Zeilberger sweep; the
+enumeration's stop at C = Z/pZ, which the thm4 sweeps reach), so any
+change to a doc byte fails here.
 """
 
 import hashlib
@@ -50,6 +52,12 @@ GOLDEN = [
      "edcf35cf3d2bf8c3bc37795d8c6fc057cabc78cab1ee160ab6f538642ee0db9c"),
     (["thm4", "--p", "7", "--m", "1"],
      "c0cd84fad18af0768bf0fa9dd5096e404d0e119ad7b3f83412273ca12fb8fa58"),
+    (["thm4", "--p", "13", "--m", "2", "--forbidden", "6,10"],
+     "f202e1e080bdb0bca639c3c21125f51d4cd555c5a402b146dbe195d67f9169b0"),
+    (["thm4", "--p", "29", "--m", "1", "--mode", "sample", "--count", "6", "--seed", "1"],
+     "01b998416f15fb922fb35fa2bbb83c5136583be53d2cbc23c3748664c30ff3ae"),
+    (["identities", "zeilberger", "--max-vars", "4", "--max-entry", "3"],
+     "ff0cc00d601ce490b83b5e8786a72d69e1742933dfd0ceaf7cc51d60f578a9ae"),
 ]
 
 

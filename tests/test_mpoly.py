@@ -10,7 +10,7 @@ from sumsetlab import (
     sum_of_variables,
     targeted_coeff,
 )
-from oracles import expand_factors, one_minus_ratio, pruned_coeff
+from oracles import expand_factors, naive_coeff, one_minus_ratio, pruned_coeff
 
 X = SparsePoly.variable(2, 0)
 Y = SparsePoly.variable(2, 1)
@@ -121,7 +121,30 @@ def test_targeted_rejects_negative_repetition():
 
 
 def test_targeted_zero_factor():
-    assert targeted_coeff([SparsePoly.zero(2), X + Y], (1, 0)) == 0
+    zero = SparsePoly.zero(2)
+    assert targeted_coeff([zero, X + Y], (1, 0)) == 0
+    assert targeted_coeff([X - Y, (zero, 2)], (1, 0)) == 0
+    assert targeted_coeff([zero], (0, 0)) == 0
+    assert targeted_coeff([zero, (X + Y, 3)], (2, 1)) == 0  # beside a sum power
+    assert targeted_coeff([(zero, 0), X + Y], (1, 0)) == 1  # 0^0 = 1
+
+
+def test_targeted_zero_repetitions_are_one():
+    assert targeted_coeff([(X - Y, 0)], (0, 0)) == 1
+    assert targeted_coeff([(X - Y, 0), (X + Y, 0)], (0, 0)) == 1
+    assert targeted_coeff([(X - Y, 0), (X + Y, 0)], (1, 0)) == 0
+    assert targeted_coeff([(X - Y, 0), 3 * X], (1, 0)) == 3
+    assert targeted_coeff([], ()) == 1
+
+
+def test_targeted_is_invariant_under_factor_order():
+    x = [SparsePoly.variable(3, v) for v in range(3)]
+    factors = [(x[1] - x[2], 2), (x[0] - x[2], 1), (x[2] + 1, 2),
+               (sum_of_variables(3), 1), (x[0] - x[1], 1)]
+    for target in [(2, 2, 3), (3, 2, 1), (1, 3, 2), (2, 1, 2)]:
+        expected = naive_coeff(factors, target)
+        for order in itertools.permutations(factors):
+            assert targeted_coeff(order, target) == expected
 
 
 # ----------------------------------------------------------------------
@@ -204,3 +227,42 @@ def test_targeted_matches_pruned_oracle(data):
     nvars, factors = data
     for target in itertools.product(range(5), repeat=nvars):
         assert targeted_coeff(factors, target) == pruned_coeff(factors, target)
+
+
+def floor_heavy_cases(nvars):
+    """Factor lists of binomials x_i - x_j, small random factors and the
+    variable sum, shuffled, with targets at or just below each variable's
+    reach (the most the whole product can give x_v), where the floors bind."""
+    vsum = sum_of_variables(nvars)
+    units = [SparsePoly.variable(nvars, v) for v in range(nvars)]
+    pairs = [(i, j) for i in range(nvars) for j in range(nvars) if i != j]
+    # with one variable the only "binomial" is x0 - x0, a zero factor
+    binomial = st.tuples(st.sampled_from(pairs or [(0, 0)]), st.integers(0, 3)).map(
+        lambda pe: (units[pe[0][0]] - units[pe[0][1]], pe[1]))
+    factor = st.one_of(
+        binomial,
+        binomial,  # twice: binomials are the factors every production call has
+        st.tuples(polys(nvars, lo=0, hi=2, max_terms=3), st.integers(0, 2)),
+        st.tuples(st.just(vsum), st.integers(0, 3)),
+    )
+
+    def with_target(factors):
+        reach = [0] * nvars
+        for poly, rep in factors:
+            for v in range(nvars):
+                reach[v] += rep * max((e[v] for e in poly.terms), default=0)
+        slack = st.tuples(*[st.integers(0, 2)] * nvars)
+        return st.tuples(st.permutations(factors), slack.map(
+            lambda s: tuple(max(r - d, 0) for r, d in zip(reach, s))))
+
+    return st.lists(factor, min_size=1, max_size=5).flatmap(with_target)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4).flatmap(
+    lambda n: st.tuples(st.just(n), floor_heavy_cases(n))))
+def test_targeted_matches_oracles_near_the_floors(data):
+    nvars, (factors, target) = data
+    expected = naive_coeff([SparsePoly.one(nvars)] + factors, target)
+    assert pruned_coeff(factors, target) == expected
+    assert targeted_coeff(factors, target) == expected

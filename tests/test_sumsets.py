@@ -1,11 +1,12 @@
 import json
 import re
+from math import comb
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import sumsetlab.sumsets as sumsets_module
-from oracles import list_sample, literal_certificate
+from oracles import brute_sumset, list_sample, literal_certificate
 from sumsetlab import (
     BudgetExceeded,
     CannotSatisfyHypothesis,
@@ -112,6 +113,49 @@ def test_enumerate_budget():
 def test_enumerate_wraps_mod_p():
     inst = SumsetInstance(5, [(3, 4), (3, 4)], uniform_forbidden(2, {0}))
     assert sorted(enumerate_restricted_sumset(inst)) == [2]  # 3 + 4 = 7 = 2 mod 5
+
+
+@st.composite
+def small_instances(draw):
+    """Instances over p <= 7 with up to 4 sets.  Dense sets and few
+    forbidden differences reach C = Z/pZ; sparse sets or dense forbidden
+    sets fall short of it."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    n = draw(st.integers(1, 4))
+    residues = st.integers(0, p - 1)
+    sets = [draw(st.sets(residues, min_size=1, max_size=p)) for _ in range(n)]
+    forbidden = {
+        (i, j): draw(st.sets(residues, max_size=2))
+        for i in range(n) for j in range(n) if i != j
+    }
+    return SumsetInstance(p, sets, forbidden)
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_instances())
+@example(SumsetInstance(7, [range(7)] * 3, uniform_forbidden(3, {0})))  # all of Z/7
+@example(SumsetInstance(7, [(0, 1, 2)] * 2, uniform_forbidden(2, {0})))  # {1, 2, 3}
+def test_enumerate_matches_brute_oracle(inst):
+    assert enumerate_restricted_sumset(inst) == brute_sumset(inst)
+
+
+def test_enumerate_stops_once_every_residue_is_hit():
+    visits = 0
+
+    class CountedSet(tuple):
+        def __iter__(self):
+            nonlocal visits
+            for a in super().__iter__():
+                visits += 1
+                yield a
+
+    inst = SumsetInstance(7, [range(7)] * 4, uniform_forbidden(4, {3}))
+    expected = brute_sumset(inst)
+    inst.sets = tuple(CountedSet(A) for A in inst.sets)
+    assert enumerate_restricted_sumset(inst) == expected == set(range(7))
+    # the walk that runs to the end visits 1232 elements; this one hits
+    # all seven residues within its first 22
+    assert visits < 100
 
 
 # ----------------------------------------------------------------------
@@ -433,6 +477,18 @@ def test_budget_message_prints_a_huge_count_as_a_power_of_two():
     with pytest.raises(BudgetExceeded) as info:
         enumerate_restricted_sumset(inst, budget=10)
     assert str(info.value) == "more than 2^112 tuples exceed the enumeration budget of 10"
+
+
+def test_capped_comb_matches_comb():
+    for p in range(1, 26):
+        for size in range(p + 1):
+            exact = comb(p, size)
+            for cap in {0, 1, 7, exact - 1, exact, exact + 1, 10**6}:
+                got = sumsets_module._capped_comb(p, size, cap)
+                if exact <= cap:
+                    assert got == exact
+                else:
+                    assert got > cap
 
 
 def test_coverage_exhaustive_small():
