@@ -17,6 +17,7 @@ x_1..x_n (indexed 0..n-1 internally).
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import factorial
 
 from .mpoly import SparsePoly, sum_of_variables, targeted_coeff
@@ -66,8 +67,10 @@ def _unit(nvars, i):
     return tuple(1 if j == i else 0 for j in range(nvars))
 
 
+@cache
 def _difference(nvars, i, j) -> SparsePoly:
-    """x_i - x_j."""
+    """x_i - x_j, built once per (nvars, i, j) and shared: a SparsePoly
+    is immutable by convention."""
     return SparsePoly(nvars, {_unit(nvars, i): 1, _unit(nvars, j): -1})
 
 

@@ -22,6 +22,7 @@ the pruning rules sound; a Laurent constant term is reached by clearing
 denominators first (see ``identities``).
 """
 
+from functools import cache
 from math import factorial, prod
 from operator import add
 
@@ -226,6 +227,14 @@ def sum_of_variables(nvars: int) -> SparsePoly:
     )
 
 
+@cache
+def _variable_sum(nvars: int) -> SparsePoly:
+    """``sum_of_variables(nvars)``, built once per variable count for
+    :func:`targeted_coeff` to compare every factor with; shared, so it
+    is never handed out."""
+    return sum_of_variables(nvars)
+
+
 def _bounded_product(acc, items, touched, floor, ceiling):
     """The product of the term maps ``acc`` and ``items`` (a list of
     (exponents, coefficient) pairs), keeping only the terms e with
@@ -292,7 +301,7 @@ def targeted_coeff(factors, target) -> int:
     """
     target = tuple(int(t) for t in target)
     nvars = len(target)
-    variable_sum = sum_of_variables(nvars) if nvars else None
+    variable_sum = _variable_sum(nvars) if nvars else None
     flist = []
     power = 0
     for item in factors:

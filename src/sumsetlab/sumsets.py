@@ -418,6 +418,14 @@ class CoverageReport:
     missing: tuple
 
 
+def _residues(values, p: int, name: str) -> tuple:
+    """The distinct ``values`` as a sorted tuple, each a residue in [0, p)."""
+    out = tuple(sorted(set(int(x) for x in values)))
+    if out and (out[0] < 0 or out[-1] >= p):
+        raise ParameterOutOfRange(f"{name} has elements outside [0, {p})")
+    return out
+
+
 def coverage_check(p, s_set, a_set, budget: int = DEFAULT_BUDGET) -> CoverageReport:
     """Test whether sums of n elements of A (pairwise differences outside
     S) cover all of Z/pZ, with n = floor((|A| - 1 + m) / (2m)).
@@ -428,13 +436,14 @@ def coverage_check(p, s_set, a_set, budget: int = DEFAULT_BUDGET) -> CoverageRep
       - (|A| - 1 + m)^2 = r^2 (mod 4m),
       - when |A| meets the threshold, n(|A|-1) - mn(n-1) + 1 >= p.
 
-    Raises BudgetExceeded, before any instance is built, when the |A|^n
-    tuples exceed the budget.
+    S and A must hold residues in [0, p) (ParameterOutOfRange otherwise),
+    whatever n is.  Raises BudgetExceeded, before any instance is built,
+    when the |A|^n tuples exceed the budget.
     """
     field = p if isinstance(p, PrimeField) else PrimeField(p)
     p = field.p
-    S = tuple(sorted(set(int(x) for x in s_set)))
-    A = tuple(sorted(set(int(x) for x in a_set)))
+    S = _residues(s_set, p, "S")
+    A = _residues(a_set, p, "A")
     m = len(S)
     if m < 1:
         raise ParameterOutOfRange("S must be nonempty")
@@ -484,21 +493,55 @@ class CoverageSweepResult:
         return [row for row in self.rows if row.hypothesis_met and not row.covered]
 
 
+def _orbit_form(A: tuple, p: int) -> tuple:
+    """(key, eps, t): the orbit of the sorted subset A under x -> eps*x + t.
+
+    Each of the 2|A| anchored images eps*(A - a), a in A, eps = +-1,
+    contains 0 and is named by its gap sequence from 0 upwards: a
+    rotation of A's cyclic gaps (eps = 1) or of their reversal
+    (eps = -1).  ``key`` is the least of these, so it is the same for
+    every subset in the orbit, and eps*(A - t) is an image with that
+    gap sequence.  O(|A|^2) work, whatever p is.
+    """
+    k = len(A)
+    gaps = [b - a for a, b in zip(A, A[1:])]
+    gaps.append(A[0] + p - A[-1])
+    ring = gaps + gaps
+    back = ring[::-1]
+    up = [tuple(ring[i:i + k]) for i in range(k)]     # the gaps of A - A[i]
+    down = [tuple(back[j:j + k]) for j in range(k)]   # the gaps of A[-j % k] - A
+    key_up, key_down = min(up), min(down)
+    if key_up <= key_down:
+        return key_up, 1, A[up.index(key_up)]
+    return key_down, -1, A[-down.index(key_down) % k]
+
+
 def coverage_sweep(p: int, m: int, mode: str = "exhaustive", count: int = 50,
                    seed: int = 0, size: int | None = None, s_set=None,
                    budget: int = DEFAULT_BUDGET) -> CoverageSweepResult:
     """Run :func:`coverage_check` over many subsets A of a fixed size.
 
     The default size is the coverage threshold and the default S is
-    {0, ..., m-1}.  Exhaustive mode walks all C(p, size) subsets (budget
-    permitting); sample mode draws ``count`` subsets from the seeded
-    generator (repeats possible).  Every subset's check enumerates
-    size^n tuples, n = floor((size - 1 + m) / (2m)), so a sweep whose
-    subsets each exceed the budget is refused before any subset is drawn
-    or any instance built.
+    {0, ..., m-1}; S must hold residues in [0, p).  Exhaustive mode
+    walks all C(p, size) subsets (budget permitting); sample mode draws
+    ``count`` subsets from the seeded generator (repeats possible).
+    Every subset's check enumerates size^n tuples,
+    n = floor((size - 1 + m) / (2m)), so a sweep whose subsets each
+    exceed the budget is refused before any subset is drawn or any
+    instance built.
+
+    Only one subset per orbit of x -> eps*x + t (eps = +-1, t in Z/pZ)
+    is checked: the first one met, as itself.  This is exact.  Every
+    ordered pair has the same S and the pair test runs in both
+    orientations, so the constraint reads a_i - a_j not in S u -S, a set
+    that negation maps onto itself and translation leaves alone.  Hence
+    C(eps*A + t) = eps*C(A) + n*t, the missing residues move the same
+    way, and n, the threshold and the hypothesis depend only on |A|.
+    Rows keep the order of the subsets, so the output is the same as
+    checking each one.
     """
     field = PrimeField(p)
-    S = tuple(range(m)) if s_set is None else tuple(sorted(set(int(x) for x in s_set)))
+    S = _residues(range(m) if s_set is None else s_set, p, "S")
     if len(S) != m:
         raise ParameterOutOfRange(f"S={S} does not have size m={m}")
     threshold = coverage_threshold(p, m)
@@ -522,8 +565,23 @@ def coverage_sweep(p: int, m: int, mode: str = "exhaustive", count: int = 50,
         raise ParameterOutOfRange(f"mode must be 'exhaustive' or 'sample', got {mode!r}")
     if n_subsets:
         _check_sum_budget(size, (size - 1 + m) // (2 * m), budget)
-    rows = tuple(coverage_check(field, S, A, budget) for A in subsets)
-    return CoverageSweepResult(p, m, S, size, threshold, mode, rows)
+    orbits = {}  # key -> (the row of the orbit's checked subset B, its eps, its t)
+    rows = []
+    for A in subsets:
+        key, eps, t = _orbit_form(A, p)
+        seen = orbits.get(key)
+        if seen is None:
+            row = coverage_check(field, S, A, budget)
+            orbits[key] = (row, eps, t)
+        else:
+            # eps*(A - t) = eps0*(B - t0), so A = s*(B - t0) + t with s = eps*eps0
+            base, eps0, t0 = seen
+            s, n = eps * eps0, base.n
+            missing = tuple(sorted((s * (y - n * t0) + n * t) % p for y in base.missing))
+            row = CoverageReport(A, n, base.threshold, base.hypothesis_met,
+                                 base.covered, missing)
+        rows.append(row)
+    return CoverageSweepResult(p, m, S, size, threshold, mode, tuple(rows))
 
 
 # ----------------------------------------------------------------------

@@ -15,11 +15,15 @@ from functools import reduce
 from math import factorial, prod
 
 from sumsetlab import (
+    DEFAULT_BUDGET,
     CertificateReport,
     DegreeInfeasible,
     LengthMismatch,
     NegativeExponentInput,
     SparsePoly,
+    SplitMix64,
+    coverage_check,
+    coverage_threshold,
     sum_of_variables,
 )
 
@@ -223,6 +227,22 @@ def brute_sumset(inst):
         for tup in itertools.product(*inst.sets)
         if all((tup[i] - tup[j]) % p not in inst.forbidden[i, j] for i, j in pairs)
     }
+
+
+def coverage_sweep_rows(p, m, mode="exhaustive", count=50, seed=0, size=None,
+                        s_set=None, budget=DEFAULT_BUDGET):
+    """The rows of coverage_sweep with one coverage_check per subset, in
+    itertools.combinations order or in draw order: the reference for the
+    sweep's orbit quotient."""
+    S = range(m) if s_set is None else s_set
+    if size is None:
+        size = coverage_threshold(p, m)
+    if mode == "exhaustive":
+        subsets = itertools.combinations(range(p), size)
+    else:
+        rng = SplitMix64(seed)
+        subsets = (rng.sample(p, size) for _ in range(count))
+    return tuple(coverage_check(p, S, A, budget) for A in subsets)
 
 
 def trial_division_is_prime(n):

@@ -315,6 +315,22 @@ def test_thm4_bad_size(capsys):
     assert code == 1
 
 
+def test_thm4_forbidden_residue_out_of_range(capsys):
+    # size 1 means n = 0, so no instance is built that would catch the residue
+    code, out, err = run(capsys, ["thm4", "--p", "13", "--m", "1", "--forbidden", "20",
+                                  "--size", "1"])
+    assert code == 1 and out == "" and "outside [0, 13)" in err
+
+
+def test_package_runs_as_a_module():
+    src = os.path.dirname(os.path.dirname(sumsetlab.__file__))
+    proc = subprocess.run([sys.executable, "-m", "sumsetlab", "thm4", "--p", "7", "--m", "1"],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert "subsets tested: 21" in proc.stdout
+
+
 # ----------------------------------------------------------------------
 # experiment
 # ----------------------------------------------------------------------

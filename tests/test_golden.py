@@ -6,8 +6,9 @@ pipeline and certificate route; the shared bound hypotheses, analysis
 rows and identities option table; the variable-sum contraction, which
 the n = 3, 4 experiment with k up to 10 exercises; the pruning from
 below, which binds hardest on the four-variable Zeilberger sweep; the
-enumeration's stop at C = Z/pZ, which the thm4 sweeps reach), so any
-change to a doc byte fails here.
+enumeration's stop at C = Z/pZ, which the thm4 sweeps reach; the orbit
+quotient of the thm4 sweep, whose below-threshold pins carry uncovered
+rows with nonempty missing sets), so any change to a doc byte fails here.
 """
 
 import hashlib
@@ -58,6 +59,11 @@ GOLDEN = [
      "01b998416f15fb922fb35fa2bbb83c5136583be53d2cbc23c3748664c30ff3ae"),
     (["identities", "zeilberger", "--max-vars", "4", "--max-entry", "3"],
      "ff0cc00d601ce490b83b5e8786a72d69e1742933dfd0ceaf7cc51d60f578a9ae"),
+    (["thm4", "--p", "13", "--m", "1", "--size", "5", "--forbidden", "3"],
+     "256a0502cb1dbbcc2cefec7c02e7965cd34cc44a3ef500805c1404b97d3a9424"),
+    (["thm4", "--p", "31", "--m", "2", "--mode", "sample", "--count", "20", "--seed", "4",
+      "--size", "8"],
+     "e895b663598dd72904078fc01b3b73c9adb3ab4ccb9f21353322e79a342bb74a"),
 ]
 
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import sumsetlab.sumsets as sumsets_module
-from oracles import brute_sumset, list_sample, literal_certificate
+from oracles import brute_sumset, coverage_sweep_rows, list_sample, literal_certificate
 from sumsetlab import (
     BudgetExceeded,
     CannotSatisfyHypothesis,
@@ -511,6 +511,64 @@ def test_coverage_sweep_validation():
         coverage_sweep(7, 1, mode="nope")
     with pytest.raises(BudgetExceeded):
         coverage_sweep(13, 1, budget=100)
+
+
+def test_coverage_residues_are_checked_whatever_n_is():
+    # size 1 gives n = 0, where no instance is built to catch a bad residue
+    for s_set in ([20], [13], [-1]):
+        with pytest.raises(ParameterOutOfRange):
+            coverage_check(13, s_set, [3])
+        with pytest.raises(ParameterOutOfRange):
+            coverage_sweep(13, 1, s_set=s_set, size=1)
+    for a_set in ([13], [-1, 2], range(5, 15)):
+        with pytest.raises(ParameterOutOfRange):
+            coverage_check(13, [0], a_set)
+
+
+@st.composite
+def sweep_arguments(draw):
+    """coverage_sweep arguments over primes p <= 17 and m <= 3, with
+    sizes from 1 (n = 0) up to two past the threshold; exhaustive sweeps
+    keep to at most 800 subsets."""
+    p = draw(st.sampled_from([2, 3, 5, 7, 11, 13, 17]))
+    m = draw(st.integers(1, min(3, p)))
+    s_set = tuple(draw(st.sets(st.integers(0, p - 1), min_size=m, max_size=m)))
+    mode = draw(st.sampled_from(["exhaustive", "sample"]))
+    top = min(p, coverage_threshold(p, m) + 2)
+    sizes = [k for k in range(1, top + 1) if mode == "sample" or comb(p, k) <= 800]
+    size = draw(st.sampled_from(sizes))
+    return p, m, s_set, size, mode, draw(st.integers(0, 30)), draw(st.integers(0, 2 ** 32))
+
+
+@settings(max_examples=80, deadline=None)
+@given(sweep_arguments())
+# n = 2 and 1274 of 1287 rows uncovered, in orbits reached by both signs
+@example((13, 1, (3,), 5, "exhaustive", 0, 0))
+@example((31, 2, (0, 1), 8, "sample", 20, 4))  # every sampled row uncovered
+# n = 1; {0, 1, 3, 4} and the like are their own reflections
+@example((7, 2, (2, 5), 4, "exhaustive", 0, 0))
+def test_coverage_sweep_matches_per_subset_oracle(args):
+    p, m, s_set, size, mode, count, seed = args
+    kwargs = dict(mode=mode, count=count, seed=seed, size=size, s_set=s_set)
+    assert coverage_sweep(p, m, **kwargs).rows == coverage_sweep_rows(p, m, **kwargs)
+
+
+def test_exhaustive_sweep_checks_one_subset_per_orbit(monkeypatch):
+    # Burnside over x -> +-x + t: (1716 + 13*20)/26 = 76 and (715 + 13*15)/26 = 35
+    calls = 0
+    check = sumsets_module.coverage_check
+
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return check(*args, **kwargs)
+
+    monkeypatch.setattr(sumsets_module, "coverage_check", counted)
+    for m, orbits in ((1, 76), (2, 35)):
+        calls = 0
+        sweep = coverage_sweep(13, m)
+        assert calls == orbits
+        assert len(sweep.rows) == comb(13, coverage_threshold(13, m))
 
 
 # ----------------------------------------------------------------------
