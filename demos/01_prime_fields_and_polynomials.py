@@ -1,12 +1,11 @@
-"""Tour of the exact-arithmetic core: prime moduli and sparse polynomials.
+"""Tour of the exact-arithmetic core: prime moduli and difference products.
 
 Run:  python demos/01_prime_fields_and_polynomials.py
 """
 
 from sumsetlab import (
     PrimeField,
-    SparsePoly,
-    targeted_coeff,
+    difference_coeff,
 )
 
 print("=" * 64)
@@ -30,28 +29,22 @@ except Exception as exc:
 
 print()
 print("=" * 64)
-print("Sparse polynomials with arbitrary-precision coefficients")
+print("Coefficients of difference products")
 print("=" * 64)
 
-# two variables x0, x1; exponent tuples map to integer coefficients
-x0 = SparsePoly.variable(2, 0)
-x1 = SparsePoly.variable(2, 1)
+# difference_coeff(nvars, mults, target) is the coefficient of
+# prod x_j^{target_j} in prod (x_i - x_j)^e (x_0 + ... + x_{nvars-1})^E,
+# over the pairs ((i, j), e) of mults, with E = sum(target) - sum(e);
+# no polynomial is ever built
+c = difference_coeff(2, [((0, 1), 2)], (2, 2))
+print(f"[x0^2 x1^2] (x0-x1)^2 (x0+x1)^2        = {c}")
 
-p = (x0 + x1) ** 4
-print(f"(x0 + x1)^4              = {p}")
-print(f"[x0^2 x1^2] (x0+x1)^4    = {p.coeff((2, 2))}")
-
-q = (x0 - x1) ** 2 * (x0 + x1) ** 2
-print(f"(x0-x1)^2 (x0+x1)^2      = {q}")
-
-# the same coefficient without expanding the whole product: factors are
-# multiplied one by one and every partial term that already exceeds the
-# target in some variable is dropped
-c = targeted_coeff([(x0 - x1, 2), (x0 + x1, 2)], (2, 2))
-print(f"targeted [x0^2 x1^2]     = {c}")
+c = difference_coeff(2, [], (2, 2))
+print(f"[x0^2 x1^2] (x0+x1)^4                  = {c}")
 
 # Laurent constant terms: clearing denominators, 1 - x1/x0 = (x0 - x1)/x0
 # and 1 - x0/x1 = (x1 - x0)/x1, so the constant term of their product is
-# the coefficient of x0 x1 in the difference product
-c = targeted_coeff([x0 - x1, x1 - x0], (1, 1))
+# the coefficient of x0 x1 in the difference product; the engine merges
+# (x1 - x0) into (x0 - x1) with a sign
+c = difference_coeff(2, [((0, 1), 1), ((1, 0), 1)], (1, 1))
 print(f"CT (1 - x1/x0)(1 - x0/x1) = [x0 x1] (x0-x1)(x1-x0) = {c}")

@@ -2,9 +2,10 @@
 
 Every identity in this module has a brute-force route and an exact
 closed form built from factorials.  The brute-force routes are all one
-pruned extraction, :func:`_difference_coeff`: a coefficient of a product
-of differences x_i - x_j times a balancing power of the variable sum.
-The Dyson and Aomoto constant terms reach it by clearing denominators,
+call of :func:`sumsetlab.mpoly.difference_coeff`: a coefficient of a
+product of differences x_i - x_j times a balancing power of the
+variable sum.  The key coefficient is that shape as it stands; the
+Dyson and Aomoto constant terms reach it by clearing denominators,
 1 - x_i/x_j = x_j^{-1} (x_j - x_i).  The closed forms are evaluated in
 rational arithmetic with a final integrality assertion — a cheap
 transcription test — and the pair of routes is compared wherever either
@@ -17,10 +18,9 @@ x_1..x_n (indexed 0..n-1 internally).
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
 from math import factorial
 
-from .mpoly import SparsePoly, sum_of_variables, targeted_coeff
+from .mpoly import difference_coeff
 
 
 class TooFewVariables(ValueError):
@@ -63,29 +63,6 @@ def _as_integer(x: Fraction) -> int:
     return x.numerator
 
 
-def _unit(nvars, i):
-    return tuple(1 if j == i else 0 for j in range(nvars))
-
-
-@cache
-def _difference(nvars, i, j) -> SparsePoly:
-    """x_i - x_j, built once per (nvars, i, j) and shared: a SparsePoly
-    is immutable by convention."""
-    return SparsePoly(nvars, {_unit(nvars, i): 1, _unit(nvars, j): -1})
-
-
-def _difference_coeff(nvars, mults, target) -> int:
-    """[prod_j x_j^{target_j}] prod (x_i - x_j)^e (x_0 + ... + x_{nvars-1})^E
-
-    over the entries ((i, j), e) of ``mults``, multiplied in their order,
-    with the balancing exponent E = sum(target) - sum(e).  Every
-    brute-force coefficient in this module is this one extraction.
-    """
-    factors = [(_difference(nvars, i, j), e) for (i, j), e in mults if e]
-    factors.append((sum_of_variables(nvars), sum(target) - sum(e for _, e in mults)))
-    return targeted_coeff(factors, target)
-
-
 def _ratio_constant_term(nvars, ratios) -> int:
     """Constant term of prod (1 - x_i/x_j)^e over ``ratios`` = [((i, j), e), ...].
 
@@ -96,7 +73,7 @@ def _ratio_constant_term(nvars, ratios) -> int:
     target = [0] * nvars
     for (_, j), e in ratios:
         target[j] += e
-    return _difference_coeff(nvars, [((j, i), e) for (i, j), e in ratios], target)
+    return difference_coeff(nvars, [((j, i), e) for (i, j), e in ratios], target)
 
 
 def _check_avec(avec):
@@ -147,10 +124,13 @@ def zeilberger_coefficient(avec) -> int:
     sometimes quoted with target monomial prod x_j^{a_j} is degree-
     inconsistent for n >= 2: the product is homogeneous of degree
     n * sum(a_j), so that coefficient is identically zero.)  Both routes
-    end in the same extraction, but :func:`dyson_constant_term` clears
-    each ordered pair on its own, while this one merges each pair with
-    its reverse and carries the sign, so their agreement checks the
-    clearing and the sign bookkeeping.
+    end in the same engine, which merges every ordered pair with its
+    reverse under a per-pair sign, (x_j - x_i)^b = (-1)^b (x_i - x_j)^b.
+    :func:`dyson_constant_term` hands it the ordered pairs as clearing
+    denominators gives them, so the engine's per-pair signs decide its
+    sign; this route hands it the merged pairs i < j and applies the
+    global sign (-1)^{sum_j j*a_j} itself.  Their agreement therefore
+    checks that global sign against the per-pair ones.
     """
     avec = _check_avec(avec)
     nv = len(avec)
@@ -159,7 +139,7 @@ def zeilberger_coefficient(avec) -> int:
     n = nv - 1
     sign = -1 if sum(j * a for j, a in enumerate(avec)) % 2 else 1
     mults = [((i, j), avec[i] + avec[j]) for i in range(nv) for j in range(i + 1, nv)]
-    return sign * _difference_coeff(nv, mults, tuple(n * a for a in avec))
+    return sign * difference_coeff(nv, mults, tuple(n * a for a in avec))
 
 
 # ----------------------------------------------------------------------
@@ -274,7 +254,7 @@ def key_coefficient(sizes, m) -> int:
     balance = sum(sizes) - n - deg
     if balance < 0:
         raise DegreeInfeasible(f"{names[0]} = {sum(sizes) - n} < {names[1]} = {deg}")
-    return _difference_coeff(n, sorted(mults.items()), tuple(sz - 1 for sz in sizes))
+    return difference_coeff(n, sorted(mults.items()), tuple(sz - 1 for sz in sizes))
 
 
 def key_coefficient_closed_form(n: int, m: int, k: int, s: int) -> int:

@@ -1,368 +1,137 @@
-"""Sparse multivariate Laurent polynomials over arbitrary-precision integers.
+"""Exact coefficients of products of variable differences.
 
-A polynomial is a finite map from exponent vectors (tuples of signed
-integers, one entry per variable) to nonzero integer coefficients.
-Everything here is exact: coefficients are Python ints, so there is no
-overflow and no modular shortcut — reduction mod p, when wanted, happens
-in the caller.
+Every polynomial coefficient the package needs has one shape: the
+coefficient of a monomial x^t in
 
-The workhorse is :func:`targeted_coeff`, which extracts a single
-coefficient from a product of polynomial factors while pruning every
-partial term that can no longer reach the target: from above, a term
-already past the target's exponent in some variable, and from below, a
-term that the factors still to come cannot lift to it (a per-variable
-floor).  The factors go in an order that closes one variable after
-another, and a repeated factor goes in as one pruned power.  A power of
-the variable sum (x_0 + ... + x_{n-1})^E is never expanded: by the
-multinomial theorem its coefficient at any exponent vector d with
-sum(d) = E is E!/prod d_i!, so it is contracted against the expansion
-of the other factors in one pass.  Negative exponents are legal
-everywhere except inside ``targeted_coeff`` itself, which is what makes
-the pruning rules sound; a Laurent constant term is reached by clearing
-denominators first (see ``identities``).
+    prod (x_i - x_j)^e  *  (x_0 + x_1 + ... + x_{n-1})^E
+
+over a list of ordered pairs (i, j) with multiplicities e, where the
+balancing power E makes the product homogeneous of degree sum(t).  The
+key coefficient of the Combinatorial Nullstellensatz certificate has
+this shape, and the Dyson, Zeilberger and Aomoto constant terms reach
+it after clearing denominators (see ``identities``).
+:func:`difference_coeff` computes it in exact integer arithmetic:
+coefficients are Python ints, so there is no overflow and no modular
+shortcut; reduction mod p, when wanted, happens in the caller.
+
+The engine never builds a polynomial.  It merges each ordered pair with
+its reverse, expands one binomial per unordered pair, keeps only the
+partial terms that can still reach the target, and contracts the power
+of the variable sum with multinomial coefficients instead of expanding
+it.
 """
 
-from functools import cache
-from math import factorial, prod
-from operator import add
+from math import comb, factorial
 
 
-class LengthMismatch(ValueError):
-    """An exponent vector's length differs from the ambient variable count."""
+def difference_coeff(nvars, mults, target) -> int:
+    """[x^target] prod (x_i - x_j)^e (x_0 + ... + x_{nvars-1})^E
 
+    over the entries ((i, j), e) of ``mults``, with the balancing
+    exponent E = sum(target) - sum(e).  E < 0 raises ValueError, as do a
+    negative multiplicity, an index outside 0..nvars-1 and a target of
+    the wrong length; a target with a negative entry has coefficient 0.
 
-class NegativeExponentInput(ValueError):
-    """A Laurent term reached a polynomial-only code path."""
+    The steps, each exact:
 
+    1. Merge.  (x_i - x_j)^a (x_j - x_i)^b = (-1)^b (x_i - x_j)^(a+b),
+       so every ordered pair joins its reverse as one unordered pair
+       i < j, and the signs of the reversed entries multiply into one
+       global sign.  A pair (i, i) is the zero factor.
+    2. Expand.  The merged pairs go in a stable sort by their lowest
+       index, which closes one variable after another, and each is one
+       binomial step: a partial term e times
+       (x_i - x_j)^a = sum_k C(a, k) (-1)^(a-k) x_i^k x_j^(a-k).
+    3. Prune.  For the product B of everything still to come (the power
+       of the variable sum included), [x^t] A B = sum_e [x^e]A [x^(t-e)]B,
+       and [x^d]B = 0 unless 0 <= d_v <= r_v at every variable v, with
+       r_v the multiplicities of the pairs of B at v plus E.  So a term
+       with e_v > t_v (the ceiling) or e_v < t_v - r_v (the floor) adds
+       nothing.  A step moves only x_i and x_j, so for a partial term e
+       the admissible powers k of x_i form one interval,
 
-class SparsePoly:
-    """Immutable sparse polynomial: ``terms`` maps exponent tuples to ints.
+           max(0, floor_i - e_i, a - (t_j - e_j))
+               <= k <= min(a, t_i - e_i, a - (floor_j - e_j)),
 
-    Construction canonicalizes: duplicate exponent vectors are summed and
-    zero coefficients dropped, so two equal polynomials always compare
-    equal.  Do not mutate ``terms`` after construction.
+       and no candidate term outside it is ever built.
+    4. Contract.  By the multinomial theorem the coefficient of x^d in
+       (x_0 + ... + x_{n-1})^E is E!/prod d_v! for every d >= 0 with
+       sum(d) = E.  Every surviving term e has degree sum(t) - E and
+       e <= t, so the result is sum_e [x^e]A * E!/prod_v (t_v - e_v)!.
 
-    >>> P = SparsePoly(2, [((1, 0), 1), ((0, 1), 1)])   # x0 + x1
-    >>> (P * P).coeff((1, 1))
+    >>> difference_coeff(2, [((0, 1), 2)], (2, 2))  # (x0-x1)^2 (x0+x1)^2
+    -2
+    >>> difference_coeff(2, [((0, 1), 1), ((1, 0), 1)], (1, 1))
     2
-    >>> (P ** 0).terms
-    {(0, 0): 1}
-    """
-
-    __slots__ = ("nvars", "terms")
-
-    def __init__(self, nvars: int, terms=()):
-        if nvars < 1:
-            raise ValueError(f"need at least one variable, got nvars={nvars}")
-        table = {}
-        items = terms.items() if isinstance(terms, dict) else terms
-        for exps, c in items:
-            e = tuple(exps)
-            if len(e) != nvars:
-                raise LengthMismatch(
-                    f"exponent vector {e} has length {len(e)}, expected {nvars}"
-                )
-            if c == 0:
-                continue
-            acc = table.get(e, 0) + c
-            if acc:
-                table[e] = acc
-            elif e in table:
-                del table[e]
-        self.nvars = nvars
-        self.terms = table
-
-    # -- constructors -------------------------------------------------
-
-    @classmethod
-    def zero(cls, nvars):
-        return cls(nvars)
-
-    @classmethod
-    def one(cls, nvars):
-        return cls(nvars, {(0,) * nvars: 1})
-
-    @classmethod
-    def monomial(cls, nvars, exps, coeff=1):
-        return cls(nvars, {tuple(exps): coeff})
-
-    @classmethod
-    def variable(cls, nvars, i):
-        """The single variable x_i."""
-        return cls.monomial(nvars, tuple(1 if j == i else 0 for j in range(nvars)))
-
-    # -- queries -------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def coeff(self, exps) -> int:
-        """Stored coefficient of the given monomial, or 0."""
-        e = tuple(exps)
-        if len(e) != self.nvars:
-            raise LengthMismatch(
-                f"exponent vector {e} has length {len(e)}, expected {self.nvars}"
-            )
-        return self.terms.get(e, 0)
-
-    def total_degree(self) -> int:
-        """Maximum term degree (0 for the zero polynomial)."""
-        return max((sum(e) for e in self.terms), default=0)
-
-    def sorted_terms(self, reverse=False):
-        """Terms in graded lexicographic order, for deterministic output."""
-        return sorted(self.terms.items(), key=lambda t: (sum(t[0]), t[0]), reverse=reverse)
-
-    # -- ring operations ----------------------------------------------
-
-    def _check_same_shape(self, other):
-        if other.nvars != self.nvars:
-            raise LengthMismatch(
-                f"polynomials on {self.nvars} and {other.nvars} variables"
-            )
-
-    def __add__(self, other):
-        if isinstance(other, int):
-            other = SparsePoly(self.nvars, {(0,) * self.nvars: other})
-        if not isinstance(other, SparsePoly):
-            return NotImplemented
-        self._check_same_shape(other)
-        table = dict(self.terms)
-        for e, c in other.terms.items():
-            acc = table.get(e, 0) + c
-            if acc:
-                table[e] = acc
-            elif e in table:
-                del table[e]
-        out = SparsePoly(self.nvars)
-        out.terms.update(table)
-        return out
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        out = SparsePoly(self.nvars)
-        out.terms.update({e: -c for e, c in self.terms.items()})
-        return out
-
-    def __sub__(self, other):
-        if isinstance(other, int):
-            return self + (-other)
-        if not isinstance(other, SparsePoly):
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            out = SparsePoly(self.nvars)
-            if other:
-                out.terms.update({e: c * other for e, c in self.terms.items()})
-            return out
-        if not isinstance(other, SparsePoly):
-            return NotImplemented
-        self._check_same_shape(other)
-        table = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                acc = table.get(e, 0) + c1 * c2
-                if acc:
-                    table[e] = acc
-                elif e in table:
-                    del table[e]
-        out = SparsePoly(self.nvars)
-        out.terms.update(table)
-        return out
-
-    __rmul__ = __mul__
-
-    def __pow__(self, e: int):
-        if e < 0:
-            raise ValueError(f"exponent must be >= 0, got {e}")
-        result = SparsePoly.one(self.nvars)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
-
-    def __eq__(self, other):
-        if isinstance(other, SparsePoly):
-            return self.nvars == other.nvars and self.terms == other.terms
-        return NotImplemented
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for exps, c in self.sorted_terms(reverse=True):
-            mono = "*".join(
-                f"x{i}^{e}" if e != 1 else f"x{i}" for i, e in enumerate(exps) if e
-            )
-            if not mono:
-                parts.append(str(c))
-            elif c == 1:
-                parts.append(mono)
-            elif c == -1:
-                parts.append(f"-{mono}")
-            else:
-                parts.append(f"{c}*{mono}")
-        return " + ".join(parts).replace("+ -", "- ")
-
-
-def sum_of_variables(nvars: int) -> SparsePoly:
-    """x_0 + x_1 + ... + x_{nvars-1}."""
-    return SparsePoly(
-        nvars,
-        {tuple(1 if j == i else 0 for j in range(nvars)): 1 for i in range(nvars)},
-    )
-
-
-@cache
-def _variable_sum(nvars: int) -> SparsePoly:
-    """``sum_of_variables(nvars)``, built once per variable count for
-    :func:`targeted_coeff` to compare every factor with; shared, so it
-    is never handed out."""
-    return sum_of_variables(nvars)
-
-
-def _bounded_product(acc, items, touched, floor, ceiling):
-    """The product of the term maps ``acc`` and ``items`` (a list of
-    (exponents, coefficient) pairs), keeping only the terms e with
-    floor[v] <= e[v] <= ceiling[v] at every variable v in ``touched``."""
-    out = {}
-    for e1, c1 in acc.items():
-        for e2, c2 in items:
-            e = tuple(map(add, e1, e2))
-            for v in touched:
-                if not floor[v] <= e[v] <= ceiling[v]:
-                    break
-            else:
-                c = out.get(e, 0) + c1 * c2
-                if c:
-                    out[e] = c
-                elif e in out:
-                    del out[e]
-    return out
-
-
-def targeted_coeff(factors, target) -> int:
-    """Coefficient of the ``target`` monomial in the product of ``factors``.
-
-    ``factors`` is a sequence of SparsePoly (optionally paired with a
-    repetition exponent); all must have nonnegative exponents.
-
-    Factors equal to ``sum_of_variables(nvars)`` are set aside and their
-    repetitions summed into one power E.  The others are expanded into V
-    by the rules below, and the result is the contraction
-
-        [x^t] V (x_0 + ... + x_{n-1})^E = sum_e [x^e]V * E! / prod_i (t_i - e_i)!
-
-    over the surviving terms e with sum(t - e) = E.  This is exact: the
-    multinomial theorem gives E!/prod d_i! as the coefficient of x^d in
-    the power for every d >= 0 with sum(d) = E and 0 for every other d,
-    and every surviving e has t - e >= 0.
-
-    The expansion keeps only terms that can still reach the target.  For
-    a partial product A and the product B of everything not yet
-    multiplied in (the power of the variable sum included),
-
-        [x^t] A B = sum_e [x^e]A * [x^(t - e)]B,
-
-    and [x^d]B = 0 unless 0 <= d_v <= r_v at every variable v: B has no
-    negative exponents, and r_v, the sum of the top exponents of x_v over
-    the factors of B, bounds the exponent of x_v in B.  So a term e of A
-    with e_v > t_v (the ceiling) or e_v + r_v < t_v (the floor) adds
-    nothing to the coefficient and is dropped; both are exact integer
-    comparisons.  The identity holds however the product is split, so
-    the order is free and is chosen to prune: the factors are
-    multiplied in a stable sort by the lowest variable each one touches.
-    Once the last factor touching x_v is in, r_v = E, and with E = 0
-    (the Dyson, Zeilberger and Aomoto products) the exponent of x_v is
-    pinned to t_v from then on.  A factor repeated ``rep`` times is first
-    raised to its power, dropping terms above the ceiling as the power is
-    built (they stay above it in every product), and then multiplied in
-    as one step; for a binomial x_i - x_j the power has rep + 1 terms.
-    A step changes e_v and r_v only at the variables its factor touches,
-    so only those are tested.
-
-    >>> x0, x1 = SparsePoly.variable(2, 0), SparsePoly.variable(2, 1)
-    >>> targeted_coeff([(x0 + x1, 4)], (2, 2))
-    6
+    >>> difference_coeff(3, [], (1, 1, 0))  # 2 x0 x1 in (x0+x1+x2)^2
+    2
     """
     target = tuple(int(t) for t in target)
-    nvars = len(target)
-    variable_sum = _variable_sum(nvars) if nvars else None
-    flist = []
-    power = 0
-    for item in factors:
-        if isinstance(item, SparsePoly):
-            poly, rep = item, 1
-        else:
-            poly, rep = item
-            rep = int(rep)
-        if not isinstance(poly, SparsePoly):
-            raise TypeError(f"factor {poly!r} is not a SparsePoly")
-        if rep < 0:
-            raise ValueError(f"repetition exponent must be >= 0, got {rep}")
-        if poly.nvars != nvars:
-            raise LengthMismatch(
-                f"factor on {poly.nvars} variables in a {nvars}-variable product"
-            )
-        if any(v < 0 for e in poly.terms for v in e):
-            raise NegativeExponentInput(
-                "factors must have nonnegative exponents; clear denominators first"
-            )
-        if poly == variable_sum:
-            power += rep
-        elif rep:  # a factor repeated 0 times contributes the empty product 1
-            flist.append((poly, rep))
+    if len(target) != nvars:
+        raise ValueError(f"target {target} has length {len(target)}, expected {nvars}")
+    merged = {}  # (i, j) with i <= j -> multiplicity, in first-seen order
+    negate = 0
+    for (i, j), e in mults:
+        i, j, e = int(i), int(j), int(e)
+        if e < 0:
+            raise ValueError(f"multiplicity must be >= 0, got {e} for pair {(i, j)}")
+        if not (0 <= i < nvars and 0 <= j < nvars):
+            raise ValueError(f"pair {(i, j)} is out of range for {nvars} variables")
+        if i > j:
+            i, j = j, i
+            negate ^= e & 1
+        merged[i, j] = merged.get((i, j), 0) + e
+    power = sum(target) - sum(merged.values())
+    if power < 0:
+        raise ValueError(
+            f"the balancing exponent must be >= 0, got {power}: "
+            f"sum(target) = {sum(target)} < sum of multiplicities"
+        )
     if any(t < 0 for t in target):
         return 0
-    reach = power + sum(rep * poly.total_degree() for poly, rep in flist)
-    if reach < sum(target):
-        return 0  # degree-infeasible: the product cannot climb to the target
-    steps = []  # (lowest variable touched, poly, rep, top exponents, touched)
-    for poly, rep in flist:
-        tops = [max((e[v] for e in poly.terms), default=0) for v in range(nvars)]
-        touched = [v for v in range(nvars) if tops[v]]
-        steps.append((touched[0] if touched else -1, poly, rep, tops, touched))
-    steps.sort(key=lambda step: step[0])
-    room = [power] * nvars  # r_v: the most the factors still to come add to x_v
-    for _, _, rep, tops, touched in steps:
-        for v in touched:
-            room[v] += rep * tops[v]
+    pairs = sorted(((ij, a) for ij, a in merged.items() if a), key=lambda pair: pair[0][0])
+    if any(i == j for (i, j), _ in pairs):
+        return 0  # (x_i - x_i)^a with a > 0
+    room = [power] * nvars  # r_v: the most the steps still to come add to x_v
+    for (i, j), a in pairs:
+        room[i] += a
+        room[j] += a
     if any(r < t for r, t in zip(room, target)):
         return 0
-    one = (0,) * nvars
-    zeros = [0] * nvars
-    acc = {one: 1}
-    for _, poly, rep, tops, touched in steps:
-        items = list(poly.terms.items())
-        power_terms = {one: 1}
-        for _ in range(rep):
-            power_terms = _bounded_product(power_terms, items, touched, zeros, target)
-        for v in touched:
-            room[v] -= rep * tops[v]
-        floor = [t - r for t, r in zip(target, room)]
-        acc = _bounded_product(acc, list(power_terms.items()), touched, floor, target)
+    acc = {(0,) * nvars: 1}
+    for (i, j), a in pairs:
+        room[i] -= a
+        room[j] -= a
+        ti, tj = target[i], target[j]
+        floor_i, floor_j = ti - room[i], tj - room[j]
+        row = [comb(a, k) if (a - k) % 2 == 0 else -comb(a, k) for k in range(a + 1)]
+        out = {}
+        for e, c in acc.items():
+            ei, ej = e[i], e[j]
+            lo = max(0, floor_i - ei, a - tj + ej)
+            hi = min(a, ti - ei, a - floor_j + ej)
+            if lo > hi:
+                continue
+            head, mid, tail = e[:i], e[i + 1:j], e[j + 1:]
+            for k in range(lo, hi + 1):
+                key = head + (ei + k,) + mid + (ej + a - k,) + tail
+                v = out.get(key, 0) + c * row[k]
+                if v:
+                    out[key] = v
+                elif key in out:
+                    del out[key]
+        acc = out
         if not acc:
             return 0
-    if not power:
-        return acc.get(target, 0)
-    numerator = factorial(power)
-    coefficient = 0
-    for e, c in acc.items():
-        rest = [t - v for v, t in zip(e, target)]
-        if sum(rest) == power:
-            coefficient += c * (numerator // prod(factorial(r) for r in rest))
-    return coefficient
+    if power:
+        numerator = factorial(power)
+        facts = [factorial(d) for d in range(max(target) + 1)]
+        coefficient = 0
+        for e, c in acc.items():
+            denominator = 1
+            for v, t in zip(e, target):
+                denominator *= facts[t - v]
+            coefficient += c * (numerator // denominator)
+    else:
+        coefficient = acc.get(target, 0)
+    return -coefficient if negate else coefficient

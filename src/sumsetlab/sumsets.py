@@ -525,6 +525,7 @@ def coverage_sweep(p: int, m: int, mode: str = "exhaustive", count: int = 50,
     {0, ..., m-1}; S must hold residues in [0, p).  Exhaustive mode
     walks all C(p, size) subsets (budget permitting); sample mode draws
     ``count`` subsets from the seeded generator (repeats possible).
+    Either mode refuses more than ``budget`` subsets, before any is drawn.
     Every subset's check enumerates size^n tuples,
     n = floor((size - 1 + m) / (2m)), so a sweep whose subsets each
     exceed the budget is refused before any subset is drawn or any
@@ -559,6 +560,10 @@ def coverage_sweep(p: int, m: int, mode: str = "exhaustive", count: int = 50,
     elif mode == "sample":
         if count < 0:
             raise ParameterOutOfRange(f"count must be >= 0, got {count}")
+        if count > budget:
+            raise BudgetExceeded(
+                f"{_count_text(count)} subsets of size {size} exceed the budget of {budget}"
+            )
         n_subsets, rng = count, SplitMix64(seed)
         subsets = (rng.sample(p, size) for _ in range(count))
     else:

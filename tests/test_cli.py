@@ -297,6 +297,23 @@ def test_thm4_sample_budget_checked_before_drawing(capsys, monkeypatch):
     assert code == 0 and rep["subsets_tested"] == 0
 
 
+def test_thm4_sample_count_over_the_budget_is_refused(capsys, monkeypatch):
+    # sample mode refuses more than --budget subsets, as exhaustive mode does
+    def no_draw(self, population_size, count):
+        raise AssertionError("a subset was drawn")
+
+    monkeypatch.setattr(SplitMix64, "sample", no_draw)
+    argv = ["thm4", "--p", "13", "--m", "1", "--mode", "sample", "--budget", "1000"]
+    code, out, err = run(capsys, argv + ["--count", "20000", "--format", "doc"])
+    assert code == 3 and out == ""
+    assert "20000 subsets of size 7 exceed the budget of 1000" in err
+    code, out, err = run(capsys, argv + ["--count", "9" * 400])
+    assert code == 3 and out == "" and len(err) < 200
+    monkeypatch.undo()
+    code, rep, _ = run_doc(capsys, argv + ["--count", "1000"])
+    assert code == 0 and rep["subsets_tested"] == 1000
+
+
 def test_thm4_huge_subset_count_is_budget_exit(capsys):
     # C(10000019, 6325) has more digits than int allows to convert to str
     code, out, err = run(capsys, ["thm4", "--p", "10000019", "--m", "1"])

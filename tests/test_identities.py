@@ -10,7 +10,6 @@ from sumsetlab import (
     DegreeInfeasible,
     HypothesisViolated,
     ParameterOutOfRange,
-    SparsePoly,
     TooFewVariables,
     aomoto_closed_form,
     aomoto_constant_term,
@@ -23,6 +22,7 @@ from sumsetlab import (
     zeilberger_coefficient,
 )
 from oracles import (
+    SparsePoly,
     aomoto_laurent_factors,
     kp_coeff,
     lemma22_laurent_factors,

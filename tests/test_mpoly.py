@@ -3,14 +3,20 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sumsetlab import (
+from sumsetlab import difference_coeff
+from oracles import (
     LengthMismatch,
     NegativeExponentInput,
     SparsePoly,
+    difference_factors,
+    expand_factors,
+    kp_coeff,
+    naive_coeff,
+    one_minus_ratio,
+    pruned_coeff,
     sum_of_variables,
     targeted_coeff,
 )
-from oracles import expand_factors, naive_coeff, one_minus_ratio, pruned_coeff
 
 X = SparsePoly.variable(2, 0)
 Y = SparsePoly.variable(2, 1)
@@ -266,3 +272,118 @@ def test_targeted_matches_oracles_near_the_floors(data):
     expected = naive_coeff([SparsePoly.one(nvars)] + factors, target)
     assert pruned_coeff(factors, target) == expected
     assert targeted_coeff(factors, target) == expected
+
+
+# ----------------------------------------------------------------------
+# difference_coeff, the package's engine, against the oracles
+# ----------------------------------------------------------------------
+
+def test_difference_coeff_worked_products():
+    # [x0^2 x1^2] (x0 - x1)^2 (x0 + x1)^2 and [x0 x1] (x0 - x1)(x1 - x0)
+    assert difference_coeff(2, [((0, 1), 2)], (2, 2)) == -2
+    assert difference_coeff(2, [((0, 1), 1), ((1, 0), 1)], (1, 1)) == 2
+    assert difference_coeff(2, [((1, 0), 1)], (1, 0)) == -1
+    assert difference_coeff(2, [], (2, 2)) == 6
+    assert difference_coeff(0, [], ()) == 1  # the empty product
+
+
+def test_difference_coeff_one_variable():
+    # x0^E alone, or beside the zero factor x0 - x0
+    for t in range(4):
+        assert difference_coeff(1, [], (t,)) == 1
+        assert difference_coeff(1, [((0, 0), 0)], (t,)) == 1
+    assert difference_coeff(1, [((0, 0), 1)], (1,)) == 0
+    assert difference_coeff(1, [((0, 0), 1)], (3,)) == 0
+
+
+def test_difference_coeff_refusals():
+    with pytest.raises(ValueError):
+        difference_coeff(2, [((0, 1), 3)], (1, 1))  # E = -1
+    with pytest.raises(ValueError):
+        difference_coeff(2, [((0, 1), -1)], (1, 1))
+    with pytest.raises(ValueError):
+        difference_coeff(2, [((0, 2), 1)], (1, 1))
+    with pytest.raises(ValueError):
+        difference_coeff(2, [], (1, 1, 0))
+    # a negative target entry is a coefficient of 0, once E >= 0
+    assert difference_coeff(2, [((0, 1), 1)], (-1, 3)) == 0
+    assert difference_coeff(3, [((2, 0), 1)], (2, -1, 0)) == 0
+
+
+def mult_lists(nvars, max_entries=5, max_e=3):
+    """Entries ((i, j), e) in any order: ordered pairs beside their
+    reverses with other multiplicities, repeats, zeros, and now and then
+    the zero factor (i, i)."""
+    pairs = [(i, j) for i in range(nvars) for j in range(nvars) if i != j]
+    pair = st.sampled_from(pairs) if pairs else st.just((0, 0))
+    diagonal = st.integers(0, nvars - 1).map(lambda v: (v, v))
+    entry = st.tuples(st.one_of(pair, pair, pair, diagonal), st.integers(0, max_e))
+    return st.lists(entry, max_size=max_entries)
+
+
+def targets_by_degree(nvars, mults, power):
+    """Every target of total degree sum(e) + power whose entries reach at
+    most one past each variable's reach (the power plus the
+    multiplicities at that variable), so targets at each reach, one below
+    it and one above it all come up."""
+    reach = [power] * nvars
+    for (i, j), e in mults:
+        reach[i] += e
+        if j != i:
+            reach[j] += e
+    degree = sum(e for _, e in mults) + power
+    for t in itertools.product(*(range(r + 2) for r in reach)):
+        if sum(t) == degree:
+            yield t
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(1, 4).flatmap(
+    lambda n: st.tuples(st.just(n), mult_lists(n), st.integers(0, 3))))
+def test_difference_coeff_matches_full_expansion(data):
+    nvars, mults, power = data
+    degree = sum(e for _, e in mults) + power
+    expanded = expand_factors(difference_factors(nvars, mults, (degree,) + (0,) * (nvars - 1)))
+    for target in targets_by_degree(nvars, mults, power):
+        assert difference_coeff(nvars, mults, target) == expanded.coeff(target), target
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda n: st.tuples(
+    st.just(n), mult_lists(n, max_entries=6),
+    st.lists(st.integers(-1, 6), min_size=n, max_size=n))))
+def test_difference_coeff_matches_pruned_oracles(data):
+    nvars, mults, target = data
+    factors = difference_factors(nvars, mults, target)
+    if sum(target) < sum(e for _, e in mults):
+        for route in (targeted_coeff, pruned_coeff):
+            with pytest.raises(ValueError):
+                route(factors, target)
+        with pytest.raises(ValueError):
+            difference_coeff(nvars, mults, target)
+        return
+    expected = targeted_coeff(factors, target)
+    assert difference_coeff(nvars, mults, target) == expected
+    if sum(max(t, 0) for t in target) <= 8:  # the unpruned power stays small
+        assert pruned_coeff(factors, target) == expected
+    if min(target) < 0:
+        assert expected == 0
+
+
+def key_shapes():
+    """Sizes and per-pair multiplicities {(i, j): m_ij} with E >= 0, the
+    shape of a key coefficient with non-uniform forbidden sets."""
+    def shape(n):
+        pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+        mults = st.dictionaries(st.sampled_from(pairs), st.integers(0, 2), max_size=4)
+        return st.tuples(st.lists(st.integers(1, 4), min_size=n, max_size=n), mults)
+    return st.integers(2, 3).flatmap(shape).filter(
+        lambda sm: sum(sm[0]) - len(sm[0]) >= sum(sm[1].values()))
+
+
+@settings(max_examples=80, deadline=None)
+@given(key_shapes())
+def test_difference_coeff_matches_kp_formula(shape):
+    sizes, mults = shape
+    target = tuple(sz - 1 for sz in sizes)
+    assert difference_coeff(len(sizes), sorted(mults.items()), target) == kp_coeff(sizes, mults)

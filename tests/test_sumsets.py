@@ -504,6 +504,14 @@ def test_coverage_sample_deterministic():
     assert a.rows == b.rows
 
 
+def test_coverage_sample_count_is_held_to_the_budget():
+    # as in exhaustive mode, more than ``budget`` subsets are refused
+    # (each check enumerates 7^3 = 343 tuples, inside the budget)
+    assert len(coverage_sweep(11, 1, mode="sample", count=400, seed=3, budget=400).rows) == 400
+    with pytest.raises(BudgetExceeded):
+        coverage_sweep(11, 1, mode="sample", count=401, seed=3, budget=400)
+
+
 def test_coverage_sweep_validation():
     with pytest.raises(ParameterOutOfRange):
         coverage_sweep(7, 1, size=8)
