@@ -29,15 +29,16 @@ def difference_coeff(nvars, mults, target) -> int:
 
     over the entries ((i, j), e) of ``mults``, with the balancing
     exponent E = sum(target) - sum(e).  E < 0 raises ValueError, as do a
-    negative multiplicity, an index outside 0..nvars-1 and a target of
-    the wrong length; a target with a negative entry has coefficient 0.
+    negative multiplicity, a pair that is not two distinct indices in
+    0..nvars-1 and a target of the wrong length; a target with a
+    negative entry has coefficient 0.
 
     The steps, each exact:
 
     1. Merge.  (x_i - x_j)^a (x_j - x_i)^b = (-1)^b (x_i - x_j)^(a+b),
        so every ordered pair joins its reverse as one unordered pair
        i < j, and the signs of the reversed entries multiply into one
-       global sign.  A pair (i, i) is the zero factor.
+       global sign.
     2. Expand.  The merged pairs go in a stable sort by their lowest
        index, which closes one variable after another, and each is one
        binomial step: a partial term e times
@@ -69,14 +70,14 @@ def difference_coeff(nvars, mults, target) -> int:
     target = tuple(int(t) for t in target)
     if len(target) != nvars:
         raise ValueError(f"target {target} has length {len(target)}, expected {nvars}")
-    merged = {}  # (i, j) with i <= j -> multiplicity, in first-seen order
+    merged = {}  # (i, j) with i < j -> multiplicity, in first-seen order
     negate = 0
     for (i, j), e in mults:
         i, j, e = int(i), int(j), int(e)
         if e < 0:
             raise ValueError(f"multiplicity must be >= 0, got {e} for pair {(i, j)}")
-        if not (0 <= i < nvars and 0 <= j < nvars):
-            raise ValueError(f"pair {(i, j)} is out of range for {nvars} variables")
+        if not (0 <= i < nvars and 0 <= j < nvars) or i == j:
+            raise ValueError(f"pair {(i, j)} is not two distinct indices below {nvars}")
         if i > j:
             i, j = j, i
             negate ^= e & 1
@@ -90,8 +91,6 @@ def difference_coeff(nvars, mults, target) -> int:
     if any(t < 0 for t in target):
         return 0
     pairs = sorted(((ij, a) for ij, a in merged.items() if a), key=lambda pair: pair[0][0])
-    if any(i == j for (i, j), _ in pairs):
-        return 0  # (x_i - x_i)^a with a > 0
     room = [power] * nvars  # r_v: the most the steps still to come add to x_v
     for (i, j), a in pairs:
         room[i] += a
@@ -125,12 +124,15 @@ def difference_coeff(nvars, mults, target) -> int:
             return 0
     if power:
         numerator = factorial(power)
-        facts = [factorial(d) for d in range(max(target) + 1)]
+        facts = {}  # d -> d!, only for the gaps t_v - e_v that occur
         coefficient = 0
         for e, c in acc.items():
             denominator = 1
             for v, t in zip(e, target):
-                denominator *= facts[t - v]
+                f = facts.get(t - v)
+                if f is None:
+                    f = facts[t - v] = factorial(t - v)
+                denominator *= f
             coefficient += c * (numerator // denominator)
     else:
         coefficient = acc.get(target, 0)

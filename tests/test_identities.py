@@ -193,6 +193,7 @@ def test_key_coefficient_pinned():
     assert key_coefficient((3, 3), 1) == 2
     assert key_coefficient((4, 4), 1) == 4
     assert key_coefficient((2, 2), 0) == 2
+    assert key_coefficient((20000,), 0) == 1  # x_1^E alone, with E large
     # per-pair multiplicities: the uniform map equals the common m, and
     # (x_1 - x_2)^1 (x_1 + x_2)^2 has [x_1 x_2^2] = -1
     assert key_coefficient((4, 4), {(0, 1): 1, (1, 0): 1}) == 4

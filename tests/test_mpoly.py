@@ -1,4 +1,5 @@
 import itertools
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -288,12 +289,21 @@ def test_difference_coeff_worked_products():
 
 
 def test_difference_coeff_one_variable():
-    # x0^E alone, or beside the zero factor x0 - x0
+    # x0^E alone: the only pair on one variable, (0, 0), is refused
     for t in range(4):
         assert difference_coeff(1, [], (t,)) == 1
-        assert difference_coeff(1, [((0, 0), 0)], (t,)) == 1
-    assert difference_coeff(1, [((0, 0), 1)], (1,)) == 0
-    assert difference_coeff(1, [((0, 0), 1)], (3,)) == 0
+    with pytest.raises(ValueError):
+        difference_coeff(1, [((0, 0), 1)], (3,))
+
+
+def test_difference_coeff_large_power():
+    # the contraction computes d! only for the gaps d = t_v - e_v that
+    # occur, so a large E with few terms stays quick
+    assert difference_coeff(1, [], (20000,)) == 1
+    # -(x0 - x1)^2 (x0 + x1)^E at x0^19999 x1^499, with E = 20496
+    power = 20496
+    expected = -(comb(power, 19997) - 2 * comb(power, 19998) + comb(power, 19999))
+    assert difference_coeff(2, [((0, 1), 1), ((1, 0), 1)], (19999, 499)) == expected
 
 
 def test_difference_coeff_refusals():
@@ -305,6 +315,10 @@ def test_difference_coeff_refusals():
         difference_coeff(2, [((0, 2), 1)], (1, 1))
     with pytest.raises(ValueError):
         difference_coeff(2, [], (1, 1, 0))
+    with pytest.raises(ValueError):
+        difference_coeff(2, [((1, 1), 1)], (1, 1))  # not two distinct indices
+    with pytest.raises(ValueError):
+        difference_coeff(2, [((0, 0), 0)], (1, 1))
     # a negative target entry is a coefficient of 0, once E >= 0
     assert difference_coeff(2, [((0, 1), 1)], (-1, 3)) == 0
     assert difference_coeff(3, [((2, 0), 1)], (2, -1, 0)) == 0
@@ -312,12 +326,12 @@ def test_difference_coeff_refusals():
 
 def mult_lists(nvars, max_entries=5, max_e=3):
     """Entries ((i, j), e) in any order: ordered pairs beside their
-    reverses with other multiplicities, repeats, zeros, and now and then
-    the zero factor (i, i)."""
+    reverses with other multiplicities, repeats and zeros.  One variable
+    has no pair, so its list is empty."""
     pairs = [(i, j) for i in range(nvars) for j in range(nvars) if i != j]
-    pair = st.sampled_from(pairs) if pairs else st.just((0, 0))
-    diagonal = st.integers(0, nvars - 1).map(lambda v: (v, v))
-    entry = st.tuples(st.one_of(pair, pair, pair, diagonal), st.integers(0, max_e))
+    if not pairs:
+        return st.just([])
+    entry = st.tuples(st.sampled_from(pairs), st.integers(0, max_e))
     return st.lists(entry, max_size=max_entries)
 
 
@@ -329,8 +343,7 @@ def targets_by_degree(nvars, mults, power):
     reach = [power] * nvars
     for (i, j), e in mults:
         reach[i] += e
-        if j != i:
-            reach[j] += e
+        reach[j] += e
     degree = sum(e for _, e in mults) + power
     for t in itertools.product(*(range(r + 2) for r in reach)):
         if sum(t) == degree:
