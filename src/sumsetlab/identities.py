@@ -18,7 +18,7 @@ x_1..x_n (indexed 0..n-1 internally).
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 from .mpoly import difference_coeff
 
@@ -288,33 +288,39 @@ def key_coefficient_closed_form(n: int, m: int, k: int, s: int) -> int:
 # Polynomiality in the shift parameter and the leading coefficient
 # ----------------------------------------------------------------------
 
-def _interpolate(xs, ys):
-    """Exact Lagrange interpolation; coefficients ascending by degree."""
-    npts = len(xs)
-    coeffs = [Fraction(0)] * npts
-    for i in range(npts):
-        basis = [Fraction(1)]
-        denom = 1
-        for j in range(npts):
-            if j == i:
-                continue
-            nxt = [Fraction(0)] * (len(basis) + 1)
-            for d, c in enumerate(basis):
-                nxt[d + 1] += c
-                nxt[d] -= c * xs[j]
-            basis = nxt
-            denom *= xs[i] - xs[j]
-        scale = Fraction(ys[i], denom)
-        for d, c in enumerate(basis):
-            coeffs[d] += c * scale
-    return coeffs
+def _newton_fit(ys, degree):
+    """Fit the polynomial of degree <= ``degree`` through the samples
+    ys[a] at a = 0, 1, ..., degree, check every later sample against it
+    (else InterpolationMismatch), and return its coefficients, ascending
+    by degree, as Fractions.
 
-
-def _eval_poly(coeffs, x):
-    acc = Fraction(0)
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
+    All in integers: Newton's forward-difference form
+    f(a) = sum_i D^i f(0) C(a, i), with D^i f(0) the i-th forward
+    difference of the samples, gives each later sample as an integer,
+    and degree! f(a) = sum_i D^i f(0) (degree!/i!) a(a-1)...(a-i+1) has
+    integer coefficients, expanded from the top as in Horner's rule.
+    """
+    diffs = []  # D^i f(0), i = 0..degree
+    row = list(ys[: degree + 1])
+    while row:
+        diffs.append(row[0])
+        row = [y1 - y0 for y0, y1 in zip(row, row[1:])]
+    for x in range(degree + 1, len(ys)):
+        got = sum(d * comb(x, i) for i, d in enumerate(diffs))
+        if got != ys[x]:
+            raise InterpolationMismatch(
+                f"sample at a={x} is {ys[x]}, but the degree-{degree} "
+                f"interpolant gives {got}"
+            )
+    scale = factorial(degree)
+    poly = []  # degree! times the polynomial, ascending
+    for i in range(degree, -1, -1):
+        shifted = [0] + poly  # poly * (a - i) + diffs[i] * degree!/i!
+        for d, c in enumerate(poly):
+            shifted[d] -= i * c
+        shifted[0] += diffs[i] * (scale // factorial(i))
+        poly = shifted
+    return tuple(Fraction(c, scale) for c in poly)
 
 
 @dataclass(frozen=True)
@@ -342,8 +348,9 @@ def leading_coefficient_check(n: int, s: int, b: int, m: int,
     With a_l = b + chi(l <= s) for l = 1..n and D = sum(a_l), the value
     f(a) = aomoto_closed_form(AomotoParams(n, s, a, b, m), "b") is sampled at
     a = 0..D+slack.  The first D+1 samples determine a degree-<=D
-    interpolant; the slack samples must fall on it (else
-    InterpolationMismatch).  Its degree-D coefficient is compared with
+    interpolant, fit by integer forward differences; the slack samples
+    must fall on it (else InterpolationMismatch).  Its degree-D
+    coefficient is compared with
 
         (1/D!) * constant term of (x_1+...+x_n)^D prod_l x_l^{-a_l}
                                   prod_{i != j} (1 - x_i/x_j)^m.
@@ -358,17 +365,9 @@ def leading_coefficient_check(n: int, s: int, b: int, m: int,
         raise ParameterOutOfRange(f"slack must be >= 0, got {degree_bound_slack}")
     a_l = [b + chi(l <= s) for l in range(1, n + 1)]
     degree = sum(a_l)
-    xs = list(range(degree + 1 + degree_bound_slack))
     ys = [aomoto_closed_form(AomotoParams(n=n, s=s, a=a, b=b, m=m), "b")
-          for a in xs]
-    coeffs = _interpolate(xs[: degree + 1], ys[: degree + 1])
-    for x, y in zip(xs[degree + 1:], ys[degree + 1:]):
-        got = _eval_poly(coeffs, x)
-        if got != y:
-            raise InterpolationMismatch(
-                f"sample at a={x} is {y}, but the degree-{degree} "
-                f"interpolant gives {got}"
-            )
+          for a in range(degree + 1 + degree_bound_slack)]
+    coeffs = _newton_fit(ys, degree)
     sizes = tuple(al + m * (n - 1) + 1 for al in a_l)
     expected = Fraction(key_coefficient(sizes, m), factorial(degree))
     leading = coeffs[degree]

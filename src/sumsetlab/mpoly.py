@@ -16,12 +16,13 @@ shortcut; reduction mod p, when wanted, happens in the caller.
 
 The engine never builds a polynomial.  It merges each ordered pair with
 its reverse, expands one binomial per unordered pair, keeps only the
-partial terms that can still reach the target, and contracts the power
-of the variable sum with multinomial coefficients instead of expanding
-it.
+partial terms that can still reach the target, and folds each variable
+out as soon as its last pair is expanded, with one binomial coefficient
+per term in place of the power of the variable sum.  It never expands
+that power and never computes E!.
 """
 
-from math import comb, factorial
+from math import comb
 
 
 def difference_coeff(nvars, mults, target) -> int:
@@ -55,10 +56,26 @@ def difference_coeff(nvars, mults, target) -> int:
                <= k <= min(a, t_i - e_i, a - (floor_j - e_j)),
 
        and no candidate term outside it is ever built.
-    4. Contract.  By the multinomial theorem the coefficient of x^d in
+    4. Fold.  By the multinomial theorem the coefficient of x^d in
        (x_0 + ... + x_{n-1})^E is E!/prod d_v! for every d >= 0 with
-       sum(d) = E.  Every surviving term e has degree sum(t) - E and
-       e <= t, so the result is sum_e [x^e]A * E!/prod_v (t_v - e_v)!.
+       sum(d) = E, and E!/prod_v d_v! = prod_v C(P_v + d_v, d_v) over
+       the variables in any order, with P_v the sum of the d's before
+       v.  Once the last pair at x_v is expanded, e_v is final, and so
+       is d_v = t_v - e_v: the term is multiplied by C(P + d_v, d_v),
+       with P the sum of the d's of the variables already closed, e_v
+       is cleared and P grows by d_v.  A variable that no pair touches
+       closes before the first step.  The exponents of a term add up
+       to the multiplicities expanded so far, so P = sum of t_v over
+       the closed variables - those multiplicities + the open
+       exponents: terms with equal open exponents carry equal P, and
+       the terms that coincide once e_v is cleared merge.  P only grows
+       and ends at sum(d) = E, so a term with P > E is dropped.  When
+       every variable is closed, one term is left, with P = E, and its
+       coefficient is the answer.
+    5. Pack.  A partial term is one int: P in the lowest bits, then one
+       field per variable wide enough for t_v.  No field leaves its
+       range (e_v <= t_v, P <= E), so a step that gives x_i one more
+       power and x_j one fewer adds one constant to the key.
 
     >>> difference_coeff(2, [((0, 1), 2)], (2, 2))  # (x0-x1)^2 (x0+x1)^2
     -2
@@ -66,6 +83,8 @@ def difference_coeff(nvars, mults, target) -> int:
     2
     >>> difference_coeff(3, [], (1, 1, 0))  # 2 x0 x1 in (x0+x1+x2)^2
     2
+    >>> difference_coeff(3, [((0, 1), 1)], (2, 1, 1))  # x2 is in no pair
+    3
     """
     target = tuple(int(t) for t in target)
     if len(target) != nvars:
@@ -92,48 +111,70 @@ def difference_coeff(nvars, mults, target) -> int:
         return 0
     pairs = sorted(((ij, a) for ij, a in merged.items() if a), key=lambda pair: pair[0][0])
     room = [power] * nvars  # r_v: the most the steps still to come add to x_v
-    for (i, j), a in pairs:
+    last = [-1] * nvars  # the step after which x_v closes; -1 for no pair
+    for step, ((i, j), a) in enumerate(pairs):
         room[i] += a
         room[j] += a
+        last[i] = last[j] = step
     if any(r < t for r, t in zip(room, target)):
         return 0
-    acc = {(0,) * nvars: 1}
-    for (i, j), a in pairs:
+    shift = []  # the lowest bit of x_v's field; P fills the bits below the first
+    width = power.bit_length()
+    for t in target:
+        shift.append(width)
+        width += t.bit_length()
+    acc = _fold({0: 1}, [v for v, step in enumerate(last) if step < 0], target, shift, power)
+    for step, ((i, j), a) in enumerate(pairs):
         room[i] -= a
         room[j] -= a
         ti, tj = target[i], target[j]
         floor_i, floor_j = ti - room[i], tj - room[j]
+        si, sj = shift[i], shift[j]
+        mi, mj = (1 << ti.bit_length()) - 1, (1 << tj.bit_length()) - 1
+        up_j = a << sj  # k = 0 gives x_j all a powers
+        move = (1 << si) - (1 << sj)  # each k moves one power from x_j to x_i
         row = [comb(a, k) if (a - k) % 2 == 0 else -comb(a, k) for k in range(a + 1)]
         out = {}
-        for e, c in acc.items():
-            ei, ej = e[i], e[j]
+        for key, c in acc.items():
+            ei, ej = key >> si & mi, key >> sj & mj
             lo = max(0, floor_i - ei, a - tj + ej)
             hi = min(a, ti - ei, a - floor_j + ej)
             if lo > hi:
                 continue
-            head, mid, tail = e[:i], e[i + 1:j], e[j + 1:]
+            key += up_j + lo * move
             for k in range(lo, hi + 1):
-                key = head + (ei + k,) + mid + (ej + a - k,) + tail
                 v = out.get(key, 0) + c * row[k]
                 if v:
                     out[key] = v
                 elif key in out:
                     del out[key]
-        acc = out
+                key += move
+        acc = _fold(out, [v for v in (i, j) if last[v] == step], target, shift, power)
         if not acc:
             return 0
-    if power:
-        numerator = factorial(power)
-        facts = {}  # d -> d!, only for the gaps t_v - e_v that occur
-        coefficient = 0
-        for e, c in acc.items():
-            denominator = 1
-            for v, t in zip(e, target):
-                f = facts.get(t - v)
-                if f is None:
-                    f = facts[t - v] = factorial(t - v)
-                denominator *= f
-            coefficient += c * (numerator // denominator)
-    else:
-        coefficient = acc.get(target, 0)
+    coefficient = acc.get(power, 0)
     return -coefficient if negate else coefficient
+
+
+def _fold(acc, closing, target, shift, power):
+    """Step 4 of :func:`difference_coeff`: fold the variables ``closing``
+    out of every packed term of ``acc``, one after another."""
+    pmask = (1 << power.bit_length()) - 1
+    for v in closing:
+        t, s = target[v], shift[v]
+        mask = (1 << t.bit_length()) - 1
+        out = {}
+        for key, c in acc.items():
+            e = key >> s & mask
+            d = t - e
+            p = (key & pmask) + d
+            if p > power:
+                continue
+            key += d - (e << s)
+            c = out.get(key, 0) + c * comb(p, d)
+            if c:
+                out[key] = c
+            elif key in out:
+                del out[key]
+        acc = out
+    return acc

@@ -10,7 +10,9 @@ multiplies every power of the variable sum through term by term.
 ``naive_coeff`` expands in full and reads the coefficient off at the
 end; Laurent products stay Laurent, with no clearing of denominators.
 ``kp_coeff`` reaches the key coefficient by exact evaluation, with no
-expansion at all.
+expansion at all.  ``lagrange_interpolate`` and ``eval_poly`` are the
+Fraction fit that the forward differences of
+``leading_coefficient_check`` replaced.
 """
 
 import itertools
@@ -479,6 +481,38 @@ def kp_coeff(sizes, mults):
     if total.denominator != 1:
         raise ArithmeticError(f"the formula gave a non-integer {total}")
     return total.numerator
+
+
+def lagrange_interpolate(xs, ys):
+    """Exact Lagrange interpolation through the points (xs[i], ys[i]);
+    coefficients ascending by degree, as Fractions.  The fit that
+    ``leading_coefficient_check`` used before forward differences."""
+    npts = len(xs)
+    coeffs = [Fraction(0)] * npts
+    for i in range(npts):
+        basis = [Fraction(1)]
+        denom = 1
+        for j in range(npts):
+            if j == i:
+                continue
+            nxt = [Fraction(0)] * (len(basis) + 1)
+            for d, c in enumerate(basis):
+                nxt[d + 1] += c
+                nxt[d] -= c * xs[j]
+            basis = nxt
+            denom *= xs[i] - xs[j]
+        scale = Fraction(ys[i], denom)
+        for d, c in enumerate(basis):
+            coeffs[d] += c * scale
+    return coeffs
+
+
+def eval_poly(coeffs, x):
+    """Horner evaluation of ascending coefficients at x, in Fractions."""
+    acc = Fraction(0)
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
 
 
 def naive_laurent_constant_term(factors):

@@ -20,6 +20,6 @@ def test_docstring_examples(name):
 
 
 def test_the_examples_are_found():
-    # three on mpoly.difference_coeff, one on ffield.PrimeField
+    # four on mpoly.difference_coeff, one on ffield.PrimeField
     found = sum(doctest.testmod(importlib.import_module(name)).attempted for name in MODULES)
-    assert found >= 4
+    assert found >= 5

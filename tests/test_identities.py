@@ -9,6 +9,7 @@ from sumsetlab import (
     AomotoParams,
     DegreeInfeasible,
     HypothesisViolated,
+    InterpolationMismatch,
     ParameterOutOfRange,
     TooFewVariables,
     aomoto_closed_form,
@@ -21,10 +22,13 @@ from sumsetlab import (
     leading_coefficient_check,
     zeilberger_coefficient,
 )
+from sumsetlab.identities import _newton_fit
 from oracles import (
     SparsePoly,
     aomoto_laurent_factors,
+    eval_poly,
     kp_coeff,
+    lagrange_interpolate,
     lemma22_laurent_factors,
     naive_laurent_constant_term,
     one_minus_ratio,
@@ -279,6 +283,16 @@ def test_single_set_key_coefficient():
     # n = 1: no pair factors; [x^(k-1)] (x)^(k-1) = 1
     assert key_coefficient((4,), 0) == 1
     assert key_coefficient_closed_form(1, 0, 4, 0) == 1
+    # a set of 10^6 elements, inside the default budget: no E! is computed
+    assert key_coefficient((10 ** 6,), 0) == 1
+
+
+@pytest.mark.parametrize("k, s", [(9, 0), (10, 0), (9, 3)])
+def test_seven_set_key_coefficient(k, s):
+    # 7 sets with m = 1, E = 7k + s - 49: the largest certificates the
+    # default budget admits (10^7 tuples at k = 10)
+    sizes = (k + 1,) * s + (k,) * (7 - s)
+    assert key_coefficient(sizes, 1) == key_coefficient_closed_form(7, 1, k, s)
 
 
 # ----------------------------------------------------------------------
@@ -337,3 +351,30 @@ def test_leading_coefficient_matches_laurent_oracle(n):
                 rep = leading_coefficient_check(n, s, b, m)
                 ct = naive_laurent_constant_term(lemma22_laurent_factors(n, s, b, m))
                 assert ct == rep.expected_leading * factorial(rep.degree), (n, s, b, m)
+
+
+def test_newton_fit_rejects_an_off_polynomial_sample():
+    # 2^a agrees with 1 + a + C(a, 2) up to a = 2 and is 8 at a = 3,
+    # where that quadratic gives 7
+    with pytest.raises(InterpolationMismatch,
+                       match=r"^sample at a=3 is 8, but the degree-2 interpolant gives 7$"):
+        _newton_fit([2 ** a for a in range(5)], 2)
+    assert _newton_fit([2 ** a for a in range(3)], 2) == (1, Fraction(1, 2), Fraction(1, 2))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=1, max_size=9),
+       st.integers(0, 3), st.integers(-3, 3))
+def test_newton_fit_matches_lagrange(ys, slack, nudge):
+    degree = len(ys) - 1
+    coeffs = lagrange_interpolate(list(range(degree + 1)), ys)
+    later = [eval_poly(coeffs, x) for x in range(degree + 1, degree + 1 + slack)]
+    assert all(y.denominator == 1 for y in later)
+    samples = ys + [int(y) for y in later]
+    assert _newton_fit(samples, degree) == tuple(coeffs)
+    if slack and nudge:
+        samples[-1] += nudge
+        with pytest.raises(InterpolationMismatch, match=(
+                f"^sample at a={len(samples) - 1} is {samples[-1]}, "
+                f"but the degree-{degree} interpolant gives {int(later[-1])}$")):
+            _newton_fit(samples, degree)

@@ -2,7 +2,7 @@ import itertools
 from math import comb
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from sumsetlab import difference_coeff
 from oracles import (
@@ -297,9 +297,13 @@ def test_difference_coeff_one_variable():
 
 
 def test_difference_coeff_large_power():
-    # the contraction computes d! only for the gaps d = t_v - e_v that
-    # occur, so a large E with few terms stays quick
+    # the fold computes one binomial per variable and no E!, so a large
+    # E with few terms stays quick
     assert difference_coeff(1, [], (20000,)) == 1
+    assert difference_coeff(1, [], (10 ** 6,)) == 1
+    # two variables in no pair: [x0^t x1^t] (x0 + x1)^(2t)
+    t = 50000
+    assert difference_coeff(2, [], (t, t)) == comb(2 * t, t)
     # -(x0 - x1)^2 (x0 + x1)^E at x0^19999 x1^499, with E = 20496
     power = 20496
     expected = -(comb(power, 19997) - 2 * comb(power, 19998) + comb(power, 19999))
@@ -400,3 +404,30 @@ def test_difference_coeff_matches_kp_formula(shape):
     sizes, mults = shape
     target = tuple(sz - 1 for sz in sizes)
     assert difference_coeff(len(sizes), sorted(mults.items()), target) == kp_coeff(sizes, mults)
+
+
+def sparse_shapes():
+    """Five or six variables, two to four pairs with multiplicities 1..2
+    (so some variables are in no pair) and targets of 0..3 with E >= 1:
+    the shapes where the fold merges most."""
+    def shape(n):
+        pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+        mults = st.dictionaries(st.sampled_from(pairs), st.integers(1, 2),
+                                min_size=2, max_size=4)
+        target = st.lists(st.integers(0, 3), min_size=n, max_size=n)
+        return st.tuples(st.just(n), mults, target)
+    return st.integers(5, 6).flatmap(shape).filter(
+        lambda nmt: sum(nmt[2]) > sum(nmt[1].values()))
+
+
+@settings(max_examples=60, deadline=None)
+@given(sparse_shapes())
+# x4, in no pair, takes all of E = 1 before the first step, so the term
+# that leaves x5 one short of its target passes P = E at x5's fold and is
+# dropped (kept, its P would carry into the next field)
+@example((6, {(0, 5): 2, (3, 0): 2, (0, 1): 2}, [3, 0, 0, 1, 1, 2]))
+def test_difference_coeff_folds_sparse_products(shape):
+    nvars, mults, target = shape
+    got = difference_coeff(nvars, sorted(mults.items()), target)
+    assert got == targeted_coeff(difference_factors(nvars, mults.items(), target), target)
+    assert got == kp_coeff([t + 1 for t in target], mults)
