@@ -16,7 +16,7 @@ Aomoto products live on variables x_0..x_n, the key coefficient on
 x_1..x_n (indexed 0..n-1 internally).
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import comb, factorial
 
@@ -146,8 +146,7 @@ def zeilberger_coefficient(avec) -> int:
 # Aomoto's identity
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AomotoParams:
+class AomotoParams(namedtuple("AomotoParams", "n s a b m")):
     """Parameters of the shifted Dyson product on x_0..x_n.
 
     n  -- number of non-x_0 variables
@@ -155,23 +154,22 @@ class AomotoParams:
     a  -- exponent on the (1 - x_l/x_0) factors
     b  -- exponent on the (1 - x_0/x_l) factors
     m  -- symmetric exponent on the (1 - x_i/x_j) factors, 1 <= i != j <= n
+
+    Construction checks these ranges and raises ParameterOutOfRange.
+    ``_make`` and ``_replace``, inherited from the named tuple, build
+    without that check.
     """
 
-    n: int
-    s: int
-    a: int
-    b: int
-    m: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n < 1:
-            raise ParameterOutOfRange(f"n must be >= 1, got {self.n}")
-        if not 0 <= self.s <= self.n:
-            raise ParameterOutOfRange(f"s must lie in [0, {self.n}], got {self.s}")
-        if self.a < 0 or self.b < 0 or self.m < 0:
-            raise ParameterOutOfRange(
-                f"a, b, m must be >= 0, got a={self.a}, b={self.b}, m={self.m}"
-            )
+    def __new__(cls, n, s, a, b, m):
+        if n < 1:
+            raise ParameterOutOfRange(f"n must be >= 1, got {n}")
+        if not 0 <= s <= n:
+            raise ParameterOutOfRange(f"s must lie in [0, {n}], got {s}")
+        if a < 0 or b < 0 or m < 0:
+            raise ParameterOutOfRange(f"a, b, m must be >= 0, got a={a}, b={b}, m={m}")
+        return super().__new__(cls, n, s, a, b, m)
 
 
 def aomoto_constant_term(params: AomotoParams, chi_side: str = "a") -> int:
@@ -323,20 +321,18 @@ def _newton_fit(ys, degree):
     return tuple(Fraction(c, scale) for c in poly)
 
 
-@dataclass(frozen=True)
-class LeadingCoefficientReport:
-    """Outcome of :func:`leading_coefficient_check`."""
+class LeadingCoefficientReport(namedtuple(
+        "LeadingCoefficientReport",
+        "n s b m degree sample_values coefficients leading_coefficient"
+        " expected_leading agree")):
+    """Outcome of :func:`leading_coefficient_check`.
 
-    n: int
-    s: int
-    b: int
-    m: int
-    degree: int
-    sample_values: tuple
-    coefficients: tuple          # interpolant, ascending degree, Fractions
-    leading_coefficient: Fraction
-    expected_leading: Fraction   # constant term route, divided by degree!
-    agree: bool
+    ``coefficients`` is the interpolant in ascending degree, as
+    Fractions; ``expected_leading`` is the constant-term route divided
+    by degree!.
+    """
+
+    __slots__ = ()
 
 
 def leading_coefficient_check(n: int, s: int, b: int, m: int,

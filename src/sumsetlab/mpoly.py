@@ -71,7 +71,10 @@ def difference_coeff(nvars, mults, target) -> int:
        the terms that coincide once e_v is cleared merge.  P only grows
        and ends at sum(d) = E, so a term with P > E is dropped.  When
        every variable is closed, one term is left, with P = E, and its
-       coefficient is the answer.
+       coefficient is the answer.  With E = 0 no fold runs: the floors
+       already force e_v = t_v as x_v closes, so every fold would
+       multiply by C(0, 0) = 1 and merge nothing, and the answer is
+       read at the key of t itself.
     5. Pack.  A partial term is one int: P in the lowest bits, then one
        field per variable wide enough for t_v.  No field leaves its
        range (e_v <= t_v, P <= E), so a step that gives x_i one more
@@ -152,13 +155,17 @@ def difference_coeff(nvars, mults, target) -> int:
         acc = _fold(out, [v for v in (i, j) if last[v] == step], target, shift, power)
         if not acc:
             return 0
-    coefficient = acc.get(power, 0)
+    final = power if power else sum(t << s for t, s in zip(target, shift))
+    coefficient = acc.get(final, 0)
     return -coefficient if negate else coefficient
 
 
 def _fold(acc, closing, target, shift, power):
     """Step 4 of :func:`difference_coeff`: fold the variables ``closing``
-    out of every packed term of ``acc``, one after another."""
+    out of every packed term of ``acc``, one after another.  With E = 0
+    a fold changes no coefficient and merges no terms, so none runs."""
+    if not power:
+        return acc
     pmask = (1 << power.bit_length()) - 1
     for v in closing:
         t, s = target[v], shift[v]

@@ -17,7 +17,7 @@ deterministically from a seed.
 
 import itertools
 import json
-from dataclasses import dataclass
+from collections import namedtuple
 from math import isqrt, prod
 
 from .ffield import PrimeField
@@ -229,21 +229,17 @@ def enumerate_restricted_sumset(inst: SumsetInstance, budget: int = DEFAULT_BUDG
 # Bound formulas with hypothesis checking
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BoundEntry:
-    name: str
-    formula: str
-    value: int | None          # None when the shape prerequisites fail
-    hypothesis_met: bool
-    reason: str
+class BoundEntry(namedtuple("BoundEntry", "name formula value hypothesis_met reason")):
+    """One bound formula evaluated on an instance; ``value`` is None when
+    the shape prerequisites fail."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class BoundReport:
-    thm1: BoundEntry
-    thm2: BoundEntry
-    thm3: BoundEntry
-    old: BoundEntry
+class BoundReport(namedtuple("BoundReport", "thm1 thm2 thm3 old")):
+    """The four :class:`BoundEntry` values of :func:`compute_bounds`."""
+
+    __slots__ = ()
 
     def entries(self):
         return (self.thm1, self.thm2, self.thm3, self.old)
@@ -323,20 +319,19 @@ def _shape_bounds(p: int, sizes: tuple, m: int | None) -> BoundReport:
 # Coefficient certificates
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CertificateReport:
+class CertificateReport(namedtuple(
+        "CertificateReport",
+        "method coefficient_integer coefficient_mod_p claimed_bound certificate_valid")):
     """A nonvanishing-coefficient certificate for a sumset lower bound.
 
     certificate_valid means the coefficient is nonzero mod p, which
     proves |C| >= claimed_bound; a vanishing coefficient proves nothing
-    (the bound may still hold).
+    (the bound may still hold).  ``method`` is "leading-form" or
+    "literal-product"; ``coefficient_mod_p`` is the canonical residue
+    in [0, p).
     """
 
-    method: str                  # "leading-form" or "literal-product"
-    coefficient_integer: int
-    coefficient_mod_p: int       # canonical residue in [0, p)
-    claimed_bound: int
-    certificate_valid: bool
+    __slots__ = ()
 
 
 def certificate_check(inst: SumsetInstance) -> CertificateReport:
@@ -408,14 +403,11 @@ def coverage_threshold(p: int, m: int) -> int:
     return max(1, u - m + 1)
 
 
-@dataclass(frozen=True)
-class CoverageReport:
-    subset: tuple
-    n: int
-    threshold: int
-    hypothesis_met: bool
-    covered: bool
-    missing: tuple
+class CoverageReport(namedtuple(
+        "CoverageReport", "subset n threshold hypothesis_met covered missing")):
+    """Outcome of :func:`coverage_check` on one subset."""
+
+    __slots__ = ()
 
 
 def _residues(values, p: int, name: str) -> tuple:
@@ -478,15 +470,12 @@ def coverage_check(p, s_set, a_set, budget: int = DEFAULT_BUDGET) -> CoverageRep
     return CoverageReport(A, n, threshold, hypothesis_met, not missing, missing)
 
 
-@dataclass(frozen=True)
-class CoverageSweepResult:
-    p: int
-    m: int
-    s_set: tuple
-    subset_size: int
-    threshold: int
-    mode: str
-    rows: tuple
+class CoverageSweepResult(namedtuple(
+        "CoverageSweepResult", "p m s_set subset_size threshold mode rows")):
+    """Outcome of :func:`coverage_sweep`: one :class:`CoverageReport` per
+    subset in ``rows``."""
+
+    __slots__ = ()
 
     def failures(self):
         """Rows that would falsify the implementation: hypothesis met, not covered."""
@@ -704,15 +693,17 @@ def random_instance(seed: int, p: int, n: int, k: int, m: int,
 # Per-instance pipeline and experiment harness
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class InstanceAnalysis:
-    """Everything :func:`analyze` learns about one instance."""
+class InstanceAnalysis(namedtuple(
+        "InstanceAnalysis", "sumset bounds certificate degree_infeasible violations")):
+    """Everything :func:`analyze` learns about one instance.
 
-    sumset: tuple                    # C, ascending
-    bounds: BoundReport
-    certificate: CertificateReport | None
-    degree_infeasible: str | None    # DegreeInfeasible message when skipped
-    violations: tuple
+    ``sumset`` is C in ascending order; ``certificate`` is a
+    :class:`CertificateReport`, or None when the certificate was
+    skipped, and then ``degree_infeasible`` holds the DegreeInfeasible
+    message (else None).
+    """
+
+    __slots__ = ()
 
 
 def analyze(inst: SumsetInstance, budget: int = DEFAULT_BUDGET) -> InstanceAnalysis:
@@ -743,14 +734,10 @@ def analyze(inst: SumsetInstance, budget: int = DEFAULT_BUDGET) -> InstanceAnaly
     return InstanceAnalysis(sumset, bounds, certificate, infeasible, tuple(violations))
 
 
-@dataclass(frozen=True)
-class ExperimentTrial:
-    index: int
-    p: int
-    n: int
-    k: int
-    m: int
-    analysis: InstanceAnalysis
+class ExperimentTrial(namedtuple("ExperimentTrial", "index p n k m analysis")):
+    """One trial of :func:`run_experiment` and its :class:`InstanceAnalysis`."""
+
+    __slots__ = ()
 
     @property
     def sound(self) -> bool:

@@ -310,6 +310,26 @@ def test_difference_coeff_large_power():
     assert difference_coeff(2, [((0, 1), 1), ((1, 0), 1)], (19999, 499)) == expected
 
 
+@pytest.mark.parametrize("nvars, mults, target, expected", [
+    (3, [], (0, 0, 0), 1),  # no pair: the empty product on three variables
+    (2, [((0, 1), 1)], (1, 0), 1),
+    (2, [((0, 1), 1)], (0, 1), -1),
+    (2, [((0, 1), 7)], (3, 4), 35),
+    (3, [((0, 1), 2)], (2, 0, 0), 1),  # x1 and x2 close on zero-width fields
+    (3, [((0, 1), 2)], (1, 1, 0), -2),  # x2 is in no pair
+    (3, [((0, 1), 1), ((2, 1), 1)], (1, 0, 1), 1),
+    (3, [((0, 1), 1), ((1, 2), 1), ((2, 0), 1)], (1, 1, 1), 0),  # antisymmetric
+    (3, [((i, j), 1) for i in range(3) for j in range(3) if i != j], (2, 2, 2), 6),
+    (4, [((0, 3), 2), ((3, 0), 1), ((1, 2), 1)], (1, 0, 1, 2), 3),
+    (4, [((0, 3), 2), ((3, 0), 1), ((1, 2), 1)], (0, 1, 0, 3), 1),
+])
+def test_difference_coeff_without_power(nvars, mults, target, expected):
+    # E = 0: no fold runs, and the answer is read at the key of the target
+    assert sum(target) == sum(e for _, e in mults)
+    assert difference_coeff(nvars, mults, target) == expected
+    assert targeted_coeff(difference_factors(nvars, mults, target), target) == expected
+
+
 def test_difference_coeff_refusals():
     with pytest.raises(ValueError):
         difference_coeff(2, [((0, 1), 3)], (1, 1))  # E = -1
