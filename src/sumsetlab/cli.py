@@ -230,10 +230,16 @@ def _cmd_identities(args, budget):
     config = _scope_config(args)
 
     if scope in ("dyson", "zeilberger"):
+        # A permuted a-vector relabels the Dyson product's variables, so
+        # both Dyson values belong to its multiset: one expansion each,
+        # on the sorted order, which is also the first row to meet it.
+        by_multiset = {}
         for nv in range(2, config["max_vars"] + 1):
             for avec in itertools.product(range(config["max_entry"] + 1), repeat=nv):
-                ct = dyson_constant_term(avec)
-                closed = dyson_closed_form(avec)
+                key = tuple(sorted(avec))
+                if key not in by_multiset:
+                    by_multiset[key] = (dyson_constant_term(key), dyson_closed_form(key))
+                ct, closed = by_multiset[key]
                 row = {"avec": list(avec), "constant_term": ct, "closed_form": closed}
                 if scope == "zeilberger":
                     coeff = zeilberger_coefficient(avec)

@@ -6,10 +6,17 @@ call of :func:`sumsetlab.mpoly.difference_coeff`: a coefficient of a
 product of differences x_i - x_j times a balancing power of the
 variable sum.  The key coefficient is that shape as it stands; the
 Dyson and Aomoto constant terms reach it by clearing denominators,
-1 - x_i/x_j = x_j^{-1} (x_j - x_i).  The closed forms are evaluated in
-rational arithmetic with a final integrality assertion — a cheap
-transcription test — and the pair of routes is compared wherever either
-is used.
+1 - x_i/x_j = x_j^{-1} (x_j - x_i).  Each closed form is built as one
+integer numerator over one integer denominator and finished by one exact
+division that raises on a remainder — a cheap transcription test — and
+the pair of routes is compared wherever either is used.
+
+The Dyson constant term depends only on the multiset of the a-vector:
+permuting the a-vector relabels the variables of the product.  The
+``dyson`` and ``zeilberger`` sweeps of the CLI therefore expand it once
+per multiset, in sorted order, and give every other row that value;
+:func:`zeilberger_coefficient` still runs on every row in the row's own
+order (see its docstring for what that does and does not check).
 
 Variable conventions follow the classical statements: the Dyson and
 Aomoto products live on variables x_0..x_n, the key coefficient on
@@ -18,7 +25,7 @@ x_1..x_n (indexed 0..n-1 internally).
 
 from collections import namedtuple
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, gcd
 
 from .mpoly import difference_coeff
 
@@ -57,10 +64,14 @@ def chi(condition) -> int:
     return 1 if condition else 0
 
 
-def _as_integer(x: Fraction) -> int:
-    if x.denominator != 1:
-        raise NonIntegerResult(f"expected an integer, got {x}")
-    return x.numerator
+def _exact(num: int, den: int) -> int:
+    """num / den, which must be an integer (den > 0); else
+    NonIntegerResult naming the ratio in lowest terms."""
+    quot, rem = divmod(num, den)
+    if rem:
+        g = gcd(num, den)
+        raise NonIntegerResult(f"expected an integer, got {num // g}/{den // g}")
+    return quot
 
 
 def _ratio_constant_term(nvars, ratios) -> int:
@@ -105,10 +116,10 @@ def dyson_constant_term(avec) -> int:
 def dyson_closed_form(avec) -> int:
     """The multinomial coefficient (sum a_j)! / prod a_j!."""
     avec = _check_avec(avec)
-    val = Fraction(factorial(sum(avec)))
+    den = 1
     for a in avec:
-        val /= factorial(a)
-    return _as_integer(val)
+        den *= factorial(a)
+    return _exact(factorial(sum(avec)), den)
 
 
 def zeilberger_coefficient(avec) -> int:
@@ -131,6 +142,13 @@ def zeilberger_coefficient(avec) -> int:
     sign; this route hands it the merged pairs i < j and applies the
     global sign (-1)^{sum_j j*a_j} itself.  Their agreement therefore
     checks that global sign against the per-pair ones.
+
+    The CLI sweeps expand :func:`dyson_constant_term` once per multiset
+    of the a-vector, on its sorted order, and call this function on every
+    row in the row's own order.  Every row so still checks the global
+    sign against an independent expansion; the Dyson route's per-pair
+    merge signs run there on sorted orders only, and the engine tests
+    (tests/test_mpoly.py) cover them on unsorted ones.
     """
     avec = _check_avec(avec)
     nv = len(avec)
@@ -209,14 +227,12 @@ def aomoto_closed_form(params: AomotoParams, chi_side: str = "a") -> int:
     n, s, a, b, m = params.n, params.s, params.a, params.b, params.m
     if chi_side == "b":
         a, b = b, a
-    val = Fraction(1)
+    num = den = 1
     for l in range(n):
         c = chi(l >= n - s)
-        val *= Fraction(
-            factorial(a + b + m * l + c) * factorial(m * l + m),
-            factorial(a + m * l + c) * factorial(m * l + b) * factorial(m),
-        )
-    return _as_integer(val)
+        num *= factorial(a + b + m * l + c) * factorial(m * l + m)
+        den *= factorial(a + m * l + c) * factorial(m * l + b) * factorial(m)
+    return _exact(num, den)
 
 
 # ----------------------------------------------------------------------
@@ -267,14 +283,14 @@ def key_coefficient_closed_form(n: int, m: int, k: int, s: int) -> int:
     if k <= m * (n - 1):
         raise HypothesisViolated(f"need k > m*(n-1), got k={k}, m*(n-1)={m * (n - 1)}")
     total = n * k + s
-    val = Fraction(1)
+    num = factorial(total - m * n * n + m * n - n)
+    den = factorial(m) ** n
     for j in range(s):
-        val /= k - j * m
-    val *= factorial(total - m * n * n + m * n - n)
-    val /= factorial(m) ** n
+        den *= k - j * m
     for j in range(1, n + 1):
-        val *= Fraction(factorial(j * m), factorial(k - 1 - j * m + m))
-    out = _as_integer(val)
+        num *= factorial(j * m)
+        den *= factorial(k - 1 - j * m + m)
+    out = _exact(num, den)
     if out <= 0:
         raise ArithmeticError(
             f"closed form should be positive under the hypothesis, got {out}"

@@ -430,7 +430,8 @@ def coverage_check(p, s_set, a_set, budget: int = DEFAULT_BUDGET) -> CoverageRep
 
     S and A must hold residues in [0, p) (ParameterOutOfRange otherwise),
     whatever n is.  Raises BudgetExceeded, before any instance is built,
-    when the |A|^n tuples exceed the budget.
+    when the |A|^n tuples exceed the budget, and after the enumeration
+    when the residues missing from C exceed it, before they are listed.
     """
     field = p if isinstance(p, PrimeField) else PrimeField(p)
     p = field.p
@@ -466,7 +467,11 @@ def coverage_check(p, s_set, a_set, budget: int = DEFAULT_BUDGET) -> CoverageRep
     else:
         inst = SumsetInstance(field, (A,) * n, uniform_forbidden(n, S))
         sumset = enumerate_restricted_sumset(inst, budget)
-    missing = tuple(sorted(set(range(p)) - sumset))
+    if p - len(sumset) > budget:
+        raise BudgetExceeded(
+            f"{_count_text(p - len(sumset))} missing residues exceed the budget of {budget}"
+        )
+    missing = tuple(r for r in range(p) if r not in sumset)
     return CoverageReport(A, n, threshold, hypothesis_met, not missing, missing)
 
 

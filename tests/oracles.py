@@ -12,7 +12,10 @@ end; Laurent products stay Laurent, with no clearing of denominators.
 ``kp_coeff`` reaches the key coefficient by exact evaluation, with no
 expansion at all.  ``lagrange_interpolate`` and ``eval_poly`` are the
 Fraction fit that the forward differences of
-``leading_coefficient_check`` replaced.
+``leading_coefficient_check`` replaced.  ``fraction_dyson_closed_form``,
+``fraction_aomoto_closed_form`` and ``fraction_key_closed_form`` are
+the closed forms evaluated factor by factor in Fractions, the reference
+for their integer numerator-over-denominator versions.
 """
 
 import itertools
@@ -513,6 +516,42 @@ def eval_poly(coeffs, x):
     for c in reversed(coeffs):
         acc = acc * x + c
     return acc
+
+
+def fraction_dyson_closed_form(avec):
+    """(sum a_j)! / prod a_j!, one Fraction division per entry."""
+    val = Fraction(factorial(sum(avec)))
+    for a in avec:
+        val /= factorial(a)
+    return val
+
+
+def fraction_aomoto_closed_form(params, chi_side="a"):
+    """The Aomoto factorial product, one Fraction factor per l."""
+    n, s, a, b, m = params.n, params.s, params.a, params.b, params.m
+    if chi_side == "b":
+        a, b = b, a
+    val = Fraction(1)
+    for l in range(n):
+        c = 1 if l >= n - s else 0
+        val *= Fraction(
+            factorial(a + b + m * l + c) * factorial(m * l + m),
+            factorial(a + m * l + c) * factorial(m * l + b) * factorial(m),
+        )
+    return val
+
+
+def fraction_key_closed_form(n, m, k, s):
+    """The closed form of the key coefficient for k > m(n-1), factor by
+    factor in Fractions, the 1/(k - jm) factors first."""
+    val = Fraction(1)
+    for j in range(s):
+        val /= k - j * m
+    val *= factorial(n * k + s - m * n * n + m * n - n)
+    val /= factorial(m) ** n
+    for j in range(1, n + 1):
+        val *= Fraction(factorial(j * m), factorial(k - 1 - j * m + m))
+    return val
 
 
 def naive_laurent_constant_term(factors):

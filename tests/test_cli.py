@@ -10,6 +10,8 @@ from sumsetlab import (
     NonIntegerResult,
     SplitMix64,
     SumsetInstance,
+    dyson_closed_form,
+    dyson_constant_term,
     instance_to_dict,
     uniform_forbidden,
 )
@@ -22,12 +24,20 @@ def run(capsys, argv):
     return code, out.out, out.err
 
 
-def run_process(argv):
-    """Run the CLI in a fresh interpreter; returns (exit code, stderr)."""
+def run_process(argv, max_bytes=None):
+    """Run the CLI in a fresh interpreter; returns (exit code, stderr).
+    ``max_bytes`` caps the child's address space, so that a run that
+    would exhaust memory fails with a MemoryError instead."""
     src = os.path.dirname(os.path.dirname(sumsetlab.__file__))
     env = {**os.environ, "PYTHONPATH": src}
+
+    def cap():
+        import resource
+        resource.setrlimit(resource.RLIMIT_AS, (max_bytes, max_bytes))
+
     proc = subprocess.run([sys.executable, "-m", "sumsetlab.cli"] + argv,
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=env,
+                          preexec_fn=cap if max_bytes else None)
     return proc.returncode, proc.stderr
 
 
@@ -60,6 +70,54 @@ def test_identities_zeilberger(capsys):
     code, rep, _ = run_doc(capsys, ["identities", "zeilberger", "--max-vars", "3"])
     assert code == 0
     assert all(r["constant_term"] == r["coefficient_form"] for r in rep["rows"])
+
+
+def counting(monkeypatch, name, delegate):
+    """Replace sumsetlab.cli.<name> by ``delegate``; returns the list of
+    a-vectors it is called with."""
+    calls = []
+
+    def wrapper(avec):
+        calls.append(list(avec))
+        return delegate(avec)
+
+    monkeypatch.setattr(sumsetlab.cli, name, wrapper)
+    return calls
+
+
+@pytest.mark.parametrize("scope", ["dyson", "zeilberger"])
+def test_identities_dyson_rows_equal_their_direct_values(capsys, scope):
+    argv = ["identities", scope, "--max-vars", "4", "--max-entry", "3"]
+    code, rep, _ = run_doc(capsys, argv)
+    assert code == 0 and len(rep["rows"]) == 336
+    for row in rep["rows"]:
+        assert row["constant_term"] == dyson_constant_term(row["avec"])
+        assert row["closed_form"] == dyson_closed_form(row["avec"])
+
+
+@pytest.mark.parametrize("scope", ["dyson", "zeilberger"])
+def test_identities_expand_dyson_once_per_multiset(capsys, monkeypatch, scope):
+    dyson = counting(monkeypatch, "dyson_constant_term", dyson_constant_term)
+    closed = counting(monkeypatch, "dyson_closed_form", dyson_closed_form)
+    zeil = counting(monkeypatch, "zeilberger_coefficient",
+                    sumsetlab.cli.zeilberger_coefficient)
+    argv = ["identities", scope, "--max-vars", "4", "--max-entry", "3"]
+    code, rep, _ = run_doc(capsys, argv)
+    assert code == 0 and len(rep["rows"]) == 336
+    # 10 + 20 + 35 multisets of 2, 3 and 4 entries from {0, 1, 2, 3}
+    assert len(dyson) == 65 and all(avec == sorted(avec) for avec in dyson)
+    assert closed == dyson
+    # the sign check stays per row, in the row's own order
+    expected = [row["avec"] for row in rep["rows"]] if scope == "zeilberger" else []
+    assert zeil == expected
+
+
+def test_identities_dyson_top_of_range_expands_one_row_per_multiset(capsys, monkeypatch):
+    calls = counting(monkeypatch, "dyson_constant_term", dyson_closed_form)
+    argv = ["identities", "dyson", "--max-vars", "6", "--max-entry", "4"]
+    code, rep, _ = run_doc(capsys, argv)
+    assert code == 0 and rep["all_agree"] is True
+    assert len(rep["rows"]) == 19525 and len(calls) == 456
 
 
 def test_identities_aomoto_correct_orientation(capsys):
@@ -325,6 +383,16 @@ def test_thm4_subset_count_stops_at_the_budget(capsys):
     code, out, err = run(capsys, argv)
     assert code == 3 and out == ""
     assert "more than 1000 subsets of size 63246" in err
+
+
+def test_thm4_missing_list_over_the_budget_is_budget_exit():
+    # n = 1 summand passes the tuple check, but about 10^9 residues are
+    # missing; they are refused before any p-sized object is built
+    argv = ["thm4", "--p", "1000000007", "--m", "1", "--mode", "sample",
+            "--count", "3", "--size", "3", "--format", "doc"]
+    code, err = run_process(argv, max_bytes=1 << 30)
+    assert code == 3 and "Traceback" not in err
+    assert "missing residues exceed the budget" in err
 
 
 def test_thm4_bad_size(capsys):

@@ -10,6 +10,7 @@ from sumsetlab import (
     DegreeInfeasible,
     HypothesisViolated,
     InterpolationMismatch,
+    NonIntegerResult,
     ParameterOutOfRange,
     TooFewVariables,
     aomoto_closed_form,
@@ -22,11 +23,14 @@ from sumsetlab import (
     leading_coefficient_check,
     zeilberger_coefficient,
 )
-from sumsetlab.identities import _newton_fit
+from sumsetlab.identities import _exact, _newton_fit
 from oracles import (
     SparsePoly,
     aomoto_laurent_factors,
     eval_poly,
+    fraction_aomoto_closed_form,
+    fraction_dyson_closed_form,
+    fraction_key_closed_form,
     kp_coeff,
     lagrange_interpolate,
     lemma22_laurent_factors,
@@ -187,6 +191,47 @@ def test_aomoto_matches_laurent_oracle(params):
     for chi_side in ("a", "b"):
         ct = naive_laurent_constant_term(aomoto_laurent_factors(params, chi_side))
         assert aomoto_constant_term(params, chi_side) == ct, chi_side
+
+
+# ----------------------------------------------------------------------
+# integer closed forms against the Fraction references, over the ranges
+# the identities sweeps accept
+# ----------------------------------------------------------------------
+
+def test_exact_names_the_ratio_in_lowest_terms():
+    assert _exact(42, 6) == 7
+    for num, den in ((7, 2), (14, 4)):
+        with pytest.raises(NonIntegerResult, match=r"^expected an integer, got 7/2$"):
+            _exact(num, den)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(0, 4), min_size=2, max_size=6))
+def test_dyson_closed_form_matches_fraction_reference(avec):
+    expected = fraction_dyson_closed_form(avec)
+    assert expected.denominator == 1
+    assert dyson_closed_form(avec) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: st.builds(
+    AomotoParams, n=st.just(n), s=st.integers(0, n), a=st.integers(0, 3),
+    b=st.integers(0, 3), m=st.integers(0, 2))), st.sampled_from("ab"))
+def test_aomoto_closed_form_matches_fraction_reference(params, chi_side):
+    expected = fraction_aomoto_closed_form(params, chi_side)
+    assert expected.denominator == 1
+    assert aomoto_closed_form(params, chi_side) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: st.integers(0, 3).flatmap(
+    lambda m: st.tuples(st.just(n), st.just(m),
+                        st.integers(m * (n - 1) + 1, m * (n - 1) + 6),
+                        st.integers(0, n)))))
+def test_key_closed_form_matches_fraction_reference(case):
+    expected = fraction_key_closed_form(*case)
+    assert expected.denominator == 1
+    assert key_coefficient_closed_form(*case) == expected
 
 
 # ----------------------------------------------------------------------

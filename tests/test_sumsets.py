@@ -472,6 +472,24 @@ def test_coverage_check_budget_before_instance(monkeypatch):
     assert len(str(info.value)) < 120
 
 
+def test_coverage_check_refuses_a_missing_list_over_the_budget(monkeypatch):
+    # n = 1 summand passes the tuple check, but about 10^9 residues are
+    # missing: refused before any p-sized object is built
+    def small_range(*args):
+        assert max(args) < 10 ** 6, "a p-sized range was built"
+        return range(*args)
+
+    monkeypatch.setattr(sumsets_module, "range", small_range, raising=False)
+    with pytest.raises(BudgetExceeded) as info:
+        coverage_check(1000000007, [0], [0, 1, 2])
+    assert str(info.value) == (
+        "1000000004 missing residues exceed the budget of 10000000")
+    # p - |C| = 4 residues are missing: listed at a budget of 4, refused at 3
+    assert coverage_check(7, {0}, {0, 1, 2}, budget=4).missing == (3, 4, 5, 6)
+    with pytest.raises(BudgetExceeded):
+        coverage_check(7, {0}, {0, 1, 2}, budget=3)
+
+
 def test_budget_message_prints_a_huge_count_as_a_power_of_two():
     inst = SumsetInstance(7, [[0, 1, 2, 3, 4, 5, 6]] * 40)  # 7^40 tuples
     with pytest.raises(BudgetExceeded) as info:
