@@ -8,6 +8,7 @@ Run:  python demos/02_constant_term_identities.py
 """
 
 import itertools
+from math import factorial
 
 from sumsetlab import (
     AomotoParams,
@@ -18,6 +19,7 @@ from sumsetlab import (
     leading_coefficient_check,
     zeilberger_coefficient,
 )
+from sumsetlab.identities import ratio_text
 
 print("=" * 64)
 print("Dyson: CT of prod_(i!=j) (1 - x_i/x_j)^(a_j)  vs  the multinomial")
@@ -62,8 +64,12 @@ print("=" * 64)
 print("The closed form is a polynomial in its first argument")
 print("=" * 64)
 
+# the report holds D! times each coefficient, so every value is an int
 rep = leading_coefficient_check(n=2, s=0, b=1, m=1)
+scale = factorial(rep.degree)
 print(f"sampled values at a = 0..{rep.degree + 2}: {rep.sample_values}")
-print(f"interpolant coefficients (ascending): {[str(c) for c in rep.coefficients]}")
-print(f"leading coefficient {rep.leading_coefficient}, "
-      f"independent CT route gives {rep.expected_leading}, agree: {rep.agree}")
+print(f"interpolant coefficients (ascending): "
+      f"{[ratio_text(c, scale) for c in rep.coefficients]}")
+print(f"leading coefficient {ratio_text(rep.leading_coefficient, scale)}, "
+      f"independent CT route gives {ratio_text(rep.expected_leading, scale)}, "
+      f"agree: {rep.agree}")

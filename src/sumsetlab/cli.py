@@ -18,6 +18,7 @@ import itertools
 import json
 import os
 import sys
+from math import factorial
 
 from .ffield import NotPrime, OutOfRange
 from .identities import (
@@ -31,6 +32,7 @@ from .identities import (
     key_coefficient,
     key_coefficient_closed_form,
     leading_coefficient_check,
+    ratio_text,
     zeilberger_coefficient,
 )
 from .sumsets import (
@@ -281,11 +283,12 @@ def _cmd_identities(args, budget):
                     except InterpolationMismatch as exc:
                         rows.append({**base, "agree": False, "error": str(exc)})
                         continue
+                    scale = factorial(rep.degree)
                     rows.append({
                         **base,
                         "degree": rep.degree,
-                        "leading_coefficient": str(rep.leading_coefficient),
-                        "expected_leading": str(rep.expected_leading),
+                        "leading_coefficient": ratio_text(rep.leading_coefficient, scale),
+                        "expected_leading": ratio_text(rep.expected_leading, scale),
                         "agree": rep.agree,
                     })
 

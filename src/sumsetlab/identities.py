@@ -24,7 +24,6 @@ x_1..x_n (indexed 0..n-1 internally).
 """
 
 from collections import namedtuple
-from fractions import Fraction
 from math import comb, factorial, gcd
 
 from .mpoly import difference_coeff
@@ -64,13 +63,30 @@ def chi(condition) -> int:
     return 1 if condition else 0
 
 
+def ratio_text(num: int, den: int) -> str:
+    """num / den (den >= 1) written in lowest terms: "a/b" with the sign
+    on a, or "a" when the ratio is an integer.
+
+    >>> ratio_text(14, 4)
+    '7/2'
+    >>> ratio_text(-6, 4)
+    '-3/2'
+    >>> ratio_text(12, 6)
+    '2'
+    >>> ratio_text(0, 5)
+    '0'
+    """
+    g = gcd(num, den)
+    num, den = num // g, den // g
+    return str(num) if den == 1 else f"{num}/{den}"
+
+
 def _exact(num: int, den: int) -> int:
     """num / den, which must be an integer (den > 0); else
     NonIntegerResult naming the ratio in lowest terms."""
     quot, rem = divmod(num, den)
     if rem:
-        g = gcd(num, den)
-        raise NonIntegerResult(f"expected an integer, got {num // g}/{den // g}")
+        raise NonIntegerResult(f"expected an integer, got {ratio_text(num, den)}")
     return quot
 
 
@@ -305,14 +321,15 @@ def key_coefficient_closed_form(n: int, m: int, k: int, s: int) -> int:
 def _newton_fit(ys, degree):
     """Fit the polynomial of degree <= ``degree`` through the samples
     ys[a] at a = 0, 1, ..., degree, check every later sample against it
-    (else InterpolationMismatch), and return its coefficients, ascending
-    by degree, as Fractions.
+    (else InterpolationMismatch), and return the coefficients of
+    degree! times it, ascending by degree, as ints.
 
     All in integers: Newton's forward-difference form
     f(a) = sum_i D^i f(0) C(a, i), with D^i f(0) the i-th forward
     difference of the samples, gives each later sample as an integer,
     and degree! f(a) = sum_i D^i f(0) (degree!/i!) a(a-1)...(a-i+1) has
     integer coefficients, expanded from the top as in Horner's rule.
+    Its top coefficient is D^degree f(0) itself.
     """
     diffs = []  # D^i f(0), i = 0..degree
     row = list(ys[: degree + 1])
@@ -334,7 +351,7 @@ def _newton_fit(ys, degree):
             shifted[d] -= i * c
         shifted[0] += diffs[i] * (scale // factorial(i))
         poly = shifted
-    return tuple(Fraction(c, scale) for c in poly)
+    return tuple(poly)
 
 
 class LeadingCoefficientReport(namedtuple(
@@ -343,9 +360,10 @@ class LeadingCoefficientReport(namedtuple(
         " expected_leading agree")):
     """Outcome of :func:`leading_coefficient_check`.
 
-    ``coefficients`` is the interpolant in ascending degree, as
-    Fractions; ``expected_leading`` is the constant-term route divided
-    by degree!.
+    ``coefficients`` (the interpolant in ascending degree),
+    ``leading_coefficient`` and ``expected_leading`` (the constant-term
+    route) are each ``degree``! times the rational value, so each is an
+    int; ``ratio_text(x, factorial(degree))`` writes the value itself.
     """
 
     __slots__ = ()
@@ -361,11 +379,12 @@ def leading_coefficient_check(n: int, s: int, b: int, m: int,
     f(a) = aomoto_closed_form(AomotoParams(n, s, a, b, m), "b") is sampled at
     a = 0..D+slack.  The first D+1 samples determine a degree-<=D
     interpolant, fit by integer forward differences; the slack samples
-    must fall on it (else InterpolationMismatch).  Its degree-D
-    coefficient is compared with
+    must fall on it (else InterpolationMismatch).  D! times its degree-D
+    coefficient, which is the D-th forward difference of the samples,
+    must equal
 
-        (1/D!) * constant term of (x_1+...+x_n)^D prod_l x_l^{-a_l}
-                                  prod_{i != j} (1 - x_i/x_j)^m.
+        constant term of (x_1+...+x_n)^D prod_l x_l^{-a_l}
+                         prod_{i != j} (1 - x_i/x_j)^m.
 
     Since prod_{i != j} (1 - x_i/x_j)^m
     = prod_j x_j^{-m(n-1)} prod_{i != j} (x_i - x_j)^m, that constant
@@ -381,13 +400,13 @@ def leading_coefficient_check(n: int, s: int, b: int, m: int,
           for a in range(degree + 1 + degree_bound_slack)]
     coeffs = _newton_fit(ys, degree)
     sizes = tuple(al + m * (n - 1) + 1 for al in a_l)
-    expected = Fraction(key_coefficient(sizes, m), factorial(degree))
+    expected = key_coefficient(sizes, m)
     leading = coeffs[degree]
     return LeadingCoefficientReport(
         n=n, s=s, b=b, m=m,
         degree=degree,
         sample_values=tuple(ys),
-        coefficients=tuple(coeffs),
+        coefficients=coeffs,
         leading_coefficient=leading,
         expected_leading=expected,
         agree=leading == expected,

@@ -760,7 +760,9 @@ def run_experiment(seed: int, trials: int, p_set, n_set, m_set, k_max: int,
     [1, min(k_max, p)]); parameter tuples failing the enforced hypothesis
     are redrawn (at most _MAX_RETRIES times), each redraw consuming
     stream output, so the whole run is a pure function of its arguments.
-    Every accepted instance goes through :func:`analyze`.
+    Every accepted instance goes through :func:`analyze`.  Every listed
+    p, n and m is checked before the first draw; m <= p is checked per
+    draw, since it depends on the drawn p.
     """
     if enforce not in HYPOTHESIS_CHOICES:
         raise ValueError(f"enforce must be one of {HYPOTHESIS_CHOICES}, got {enforce!r}")
@@ -773,8 +775,12 @@ def run_experiment(seed: int, trials: int, p_set, n_set, m_set, k_max: int,
     m_choices = sorted(set(int(x) for x in m_set))
     if not (p_choices and n_choices and m_choices):
         raise ParameterOutOfRange("parameter ranges must be nonempty")
-    if p_choices[0] < 2:
-        raise ParameterOutOfRange(f"p must be >= 2, got {p_choices[0]}")
+    for p in p_choices:
+        PrimeField(p)  # OutOfRange or NotPrime, whether or not p is drawn
+    if n_choices[0] < 1:
+        raise ParameterOutOfRange(f"n must be >= 1, got {n_choices[0]}")
+    if m_choices[0] < 0:
+        raise ParameterOutOfRange(f"m must be >= 0, got {m_choices[0]}")
     rng = SplitMix64(seed)
     rows = []
     for t in range(trials):
@@ -875,10 +881,15 @@ def _unique_keys(pairs) -> dict:
 
 
 def load_instance(path) -> SumsetInstance:
-    """Read an instance document from a JSON file."""
+    """Read an instance document from a JSON file.
+
+    Undecodable or malformed text, nesting too deep for the parser and an
+    integer literal past the interpreter's digit limit all raise
+    InstanceFormatError.
+    """
     with open(path, "r", encoding="utf-8") as handle:
         try:
             doc = json.load(handle, object_pairs_hook=_unique_keys)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        except (ValueError, RecursionError) as exc:  # ValueError covers JSON and UTF-8 errors
             raise InstanceFormatError(f"not valid JSON: {exc}") from exc
     return instance_from_dict(doc)

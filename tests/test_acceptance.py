@@ -9,7 +9,6 @@ success, visible with -s) or standalone:
 
 import itertools
 import sys
-from fractions import Fraction
 
 import pytest
 
@@ -101,8 +100,8 @@ def criterion_4_polynomiality_and_leading_coefficient():
                 assert rep.degree == 2 * b + s
                 assert rep.agree, (m, b, s)
     pinned = leading_coefficient_check(2, 0, 1, 1)
-    assert pinned.coefficients == (Fraction(2), Fraction(3), Fraction(1))
-    assert pinned.leading_coefficient == 1
+    assert pinned.coefficients == (4, 6, 2)  # 2! (a+1)(a+2)
+    assert pinned.leading_coefficient == 2
 
 
 def criterion_5_soundness_sweep():

@@ -269,6 +269,18 @@ def test_sumset_repeated_json_key(tmp_path):
     assert err.startswith("sumsetlab: error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("text", [
+    "[" * 200_000 + "]" * 200_000,                   # deeper than the parser recurses
+    '{"p": ' + "7" * 5_000 + ', "sets": [[0]]}',     # past the int digit limit
+], ids=["deep-array", "long-int-literal"])
+def test_sumset_unparseable_json_is_a_format_error(tmp_path, text):
+    path = tmp_path / "unparseable.json"
+    path.write_text(text)
+    code, err = run_process(["sumset", str(path)])
+    assert code == 1
+    assert err.startswith("sumsetlab: error: not valid JSON: ") and "Traceback" not in err
+
+
 def test_sumset_large_prime(capsys, tmp_path):
     path = tmp_path / "big.json"
     path.write_text(json.dumps({"p": 10 ** 18 + 3, "sets": [[0, 1], [0, 2]]}))
@@ -461,6 +473,21 @@ def test_experiment_out_of_range_is_usage_error(capsys, argv):
     code, out, err = run(capsys, ["experiment", "--trials", "2"] + argv)
     assert code == 1 and out == ""
     assert err.startswith("sumsetlab: error: ")
+
+
+@pytest.mark.parametrize("listed, message", [
+    (["--p-set", "5,9"], "modulus 9 is composite"),
+    (["--n-set", "0,2"], "n must be >= 1, got 0"),
+    (["--m-set=-1,1"], "m must be >= 0, got -1"),
+])
+@pytest.mark.parametrize("trials, seed", [(1, 0), (1, 1), (1, 2), (1, 3), (0, 0)])
+def test_experiment_checks_every_listed_value_before_drawing(capsys, listed, message,
+                                                             trials, seed):
+    # whether or not the seed draws the bad value, and with no draw at all
+    code, out, err = run(capsys, ["experiment", "--trials", str(trials),
+                                  "--seed", str(seed)] + listed)
+    assert code == 1 and out == ""
+    assert err == f"sumsetlab: error: {message}\n"
 
 
 def test_experiment_huge_prime(capsys):

@@ -20,6 +20,7 @@ def test_docstring_examples(name):
 
 
 def test_the_examples_are_found():
-    # four on mpoly.difference_coeff, one on ffield.PrimeField
+    # four on mpoly.difference_coeff, four on identities.ratio_text, one on
+    # ffield.PrimeField
     found = sum(doctest.testmod(importlib.import_module(name)).attempted for name in MODULES)
-    assert found >= 5
+    assert found >= 9

@@ -23,7 +23,7 @@ from sumsetlab import (
     leading_coefficient_check,
     zeilberger_coefficient,
 )
-from sumsetlab.identities import _exact, _newton_fit
+from sumsetlab.identities import _exact, _newton_fit, ratio_text
 from oracles import (
     SparsePoly,
     aomoto_laurent_factors,
@@ -205,6 +205,12 @@ def test_exact_names_the_ratio_in_lowest_terms():
             _exact(num, den)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(), st.integers(min_value=1))
+def test_ratio_text_writes_what_fraction_writes(num, den):
+    assert ratio_text(num, den) == str(Fraction(num, den))
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.integers(0, 4), min_size=2, max_size=6))
 def test_dyson_closed_form_matches_fraction_reference(avec):
@@ -347,9 +353,9 @@ def test_seven_set_key_coefficient(k, s):
 def test_leading_coefficient_pinned_case():
     rep = leading_coefficient_check(2, 0, 1, 1)
     assert rep.degree == 2
-    assert rep.coefficients == (Fraction(2), Fraction(3), Fraction(1))  # (a+1)(a+2)
-    assert rep.leading_coefficient == 1
-    assert rep.expected_leading == 1
+    assert rep.coefficients == (4, 6, 2)  # 2! (a+1)(a+2)
+    assert rep.leading_coefficient == 2
+    assert rep.expected_leading == 2
     assert rep.agree
 
 
@@ -388,14 +394,13 @@ def test_leading_coefficient_validation():
 def test_leading_coefficient_matches_laurent_oracle(n):
     # the lemma22 grid, b and m up to their caps, n <= 3 (n = 4 takes
     # seconds to expand): expected_leading comes from the key coefficient,
-    # and the Laurent product it replaced, expanded in full, must equal
-    # D! times it
+    # and the Laurent product it replaced, expanded in full, must equal it
     for b in range(4):
         for s in range(n + 1):
             for m in range(3):
                 rep = leading_coefficient_check(n, s, b, m)
                 ct = naive_laurent_constant_term(lemma22_laurent_factors(n, s, b, m))
-                assert ct == rep.expected_leading * factorial(rep.degree), (n, s, b, m)
+                assert ct == rep.expected_leading, (n, s, b, m)
 
 
 def test_newton_fit_rejects_an_off_polynomial_sample():
@@ -404,7 +409,7 @@ def test_newton_fit_rejects_an_off_polynomial_sample():
     with pytest.raises(InterpolationMismatch,
                        match=r"^sample at a=3 is 8, but the degree-2 interpolant gives 7$"):
         _newton_fit([2 ** a for a in range(5)], 2)
-    assert _newton_fit([2 ** a for a in range(3)], 2) == (1, Fraction(1, 2), Fraction(1, 2))
+    assert _newton_fit([2 ** a for a in range(3)], 2) == (2, 1, 1)  # 2! (1 + a/2 + a^2/2)
 
 
 @settings(max_examples=80, deadline=None)
@@ -416,7 +421,9 @@ def test_newton_fit_matches_lagrange(ys, slack, nudge):
     later = [eval_poly(coeffs, x) for x in range(degree + 1, degree + 1 + slack)]
     assert all(y.denominator == 1 for y in later)
     samples = ys + [int(y) for y in later]
-    assert _newton_fit(samples, degree) == tuple(coeffs)
+    fit = _newton_fit(samples, degree)
+    assert all(type(c) is int for c in fit)
+    assert tuple(Fraction(c, factorial(degree)) for c in fit) == tuple(coeffs)
     if slack and nudge:
         samples[-1] += nudge
         with pytest.raises(InterpolationMismatch, match=(

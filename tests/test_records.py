@@ -81,7 +81,8 @@ def test_aomoto_params_construction():
 def test_cli_import_leaves_heavy_modules_out():
     # -S: no site hook may import these first and hide what the package pulls in
     code = ("import sys, sumsetlab.cli; "
-            "print(' '.join(m for m in ('dataclasses', 'inspect', 'ast', 'typing') "
+            "print(' '.join(m for m in ('dataclasses', 'inspect', 'ast', 'typing', "
+            "'fractions', 'decimal', 'numbers') "
             "if m in sys.modules))")
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run([sys.executable, "-S", "-c", code], env=env,
