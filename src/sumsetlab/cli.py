@@ -15,9 +15,9 @@ Exit codes:
 import argparse
 import functools
 import itertools
-import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii as _encode_str
 from math import factorial
 
 from .ffield import NotPrime, OutOfRange
@@ -526,9 +526,66 @@ def _render(report):
     return "\n".join(lines) + "\n"
 
 
+_INT_ONLY = frozenset({int})
+
+
+def _doc_text(value, pad="\n"):
+    """``json.dumps(value, sort_keys=True, indent=2)``, byte for byte, for
+    documents of dicts with str keys, lists, tuples, str, int, bool and
+    None; anything else raises TypeError.
+
+    ``pad`` is a newline and the indentation of the line ``value`` starts
+    on.  The dict loop writes scalar values inline and a list of plain
+    ints is joined in one call, the two shapes that make up most of a
+    report; bools, a subclass of int, take the general path.
+    """
+    inner = pad + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        parts = []
+        for key, item in sorted(value.items()):
+            if type(key) is not str:
+                raise TypeError(f"document keys must be str, not {type(key).__name__}")
+            kind = type(item)
+            if kind is str:
+                text = _encode_str(item)
+            elif kind is int:
+                text = int.__repr__(item)
+            elif item is None:
+                text = "null"
+            elif item is True:
+                text = "true"
+            elif item is False:
+                text = "false"
+            else:
+                text = _doc_text(item, inner)
+            parts.append(f"{_encode_str(key)}: {text}")
+        return "{" + inner + ("," + inner).join(parts) + pad + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        if set(map(type, value)) == _INT_ONLY:
+            body = ("," + inner).join(map(int.__repr__, value))
+        else:
+            body = ("," + inner).join([_doc_text(item, inner) for item in value])
+        return "[" + inner + body + pad + "]"
+    if isinstance(value, str):
+        return _encode_str(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    raise TypeError(f"{type(value).__name__} values have no document form")
+
+
 def _emit(report, args):
     if args.format == "doc":
-        text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+        text = _doc_text(report) + "\n"
     else:
         text = _render(report)
     if args.out:

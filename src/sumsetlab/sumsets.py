@@ -418,6 +418,50 @@ def _residues(values, p: int, name: str) -> tuple:
     return out
 
 
+def _uniform_sums(p: int, S: tuple, A: tuple, n: int) -> set:
+    """C for n copies of the sorted residue tuple A with S_ij = S on every
+    ordered pair, as a set of residues; stops once C = Z/pZ.
+
+    Both orientations of the pair test are checked, so a pair is allowed
+    when a_i - a_j lies outside D = S u -S, a relation that is symmetric,
+    and the sum does not depend on the order of the summands: C over
+    ordered tuples is C over nondecreasing index tuples.  comp[i] holds
+    the bits of the indices j >= i with A[j] - A[i] outside D (j = i only
+    when 0 is outside D, so repeats are allowed exactly then), and each
+    level of the walk narrows the allowed indices by one AND.  At most
+    C(|A| + n - 1, n) tuples are visited.
+    """
+    if n == 0:
+        return {0}  # the empty sum
+    D = set(S)
+    D.update((-s) % p for s in S)
+    size = len(A)
+    comp = [sum(1 << j for j in range(i, size) if (A[j] - A[i]) % p not in D)
+            for i in range(size)]
+    out = set()
+    last = n - 1
+
+    def walk(depth, allowed, acc):
+        """Add the sums below this node; True once C = Z/pZ."""
+        if depth == last:
+            while allowed:
+                low = allowed & -allowed
+                out.add((acc + A[low.bit_length() - 1]) % p)
+                allowed ^= low
+            return len(out) == p
+        while allowed:
+            low = allowed & -allowed
+            j = low.bit_length() - 1
+            if walk(depth + 1, allowed & comp[j], acc + A[j]):
+                return True
+            allowed ^= low
+        return False
+
+    walk(0, (1 << size) - 1, 0)
+    del walk  # the recursive closure is a reference cycle; free it now
+    return out
+
+
 def coverage_check(p, s_set, a_set, budget: int = DEFAULT_BUDGET) -> CoverageReport:
     """Test whether sums of n elements of A (pairwise differences outside
     S) cover all of Z/pZ, with n = floor((|A| - 1 + m) / (2m)).
@@ -429,12 +473,18 @@ def coverage_check(p, s_set, a_set, budget: int = DEFAULT_BUDGET) -> CoverageRep
       - when |A| meets the threshold, n(|A|-1) - mn(n-1) + 1 >= p.
 
     S and A must hold residues in [0, p) (ParameterOutOfRange otherwise),
-    whatever n is.  Raises BudgetExceeded, before any instance is built,
-    when the |A|^n tuples exceed the budget, and after the enumeration
-    when the residues missing from C exceed it, before they are listed.
+    whatever n is.  Raises BudgetExceeded, before any tuple is visited,
+    when the |A|^n tuples exceed the budget, and after the walk when the
+    residues missing from C exceed it, before they are listed.
+
+    With S = {0}, sums of n = 2 distinct elements of {0, ..., 4} reach
+    every residue mod 7:
+
+    >>> report = coverage_check(7, [0], range(5))
+    >>> report.n, report.hypothesis_met, report.covered, report.missing
+    (2, True, True, ())
     """
-    field = p if isinstance(p, PrimeField) else PrimeField(p)
-    p = field.p
+    p = p.p if isinstance(p, PrimeField) else PrimeField(p).p
     S = _residues(s_set, p, "S")
     A = _residues(a_set, p, "A")
     m = len(S)
@@ -462,11 +512,7 @@ def coverage_check(p, s_set, a_set, budget: int = DEFAULT_BUDGET) -> CoverageRep
             f"{n * (size - 1) - m * n * (n - 1) + 1} < p = {p}"
         )
 
-    if n == 0:
-        sumset = {0}  # the empty sum
-    else:
-        inst = SumsetInstance(field, (A,) * n, uniform_forbidden(n, S))
-        sumset = enumerate_restricted_sumset(inst, budget)
+    sumset = _uniform_sums(p, S, A, n)
     if p - len(sumset) > budget:
         raise BudgetExceeded(
             f"{_count_text(p - len(sumset))} missing residues exceed the budget of {budget}"
@@ -520,10 +566,10 @@ def coverage_sweep(p: int, m: int, mode: str = "exhaustive", count: int = 50,
     walks all C(p, size) subsets (budget permitting); sample mode draws
     ``count`` subsets from the seeded generator (repeats possible).
     Either mode refuses more than ``budget`` subsets, before any is drawn.
-    Every subset's check enumerates size^n tuples,
-    n = floor((size - 1 + m) / (2m)), so a sweep whose subsets each
-    exceed the budget is refused before any subset is drawn or any
-    instance built.
+    Every subset's check walks at most C(size + n - 1, n) nondecreasing
+    tuples, n = floor((size - 1 + m) / (2m)), but the budget still counts
+    the size^n ordered ones, so a sweep whose subsets each exceed the
+    budget is refused before any subset is drawn or any tuple visited.
 
     Only one subset per orbit of x -> eps*x + t (eps = +-1, t in Z/pZ)
     is checked: the first one met, as itself.  This is exact.  Every

@@ -10,7 +10,9 @@ multiplies every power of the variable sum through term by term.
 ``naive_coeff`` expands in full and reads the coefficient off at the
 end; Laurent products stay Laurent, with no clearing of denominators.
 ``kp_coeff`` reaches the key coefficient by exact evaluation, with no
-expansion at all.  ``lagrange_interpolate`` and ``eval_poly`` are the
+expansion at all.  ``brute_sumset`` and ``walked_coverage_sumset`` are
+the references for the sumset walks, ``coverage_sweep_rows`` for the
+sweep's orbit quotient.  ``lagrange_interpolate`` and ``eval_poly`` are the
 Fraction fit that the forward differences of
 ``leading_coefficient_check`` replaced.  ``fraction_dyson_closed_form``,
 ``fraction_aomoto_closed_form`` and ``fraction_key_closed_form`` are
@@ -29,8 +31,11 @@ from sumsetlab import (
     CertificateReport,
     DegreeInfeasible,
     SplitMix64,
+    SumsetInstance,
     coverage_check,
     coverage_threshold,
+    enumerate_restricted_sumset,
+    uniform_forbidden,
 )
 
 
@@ -642,6 +647,15 @@ def brute_sumset(inst):
         for tup in itertools.product(*inst.sets)
         if all((tup[i] - tup[j]) % p not in inst.forbidden[i, j] for i, j in pairs)
     }
+
+
+def walked_coverage_sumset(p, s_set, a_set, n):
+    """C for n copies of A with S_ij = S on every ordered pair, by the
+    general walk over ordered tuples: the route coverage_check took
+    before its walk over nondecreasing index tuples."""
+    if n == 0:
+        return {0}  # the empty sum
+    return enumerate_restricted_sumset(SumsetInstance(p, [a_set] * n, uniform_forbidden(n, s_set)))
 
 
 def coverage_sweep_rows(p, m, mode="exhaustive", count=50, seed=0, size=None,

@@ -4,6 +4,7 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import sumsetlab
 from sumsetlab import (
@@ -15,7 +16,7 @@ from sumsetlab import (
     instance_to_dict,
     uniform_forbidden,
 )
-from sumsetlab.cli import main
+from sumsetlab.cli import _doc_text, main
 
 
 def run(capsys, argv):
@@ -501,6 +502,38 @@ def test_experiment_table(capsys):
     code, out, _ = run(capsys, ["experiment", "--trials", "3", "--seed", "2"])
     assert code == 0
     assert "violations total: 0" in out
+
+
+# ----------------------------------------------------------------------
+# the doc writer
+# ----------------------------------------------------------------------
+
+_doc_scalars = (st.none() | st.booleans() | st.integers()
+                | st.integers(-10 ** 80, 10 ** 80) | st.text())
+_docs = st.recursive(
+    _doc_scalars,
+    lambda children: (st.lists(children) | st.lists(children).map(tuple)
+                      | st.dictionaries(st.text(), children)
+                      | st.lists(st.integers() | st.booleans())),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_docs)
+@example({"a": [1, True, 0, False], "b": [-1, 10 ** 50], "c": [True]})
+@example({"": [[], {}, ()], "z": {"y": ([], ())}, "e": {}})
+@example({"\u00e9\u2603": "\x00\x1f\"\\\ud7ff", "\x7f": ["\n", "\U0001f600"]})
+def test_doc_writer_matches_json_dumps(doc):
+    assert _doc_text(doc) == json.dumps(doc, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("doc", [
+    0.5, {"x": 0.5}, [1, 2.0], {"x": {1, 2}}, {1: "x"}, {"a": [{2: 3}]},
+])
+def test_doc_writer_refuses_what_has_no_document_form(doc):
+    with pytest.raises(TypeError):
+        _doc_text(doc)
 
 
 # ----------------------------------------------------------------------

@@ -6,7 +6,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import sumsetlab.sumsets as sumsets_module
-from oracles import brute_sumset, coverage_sweep_rows, list_sample, literal_certificate
+from oracles import (
+    brute_sumset,
+    coverage_sweep_rows,
+    list_sample,
+    literal_certificate,
+    walked_coverage_sumset,
+)
 from sumsetlab import (
     BudgetExceeded,
     CannotSatisfyHypothesis,
@@ -466,10 +472,46 @@ def test_coverage_check_budget_before_instance(monkeypatch):
     def no_instance(*args, **kwargs):
         raise AssertionError("an instance was built")
 
+    def no_enumeration(*args, **kwargs):
+        raise AssertionError("the general enumeration ran")
+
     monkeypatch.setattr(sumsets_module, "SumsetInstance", no_instance)
+    monkeypatch.setattr(sumsets_module, "enumerate_restricted_sumset", no_enumeration)
     with pytest.raises(BudgetExceeded) as info:
         coverage_check(100003, [0], range(633), budget=1000)
     assert len(str(info.value)) < 120
+    # a check within the budget uses neither: sums of 3 distinct elements
+    # of {0, ..., 6} run over 3..15, every residue mod 13
+    assert coverage_check(13, [0], range(7)).covered
+
+
+@st.composite
+def coverage_inputs(draw):
+    p = draw(st.sampled_from([2, 3, 5, 7, 11, 13]))
+    residues = st.integers(0, p - 1)
+    S = draw(st.sets(residues, min_size=1, max_size=3))
+    A = draw(st.sets(residues, min_size=1, max_size=min(p, 8)))
+    return p, S, A
+
+
+@settings(max_examples=300, deadline=None)
+@given(coverage_inputs())
+@example((7, {0}, set(range(5))))            # 0 in S u -S: distinct summands
+@example((7, {3}, {0, 1, 2, 4, 5}))          # 0 outside S u -S: repeats allowed
+@example((11, {2, 9}, set(range(8))))        # S holds both s and p - s
+@example((7, {0, 1, 2}, {0, 1}))             # n = 0: the empty sum
+@example((7, {0}, {0, 1, 2}))                # n = 1
+@example((2, {0}, {0, 1}))                   # p = 2
+@example((2, {1}, {0, 1}))                   # p = 2, 0 outside S u -S
+def test_coverage_check_matches_the_walk_and_brute_oracles(case):
+    p, S, A = case
+    report = coverage_check(p, S, A)
+    n = report.n
+    oracles = [walked_coverage_sumset(p, S, A, n)]
+    if n:
+        oracles.append(brute_sumset(SumsetInstance(p, [A] * n, uniform_forbidden(n, S))))
+    for sumset in oracles:
+        assert report.missing == tuple(r for r in range(p) if r not in sumset)
 
 
 def test_coverage_check_refuses_a_missing_list_over_the_budget(monkeypatch):
