@@ -33,7 +33,9 @@ from .identities import (
     key_coefficient_closed_form,
     leading_coefficient_check,
     ratio_text,
+    relabel_sign,
     zeilberger_coefficient,
+    zeilberger_sign,
 )
 from .sumsets import (
     BUDGET_ENV_VAR,
@@ -233,18 +235,24 @@ def _cmd_identities(args, budget):
 
     if scope in ("dyson", "zeilberger"):
         # A permuted a-vector relabels the Dyson product's variables, so
-        # both Dyson values belong to its multiset: one expansion each,
-        # on the sorted order, which is also the first row to meet it.
+        # the Dyson values belong to its multiset: one expansion each, on
+        # the sorted order, which is also the first row to meet it.  So is
+        # the raw Zeilberger coefficient (its global sign taken off); each
+        # row puts back its own sign (see zeilberger_coefficient).
+        zeilberger = scope == "zeilberger"
         by_multiset = {}
         for nv in range(2, config["max_vars"] + 1):
             for avec in itertools.product(range(config["max_entry"] + 1), repeat=nv):
                 key = tuple(sorted(avec))
                 if key not in by_multiset:
-                    by_multiset[key] = (dyson_constant_term(key), dyson_closed_form(key))
-                ct, closed = by_multiset[key]
+                    by_multiset[key] = (
+                        dyson_constant_term(key), dyson_closed_form(key),
+                        zeilberger_sign(key) * zeilberger_coefficient(key)
+                        if zeilberger else None)
+                ct, closed, raw = by_multiset[key]
                 row = {"avec": list(avec), "constant_term": ct, "closed_form": closed}
-                if scope == "zeilberger":
-                    coeff = zeilberger_coefficient(avec)
+                if zeilberger:
+                    coeff = zeilberger_sign(avec) * relabel_sign(avec) * raw
                     row["coefficient_form"] = coeff
                     row["agree"] = ct == closed == coeff
                 else:
@@ -254,14 +262,25 @@ def _cmd_identities(args, budget):
     elif scope == "aomoto":
         chi_side = config["chi_side"]
         other = "b" if chi_side == "a" else "a"
+        # Inverting every variable swaps the (l, 0) and (0, l) blocks and
+        # maps the m-block onto itself, so ct_chi_b(n, s, a, b, m) is
+        # ct_chi_a(n, s, b, a, m): one side-"a" expansion per parameter
+        # tuple, the swapped tuple computed on demand when it is off the grid.
+        chi_a = {}
+
+        def ct_chi_a(params):
+            if params not in chi_a:
+                chi_a[params] = aomoto_constant_term(params, "a")
+            return chi_a[params]
+
         for n in range(1, config["max_n"] + 1):
             for s in range(n + 1):
                 for a in range(config["max_a"] + 1):
                     for b in range(config["max_b"] + 1):
                         for m in range(config["max_m"] + 1):
                             params = AomotoParams(n=n, s=s, a=a, b=b, m=m)
-                            ct = {side: aomoto_constant_term(params, side)
-                                  for side in ("a", "b")}
+                            ct = {"a": ct_chi_a(params),
+                                  "b": ct_chi_a(params._replace(a=b, b=a))}
                             closed = aomoto_closed_form(params)
                             inverted = aomoto_closed_form(params, "b")
                             agree = closed == ct[chi_side] and inverted == ct[other]

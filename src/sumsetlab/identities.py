@@ -13,10 +13,14 @@ the pair of routes is compared wherever either is used.
 
 The Dyson constant term depends only on the multiset of the a-vector:
 permuting the a-vector relabels the variables of the product.  The
-``dyson`` and ``zeilberger`` sweeps of the CLI therefore expand it once
-per multiset, in sorted order, and give every other row that value;
-:func:`zeilberger_coefficient` still runs on every row in the row's own
-order (see its docstring for what that does and does not check).
+``dyson`` and ``zeilberger`` sweeps of the CLI therefore expand it, and
+:func:`zeilberger_coefficient`, once per multiset, in sorted order.
+Every other row takes the Dyson value as it stands and the Zeilberger
+value under its own sign, :func:`zeilberger_sign` times
+:func:`relabel_sign` (see :func:`zeilberger_coefficient` for what that
+does and does not check).  The ``aomoto`` sweep expands only chi side
+"a": inverting every variable turns the side-"b" product into the
+side-"a" product with a and b exchanged.
 
 Variable conventions follow the classical statements: the Dyson and
 Aomoto products live on variables x_0..x_n, the key coefficient on
@@ -159,21 +163,63 @@ def zeilberger_coefficient(avec) -> int:
     global sign (-1)^{sum_j j*a_j} itself.  Their agreement therefore
     checks that global sign against the per-pair ones.
 
-    The CLI sweeps expand :func:`dyson_constant_term` once per multiset
-    of the a-vector, on its sorted order, and call this function on every
-    row in the row's own order.  Every row so still checks the global
-    sign against an independent expansion; the Dyson route's per-pair
-    merge signs run there on sorted orders only, and the engine tests
-    (tests/test_mpoly.py) cover them on unsorted ones.
+    The CLI sweeps call this function, like :func:`dyson_constant_term`,
+    once per multiset of the a-vector, on its sorted order ``key``.  A
+    row ``avec`` of that multiset gets
+
+        zeilberger_sign(avec) * relabel_sign(avec)
+        * zeilberger_sign(key) * zeilberger_coefficient(key),
+
+    which is this function on ``avec``: the two global signs undo and
+    redo the row's own sign, and :func:`relabel_sign` is the sign the
+    product picks up when its variables are relabelled into sorted
+    order.  Every row so still applies its own global sign and checks it
+    against an independently computed permutation sign; a wrong sign on
+    any row makes it disagree with the Dyson value.  What the sweeps no
+    longer run per row is this expansion in the row's own order, and
+    with it the engine on unsorted orders; the engine tests
+    (tests/test_mpoly.py) and the differential tests in
+    tests/test_identities.py cover those.
     """
     avec = _check_avec(avec)
     nv = len(avec)
     if nv < 2:
         raise TooFewVariables(f"need at least 2 variables, got {nv}")
     n = nv - 1
-    sign = -1 if sum(j * a for j, a in enumerate(avec)) % 2 else 1
     mults = [((i, j), avec[i] + avec[j]) for i in range(nv) for j in range(i + 1, nv)]
-    return sign * difference_coeff(nv, mults, tuple(n * a for a in avec))
+    return zeilberger_sign(avec) * difference_coeff(nv, mults, tuple(n * a for a in avec))
+
+
+def zeilberger_sign(avec) -> int:
+    """The global sign (-1)^{sum_j j*a_j} of :func:`zeilberger_coefficient`.
+
+    >>> zeilberger_sign((1, 0)), zeilberger_sign((0, 1)), zeilberger_sign((2, 1, 1))
+    (1, -1, -1)
+    """
+    return -1 if sum(j * a for j, a in enumerate(avec)) % 2 else 1
+
+
+def relabel_sign(avec) -> int:
+    """The sign (-1)^{sum over i < j with a_i > a_j of (a_i + a_j)}.
+
+    It is the sign that prod_{i<j} (x_i - x_j)^{a_i + a_j} picks up when
+    its variables are relabelled so that the a-vector reads in sorted
+    order: each pair i < j that the relabelling reverses turns
+    (x_i - x_j) into -(x_j - x_i).  Those are the pairs with a_i > a_j;
+    a pair of tied entries may or may not be reversed, but its exponent
+    2*a_i is even, so it never changes the sign.
+
+    >>> relabel_sign((0, 1)), relabel_sign((1, 0)), relabel_sign((2, 0))
+    (1, -1, 1)
+    >>> relabel_sign((2, 1, 1)), relabel_sign((1, 2, 0))
+    (1, -1)
+    """
+    odd = 0
+    for j, b in enumerate(avec):
+        for a in avec[:j]:
+            if a > b:
+                odd ^= (a + b) & 1
+    return -1 if odd else 1
 
 
 # ----------------------------------------------------------------------

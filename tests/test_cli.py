@@ -8,13 +8,16 @@ from hypothesis import example, given, settings, strategies as st
 
 import sumsetlab
 from sumsetlab import (
+    AomotoParams,
     NonIntegerResult,
     SplitMix64,
     SumsetInstance,
+    aomoto_constant_term,
     dyson_closed_form,
     dyson_constant_term,
     instance_to_dict,
     uniform_forbidden,
+    zeilberger_coefficient,
 )
 from sumsetlab.cli import _doc_text, main
 
@@ -108,9 +111,25 @@ def test_identities_expand_dyson_once_per_multiset(capsys, monkeypatch, scope):
     # 10 + 20 + 35 multisets of 2, 3 and 4 entries from {0, 1, 2, 3}
     assert len(dyson) == 65 and all(avec == sorted(avec) for avec in dyson)
     assert closed == dyson
-    # the sign check stays per row, in the row's own order
-    expected = [row["avec"] for row in rep["rows"]] if scope == "zeilberger" else []
-    assert zeil == expected
+    # the Zeilberger coefficient is expanded on the same sorted keys; each
+    # row derives its own from it under its own sign
+    assert zeil == (dyson if scope == "zeilberger" else [])
+
+
+def test_identities_zeilberger_rows_equal_the_direct_expansion(capsys):
+    argv = ["identities", "zeilberger", "--max-vars", "4", "--max-entry", "3"]
+    code, rep, _ = run_doc(capsys, argv)
+    assert code == 0 and len(rep["rows"]) == 336
+    for row in rep["rows"]:
+        assert row["coefficient_form"] == zeilberger_coefficient(row["avec"]), row
+
+
+def test_identities_zeilberger_wrong_row_sign_disagrees(capsys, monkeypatch):
+    # a relabelling sign that ignores the permutation breaks the unsorted rows
+    monkeypatch.setattr(sumsetlab.cli, "relabel_sign", lambda avec: 1)
+    code, rep, _ = run_doc(capsys, ["identities", "zeilberger", "--max-vars", "3"])
+    assert code == 2 and rep["all_agree"] is False
+    assert rep["first_failure"]["avec"] == [1, 0]
 
 
 def test_identities_dyson_top_of_range_expands_one_row_per_multiset(capsys, monkeypatch):
@@ -121,11 +140,57 @@ def test_identities_dyson_top_of_range_expands_one_row_per_multiset(capsys, monk
     assert len(rep["rows"]) == 19525 and len(calls) == 456
 
 
+def test_identities_zeilberger_top_of_range_expands_one_row_per_multiset(capsys,
+                                                                         monkeypatch):
+    # on a sorted key both expansions equal the closed form, which is fast
+    dyson = counting(monkeypatch, "dyson_constant_term", dyson_closed_form)
+    zeil = counting(monkeypatch, "zeilberger_coefficient", dyson_closed_form)
+    argv = ["identities", "zeilberger", "--max-vars", "6", "--max-entry", "4"]
+    code, rep, _ = run_doc(capsys, argv)
+    assert code == 0 and rep["all_agree"] is True
+    assert len(rep["rows"]) == 19525 and len(zeil) == 456 and zeil == dyson
+
+
 def test_identities_aomoto_correct_orientation(capsys):
     code, rep, _ = run_doc(capsys, ["identities", "aomoto", "--max-n", "2"])
     assert code == 0
     assert rep["orientation"]["closed_form_paired_with"] == "ct_chi_a"
     assert rep["orientation"]["inverted_form_paired_with"] == "ct_chi_b"
+
+
+def counting_aomoto(monkeypatch):
+    """Count the calls of sumsetlab.cli.aomoto_constant_term; returns the
+    list of (params, chi_side) it is called with."""
+    calls = []
+
+    def wrapper(params, chi_side="a"):
+        calls.append((params, chi_side))
+        return aomoto_constant_term(params, chi_side)
+
+    monkeypatch.setattr(sumsetlab.cli, "aomoto_constant_term", wrapper)
+    return calls
+
+
+def test_identities_aomoto_expands_side_a_once_per_params(capsys, monkeypatch):
+    calls = counting_aomoto(monkeypatch)
+    argv = ["identities", "aomoto", "--max-n", "3", "--max-a", "3", "--max-b", "3"]
+    code, rep, _ = run_doc(capsys, argv)
+    assert code == 0 and len(rep["rows"]) == 288
+    assert len(calls) == 288 and all(side == "a" for _, side in calls)
+    assert len(set(params for params, _ in calls)) == 288
+
+
+@pytest.mark.parametrize("chi_side, expected_code", [("a", 0), ("b", 2)])
+def test_identities_aomoto_off_grid_swap(capsys, chi_side, expected_code):
+    # with b up to 3 and a up to 1, the swapped tuple of a row with b > 1
+    # is off the grid and is expanded on demand
+    argv = ["identities", "aomoto", "--max-a", "1", "--max-b", "3", "--chi-side", chi_side]
+    code, rep, _ = run_doc(capsys, argv)
+    assert code == expected_code
+    for row in rep["rows"]:
+        params = AomotoParams(*(row[k] for k in "nsabm"))
+        assert row["ct_chi_a"] == aomoto_constant_term(params, "a")
+        assert row["ct_chi_b"] == aomoto_constant_term(params, "b")
 
 
 def test_identities_aomoto_wrong_orientation(capsys):

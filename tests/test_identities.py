@@ -23,7 +23,13 @@ from sumsetlab import (
     leading_coefficient_check,
     zeilberger_coefficient,
 )
-from sumsetlab.identities import _exact, _newton_fit, ratio_text
+from sumsetlab.identities import (
+    _exact,
+    _newton_fit,
+    ratio_text,
+    relabel_sign,
+    zeilberger_sign,
+)
 from oracles import (
     SparsePoly,
     aomoto_laurent_factors,
@@ -97,6 +103,31 @@ def test_zeilberger_matches_dyson():
             assert ct == dyson_closed_form(avec) == zeilberger_coefficient(avec)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(0, 4), min_size=2, max_size=6))
+def test_zeilberger_derived_from_sorted_order(avec):
+    # the route of the CLI sweep: the sorted key's coefficient under the
+    # row's own sign, against the expansion in the row's own order
+    key = sorted(avec)
+    unsigned = zeilberger_sign(key) * zeilberger_coefficient(key)
+    derived = zeilberger_sign(avec) * relabel_sign(avec) * unsigned
+    assert derived == zeilberger_coefficient(avec)
+
+
+def test_relabel_sign_against_permutation_parity():
+    # relabel the raw product by an explicit sorting permutation and add
+    # up the exponents of the pairs it reverses; ties kept in order or
+    # reversed give the same sign
+    for nv in (2, 3, 4):
+        for avec in itertools.product(range(3), repeat=nv):
+            for tie in (1, -1):
+                order = sorted(range(nv), key=lambda i: (avec[i], tie * i))
+                pos = {v: r for r, v in enumerate(order)}
+                flips = sum(avec[i] + avec[j] for i in range(nv)
+                            for j in range(i + 1, nv) if pos[i] > pos[j])
+                assert relabel_sign(avec) == (-1) ** flips, (avec, tie)
+
+
 # ----------------------------------------------------------------------
 # Aomoto
 # ----------------------------------------------------------------------
@@ -162,6 +193,16 @@ def test_orientation_sweep_small():
                         assert aomoto_constant_term(params, "a") == aomoto_closed_form(params)
                         assert aomoto_constant_term(params, "b") == \
                             aomoto_closed_form(params, "b")
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: st.builds(
+    AomotoParams, n=st.just(n), s=st.integers(0, n), a=st.integers(0, 4),
+    b=st.integers(0, 4), m=st.integers(0, 2))))
+def test_aomoto_inversion_swaps_a_and_b(params):
+    # x_v -> 1/x_v: the side-"b" product is the side-"a" one with a, b swapped
+    swapped = params._replace(a=params.b, b=params.a)
+    assert aomoto_constant_term(params, "b") == aomoto_constant_term(swapped, "a")
 
 
 def test_bad_chi_side():
