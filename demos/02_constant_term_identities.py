@@ -45,19 +45,23 @@ print("=" * 64)
 print("Aomoto: the shifted product, in both chi orientations")
 print("=" * 64)
 
+# x_v -> 1/x_v turns the product with the shift on the b side into the
+# one with the shift on the a side and a, b exchanged, so side b of
+# (n, s, a, b, m) is the package's (a-side) value on (n, s, b, a, m)
 params = AomotoParams(n=2, s=1, a=2, b=1, m=1)
+swapped = params._replace(a=params.b, b=params.a)
 print(f"params: {params}")
-print(f"  CT with the shift on the a side : {aomoto_constant_term(params, 'a')}")
+print(f"  CT with the shift on the a side : {aomoto_constant_term(params)}")
 print(f"  closed form (a-side factorials) : {aomoto_closed_form(params)}")
-print(f"  CT with the shift on the b side : {aomoto_constant_term(params, 'b')}")
-print(f"  closed form (b-side factorials) : {aomoto_closed_form(params, 'b')}")
+print(f"  CT with the shift on the b side : {aomoto_constant_term(swapped)}")
+print(f"  closed form (b-side factorials) : {aomoto_closed_form(swapped)}")
 
 # with s >= 1 and a != b the two orientations genuinely differ, which is
 # why the pairing matters
 p2 = AomotoParams(n=1, s=1, a=1, b=0, m=0)
 print(f"asymmetric point {p2}: "
-      f"a-side CT {aomoto_constant_term(p2, 'a')}, "
-      f"b-side CT {aomoto_constant_term(p2, 'b')}")
+      f"a-side CT {aomoto_constant_term(p2)}, "
+      f"b-side CT {aomoto_constant_term(p2._replace(a=p2.b, b=p2.a))}")
 
 print()
 print("=" * 64)

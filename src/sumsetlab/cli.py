@@ -263,15 +263,15 @@ def _cmd_identities(args, budget):
         chi_side = config["chi_side"]
         other = "b" if chi_side == "a" else "a"
         # Inverting every variable swaps the (l, 0) and (0, l) blocks and
-        # maps the m-block onto itself, so ct_chi_b(n, s, a, b, m) is
-        # ct_chi_a(n, s, b, a, m): one side-"a" expansion per parameter
+        # maps the m-block onto itself, so side "b" of (n, s, a, b, m) is
+        # side "a" of (n, s, b, a, m): both routes run once per parameter
         # tuple, the swapped tuple computed on demand when it is off the grid.
-        chi_a = {}
+        side_a = {}
 
-        def ct_chi_a(params):
-            if params not in chi_a:
-                chi_a[params] = aomoto_constant_term(params, "a")
-            return chi_a[params]
+        def routes(params):
+            if params not in side_a:
+                side_a[params] = (aomoto_constant_term(params), aomoto_closed_form(params))
+            return side_a[params]
 
         for n in range(1, config["max_n"] + 1):
             for s in range(n + 1):
@@ -279,14 +279,13 @@ def _cmd_identities(args, budget):
                     for b in range(config["max_b"] + 1):
                         for m in range(config["max_m"] + 1):
                             params = AomotoParams(n=n, s=s, a=a, b=b, m=m)
-                            ct = {"a": ct_chi_a(params),
-                                  "b": ct_chi_a(params._replace(a=b, b=a))}
-                            closed = aomoto_closed_form(params)
-                            inverted = aomoto_closed_form(params, "b")
+                            ct_a, closed = routes(params)
+                            ct_b, inverted = routes(params._replace(a=b, b=a))
+                            ct = {"a": ct_a, "b": ct_b}
                             agree = closed == ct[chi_side] and inverted == ct[other]
                             rows.append({
                                 "n": n, "s": s, "a": a, "b": b, "m": m,
-                                "ct_chi_a": ct["a"], "ct_chi_b": ct["b"],
+                                "ct_chi_a": ct_a, "ct_chi_b": ct_b,
                                 "closed_form": closed, "inverted_form": inverted,
                                 "agree": agree,
                             })

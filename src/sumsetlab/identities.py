@@ -18,9 +18,9 @@ permuting the a-vector relabels the variables of the product.  The
 Every other row takes the Dyson value as it stands and the Zeilberger
 value under its own sign, :func:`zeilberger_sign` times
 :func:`relabel_sign` (see :func:`zeilberger_coefficient` for what that
-does and does not check).  The ``aomoto`` sweep expands only chi side
-"a": inverting every variable turns the side-"b" product into the
-side-"a" product with a and b exchanged.
+does and does not check).  The Aomoto functions compute side "a" only;
+side "b" is side "a" of the swapped tuple, so the ``aomoto`` sweep
+computes each parameter tuple once.
 
 Variable conventions follow the classical statements: the Dyson and
 Aomoto products live on variables x_0..x_n, the key coefficient on
@@ -252,43 +252,41 @@ class AomotoParams(namedtuple("AomotoParams", "n s a b m")):
         return super().__new__(cls, n, s, a, b, m)
 
 
-def aomoto_constant_term(params: AomotoParams, chi_side: str = "a") -> int:
-    """Constant term of the Aomoto product, by expansion on n+1 variables.
+def aomoto_constant_term(params: AomotoParams) -> int:
+    """Constant term of the Aomoto product, by expansion on n+1 variables:
 
-    chi_side chooses where the +1 shift for l <= s sits:
-      "a" -- on the (1 - x_l/x_0) exponent (the orientation of the
-             identity as usually stated),
-      "b" -- on the (1 - x_0/x_l) exponent (the inverted orientation
-             reached by substituting x_l -> 1/x_l).
+        prod_{l=1}^{n} (1 - x_l/x_0)^{a + chi(l <= s)} (1 - x_0/x_l)^b
+        prod_{1 <= i != j <= n} (1 - x_i/x_j)^m
+
+    with the shift on the a exponent (side "a").  x_v -> 1/x_v turns the
+    shift on the b exponent (side "b") into side "a" with a and b
+    exchanged, so side "b" of (1, 1, 1, 0, 0) is this function on the
+    swapped tuple (1, 1, 0, 1, 0):
+
+    >>> aomoto_constant_term(AomotoParams(n=1, s=1, a=1, b=0, m=0))
+    1
+    >>> aomoto_constant_term(AomotoParams(n=1, s=1, a=0, b=1, m=0))
+    2
     """
-    if chi_side not in ("a", "b"):
-        raise ValueError(f"chi_side must be 'a' or 'b', got {chi_side!r}")
     n, s = params.n, params.s
     ratios = []
     for l in range(1, n + 1):
-        ratios.append(((l, 0), params.a + chi(l <= s and chi_side == "a")))
-        ratios.append(((0, l), params.b + chi(l <= s and chi_side == "b")))
+        ratios.append(((l, 0), params.a + chi(l <= s)))
+        ratios.append(((0, l), params.b))
     ratios += [((i, j), params.m)
                for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
     return _ratio_constant_term(n + 1, ratios)
 
 
-def aomoto_closed_form(params: AomotoParams, chi_side: str = "a") -> int:
-    """Factorial product equal to the constant term on the same chi side.
-
-    For chi_side "a":
+def aomoto_closed_form(params: AomotoParams) -> int:
+    """Factorial product equal to :func:`aomoto_constant_term`:
 
         prod_{l=0}^{n-1} (a+b+ml+chi(l>=n-s))! (ml+m)!
                          / [ (a+ml+chi(l>=n-s))! (ml+b)! m! ]
 
-    Substituting x_l -> 1/x_l swaps the roles of a and b, so the chi_side
-    "b" form is the same product with a and b exchanged.
+    x_v -> 1/x_v makes side "b" of (n, s, a, b, m) this on (n, s, b, a, m).
     """
-    if chi_side not in ("a", "b"):
-        raise ValueError(f"chi_side must be 'a' or 'b', got {chi_side!r}")
     n, s, a, b, m = params.n, params.s, params.a, params.b, params.m
-    if chi_side == "b":
-        a, b = b, a
     num = den = 1
     for l in range(n):
         c = chi(l >= n - s)
@@ -417,15 +415,15 @@ class LeadingCoefficientReport(namedtuple(
 
 def leading_coefficient_check(n: int, s: int, b: int, m: int,
                               degree_bound_slack: int = 2) -> LeadingCoefficientReport:
-    """Check that the chi-side-'b' closed form is a polynomial in a and
+    """Check that the side-"b" closed form is a polynomial in a and
     that its leading coefficient matches an independent constant-term
     computation.
 
     With a_l = b + chi(l <= s) for l = 1..n and D = sum(a_l), the value
-    f(a) = aomoto_closed_form(AomotoParams(n, s, a, b, m), "b") is sampled at
-    a = 0..D+slack.  The first D+1 samples determine a degree-<=D
-    interpolant, fit by integer forward differences; the slack samples
-    must fall on it (else InterpolationMismatch).  D! times its degree-D
+    f(a) = aomoto_closed_form(AomotoParams(n, s, b, a, m)), side "b", is
+    sampled at a = 0..D+slack.  The first D+1 samples determine a
+    degree-<=D interpolant, fit by integer forward differences; the slack
+    samples must fall on it (else InterpolationMismatch).  D! times its degree-D
     coefficient, which is the D-th forward difference of the samples,
     must equal
 
@@ -442,7 +440,7 @@ def leading_coefficient_check(n: int, s: int, b: int, m: int,
         raise ParameterOutOfRange(f"slack must be >= 0, got {degree_bound_slack}")
     a_l = [b + chi(l <= s) for l in range(1, n + 1)]
     degree = sum(a_l)
-    ys = [aomoto_closed_form(AomotoParams(n=n, s=s, a=a, b=b, m=m), "b")
+    ys = [aomoto_closed_form(AomotoParams(n=n, s=s, a=b, b=a, m=m))
           for a in range(degree + 1 + degree_bound_slack)]
     coeffs = _newton_fit(ys, degree)
     sizes = tuple(al + m * (n - 1) + 1 for al in a_l)

@@ -541,7 +541,8 @@ def _orbit_form(A: tuple, p: int) -> tuple:
     rotation of A's cyclic gaps (eps = 1) or of their reversal
     (eps = -1).  ``key`` is the least of these, so it is the same for
     every subset in the orbit, and eps*(A - t) is an image with that
-    gap sequence.  O(|A|^2) work, whatever p is.
+    gap sequence: reduced mod p and sorted, it is the orbit's anchored
+    subset accumulate(key[:-1], initial=0).  O(|A|^2) work, whatever p is.
     """
     k = len(A)
     gaps = [b - a for a, b in zip(A, A[1:])]
@@ -572,14 +573,16 @@ def coverage_sweep(p: int, m: int, mode: str = "exhaustive", count: int = 50,
     budget is refused before any subset is drawn or any tuple visited.
 
     Only one subset per orbit of x -> eps*x + t (eps = +-1, t in Z/pZ)
-    is checked: the first one met, as itself.  This is exact.  Every
-    ordered pair has the same S and the pair test runs in both
-    orientations, so the constraint reads a_i - a_j not in S u -S, a set
-    that negation maps onto itself and translation leaves alone.  Hence
-    C(eps*A + t) = eps*C(A) + n*t, the missing residues move the same
-    way, and n, the threshold and the hypothesis depend only on |A|.
-    Rows keep the order of the subsets, so the output is the same as
-    checking each one.
+    is checked: its anchored subset B, the image that contains 0 and
+    reads the orbit's key as its gaps (see :func:`_orbit_form`).  This is
+    exact.  Every ordered pair has the same S and the pair test runs in
+    both orientations, so the constraint reads a_i - a_j not in S u -S, a
+    set that negation maps onto itself and translation leaves alone.
+    Hence C(eps*B + t) = eps*C(B) + n*t, the missing residues move the
+    same way, and n, the threshold and the hypothesis depend only on |A|.
+    Every row, the first of its orbit included, is derived from B's
+    report through A = eps*B + t.  Rows keep the order of the subsets, so
+    the output is the same as checking each one.
     """
     field = PrimeField(p)
     S = _residues(range(m) if s_set is None else s_set, p, "S")
@@ -610,22 +613,17 @@ def coverage_sweep(p: int, m: int, mode: str = "exhaustive", count: int = 50,
         raise ParameterOutOfRange(f"mode must be 'exhaustive' or 'sample', got {mode!r}")
     if n_subsets:
         _check_sum_budget(size, (size - 1 + m) // (2 * m), budget)
-    orbits = {}  # key -> (the row of the orbit's checked subset B, its eps, its t)
+    anchored = {}  # key -> the fields of B's report after A; B itself is not kept
     rows = []
     for A in subsets:
         key, eps, t = _orbit_form(A, p)
-        seen = orbits.get(key)
-        if seen is None:
-            row = coverage_check(field, S, A, budget)
-            orbits[key] = (row, eps, t)
-        else:
-            # eps*(A - t) = eps0*(B - t0), so A = s*(B - t0) + t with s = eps*eps0
-            base, eps0, t0 = seen
-            s, n = eps * eps0, base.n
-            missing = tuple(sorted((s * (y - n * t0) + n * t) % p for y in base.missing))
-            row = CoverageReport(A, n, base.threshold, base.hypothesis_met,
-                                 base.covered, missing)
-        rows.append(row)
+        base = anchored.get(key)
+        if base is None:
+            B = tuple(itertools.accumulate(key[:-1], initial=0))
+            base = anchored[key] = coverage_check(field, S, B, budget)[1:]
+        n, _, hypothesis_met, covered, missing = base
+        missing = tuple(sorted((eps * y + n * t) % p for y in missing))
+        rows.append(CoverageReport(A, n, threshold, hypothesis_met, covered, missing))
     return CoverageSweepResult(p, m, S, size, threshold, mode, tuple(rows))
 
 

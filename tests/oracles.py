@@ -531,11 +531,9 @@ def fraction_dyson_closed_form(avec):
     return val
 
 
-def fraction_aomoto_closed_form(params, chi_side="a"):
+def fraction_aomoto_closed_form(params):
     """The Aomoto factorial product, one Fraction factor per l."""
     n, s, a, b, m = params.n, params.s, params.a, params.b, params.m
-    if chi_side == "b":
-        a, b = b, a
     val = Fraction(1)
     for l in range(n):
         c = 1 if l >= n - s else 0
@@ -606,7 +604,9 @@ def aomoto_laurent_factors(params, chi_side):
     """The Aomoto product on x_0..x_n as Laurent factors:
     prod_l (1 - x_l/x_0)^{a + [l <= s]} (1 - x_0/x_l)^b
     prod_{1 <= i != j <= n} (1 - x_i/x_j)^m for chi_side "a"; for
-    chi_side "b" the [l <= s] shift moves to the b exponent."""
+    chi_side "b" the [l <= s] shift moves to the b exponent.  This is the
+    only route to side "b" that sets the shift there literally; the
+    package reaches it through the swapped tuple (n, s, b, a, m)."""
     nv = params.n + 1
     factors = [SparsePoly.one(nv)]  # keeps the product nonempty
     for l in range(1, nv):

@@ -7,11 +7,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import sumsetlab
+from oracles import aomoto_laurent_factors, naive_laurent_constant_term
 from sumsetlab import (
     AomotoParams,
     NonIntegerResult,
     SplitMix64,
     SumsetInstance,
+    aomoto_closed_form,
     aomoto_constant_term,
     dyson_closed_form,
     dyson_constant_term,
@@ -78,12 +80,12 @@ def test_identities_zeilberger(capsys):
 
 def counting(monkeypatch, name, delegate):
     """Replace sumsetlab.cli.<name> by ``delegate``; returns the list of
-    a-vectors it is called with."""
+    arguments (a-vectors or parameter tuples) it is called with, as lists."""
     calls = []
 
-    def wrapper(avec):
-        calls.append(list(avec))
-        return delegate(avec)
+    def wrapper(arg):
+        calls.append(list(arg))
+        return delegate(arg)
 
     monkeypatch.setattr(sumsetlab.cli, name, wrapper)
     return calls
@@ -158,39 +160,29 @@ def test_identities_aomoto_correct_orientation(capsys):
     assert rep["orientation"]["inverted_form_paired_with"] == "ct_chi_b"
 
 
-def counting_aomoto(monkeypatch):
-    """Count the calls of sumsetlab.cli.aomoto_constant_term; returns the
-    list of (params, chi_side) it is called with."""
-    calls = []
-
-    def wrapper(params, chi_side="a"):
-        calls.append((params, chi_side))
-        return aomoto_constant_term(params, chi_side)
-
-    monkeypatch.setattr(sumsetlab.cli, "aomoto_constant_term", wrapper)
-    return calls
-
-
 def test_identities_aomoto_expands_side_a_once_per_params(capsys, monkeypatch):
-    calls = counting_aomoto(monkeypatch)
+    # each row reads its own tuple and the swapped one, so both routes run
+    # once per tuple: 288 closed forms, not one per row and orientation (576)
+    expanded = counting(monkeypatch, "aomoto_constant_term", aomoto_constant_term)
+    closed = counting(monkeypatch, "aomoto_closed_form", aomoto_closed_form)
     argv = ["identities", "aomoto", "--max-n", "3", "--max-a", "3", "--max-b", "3"]
     code, rep, _ = run_doc(capsys, argv)
     assert code == 0 and len(rep["rows"]) == 288
-    assert len(calls) == 288 and all(side == "a" for _, side in calls)
-    assert len(set(params for params, _ in calls)) == 288
+    for calls in (expanded, closed):
+        assert len(calls) == 288 and len(set(map(tuple, calls))) == 288
 
 
 @pytest.mark.parametrize("chi_side, expected_code", [("a", 0), ("b", 2)])
 def test_identities_aomoto_off_grid_swap(capsys, chi_side, expected_code):
     # with b up to 3 and a up to 1, the swapped tuple of a row with b > 1
-    # is off the grid and is expanded on demand
+    # is off the grid and is computed on demand
     argv = ["identities", "aomoto", "--max-a", "1", "--max-b", "3", "--chi-side", chi_side]
     code, rep, _ = run_doc(capsys, argv)
     assert code == expected_code
     for row in rep["rows"]:
         params = AomotoParams(*(row[k] for k in "nsabm"))
-        assert row["ct_chi_a"] == aomoto_constant_term(params, "a")
-        assert row["ct_chi_b"] == aomoto_constant_term(params, "b")
+        assert row["ct_chi_a"] == aomoto_constant_term(params)
+        assert row["ct_chi_b"] == naive_laurent_constant_term(aomoto_laurent_factors(params, "b"))
 
 
 def test_identities_aomoto_wrong_orientation(capsys):

@@ -167,49 +167,39 @@ def test_aomoto_full_shift():
 
 
 def test_inverted_closed_form_values():
+    # side "b" is the closed form of the swapped tuple (n, s, b, a, m)
     # n=2, m=1, s=0, b=1: the product telescopes to (a+1)(a+2)
-    assert aomoto_closed_form(AomotoParams(n=2, s=0, a=1, b=1, m=1), "b") == 6
-    assert aomoto_closed_form(AomotoParams(n=2, s=0, a=0, b=1, m=1), "b") == 2
+    assert aomoto_closed_form(AomotoParams(n=2, s=0, a=1, b=1, m=1)) == 6
+    assert aomoto_closed_form(AomotoParams(n=2, s=0, a=1, b=0, m=1)) == 2
     # the m! factors cancel
-    assert aomoto_closed_form(AomotoParams(n=1, s=0, a=1, b=1, m=5), "b") == 2
+    assert aomoto_closed_form(AomotoParams(n=1, s=0, a=1, b=1, m=5)) == 2
 
 
 def test_orientations_differ_when_shift_is_asymmetric():
     params = AomotoParams(n=1, s=1, a=1, b=0, m=0)
-    ct_a = aomoto_constant_term(params, "a")
-    ct_b = aomoto_constant_term(params, "b")
+    swapped = params._replace(a=params.b, b=params.a)
+    ct_a = aomoto_constant_term(params)
+    ct_b = naive_laurent_constant_term(aomoto_laurent_factors(params, "b"))
     assert ct_a == 1 and ct_b == 2
     assert aomoto_closed_form(params) == ct_a
-    assert aomoto_closed_form(params, "b") == ct_b
+    assert aomoto_constant_term(swapped) == aomoto_closed_form(swapped) == ct_b
 
 
 def test_orientation_sweep_small():
+    # side "b" of a tuple, from the Laurent product with the shift on the
+    # b exponent, is side "a" of the swapped tuple
     for n in (1, 2):
         for s in range(n + 1):
             for a in range(3):
                 for b in range(3):
                     for m in range(2):
                         params = AomotoParams(n=n, s=s, a=a, b=b, m=m)
-                        assert aomoto_constant_term(params, "a") == aomoto_closed_form(params)
-                        assert aomoto_constant_term(params, "b") == \
-                            aomoto_closed_form(params, "b")
-
-
-@settings(max_examples=80, deadline=None)
-@given(st.integers(1, 4).flatmap(lambda n: st.builds(
-    AomotoParams, n=st.just(n), s=st.integers(0, n), a=st.integers(0, 4),
-    b=st.integers(0, 4), m=st.integers(0, 2))))
-def test_aomoto_inversion_swaps_a_and_b(params):
-    # x_v -> 1/x_v: the side-"b" product is the side-"a" one with a, b swapped
-    swapped = params._replace(a=params.b, b=params.a)
-    assert aomoto_constant_term(params, "b") == aomoto_constant_term(swapped, "a")
-
-
-def test_bad_chi_side():
-    with pytest.raises(ValueError):
-        aomoto_constant_term(AomotoParams(n=1, s=0, a=1, b=1, m=0), "c")
-    with pytest.raises(ValueError):
-        aomoto_closed_form(AomotoParams(n=1, s=0, a=1, b=1, m=0), "c")
+                        swapped = params._replace(a=b, b=a)
+                        side_b = naive_laurent_constant_term(
+                            aomoto_laurent_factors(params, "b"))
+                        assert aomoto_constant_term(params) == aomoto_closed_form(params)
+                        assert aomoto_constant_term(swapped) == side_b
+                        assert aomoto_closed_form(swapped) == side_b
 
 
 @settings(max_examples=60, deadline=None)
@@ -229,9 +219,12 @@ def test_dyson_routes_match_laurent_oracle(avec):
     AomotoParams, n=st.just(n), s=st.integers(0, n), a=st.integers(0, 2),
     b=st.integers(0, 2), m=st.integers(0, 1 if n == 3 else 2))))
 def test_aomoto_matches_laurent_oracle(params):
-    for chi_side in ("a", "b"):
-        ct = naive_laurent_constant_term(aomoto_laurent_factors(params, chi_side))
-        assert aomoto_constant_term(params, chi_side) == ct, chi_side
+    # x_v -> 1/x_v: side "b" of params is side "a" of the swapped tuple
+    swapped = params._replace(a=params.b, b=params.a)
+    for side, tup in (("a", params), ("b", swapped)):
+        ct = naive_laurent_constant_term(aomoto_laurent_factors(params, side))
+        assert aomoto_constant_term(tup) == ct, side
+        assert aomoto_closed_form(tup) == ct, side
 
 
 # ----------------------------------------------------------------------
@@ -263,11 +256,11 @@ def test_dyson_closed_form_matches_fraction_reference(avec):
 @settings(max_examples=100, deadline=None)
 @given(st.integers(1, 4).flatmap(lambda n: st.builds(
     AomotoParams, n=st.just(n), s=st.integers(0, n), a=st.integers(0, 3),
-    b=st.integers(0, 3), m=st.integers(0, 2))), st.sampled_from("ab"))
-def test_aomoto_closed_form_matches_fraction_reference(params, chi_side):
-    expected = fraction_aomoto_closed_form(params, chi_side)
+    b=st.integers(0, 3), m=st.integers(0, 2))))
+def test_aomoto_closed_form_matches_fraction_reference(params):
+    expected = fraction_aomoto_closed_form(params)
     assert expected.denominator == 1
-    assert aomoto_closed_form(params, chi_side) == expected
+    assert aomoto_closed_form(params) == expected
 
 
 @settings(max_examples=100, deadline=None)

@@ -1,5 +1,6 @@
 import json
 import re
+from itertools import accumulate
 from math import comb
 
 import pytest
@@ -40,6 +41,7 @@ from sumsetlab import (
     shrink_sizes,
     uniform_forbidden,
 )
+from sumsetlab.sumsets import _orbit_form
 
 
 def eh_instance(p=7, upto=4):
@@ -623,20 +625,43 @@ def test_coverage_sweep_matches_per_subset_oracle(args):
 
 def test_exhaustive_sweep_checks_one_subset_per_orbit(monkeypatch):
     # Burnside over x -> +-x + t: (1716 + 13*20)/26 = 76 and (715 + 13*15)/26 = 35
-    calls = 0
+    checked = []
     check = sumsets_module.coverage_check
 
-    def counted(*args, **kwargs):
-        nonlocal calls
-        calls += 1
-        return check(*args, **kwargs)
+    def counted(p, s_set, a_set, *args, **kwargs):
+        checked.append(tuple(a_set))
+        return check(p, s_set, a_set, *args, **kwargs)
 
     monkeypatch.setattr(sumsets_module, "coverage_check", counted)
     for m, orbits in ((1, 76), (2, 35)):
-        calls = 0
+        checked.clear()
         sweep = coverage_sweep(13, m)
-        assert calls == orbits
+        assert len(checked) == orbits
         assert len(sweep.rows) == comb(13, coverage_threshold(13, m))
+        # each check runs on its orbit's anchored subset
+        for B in checked:
+            key = _orbit_form(B, 13)[0]
+            assert 0 in B and B == tuple(accumulate(key[:-1], initial=0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 1000003]).flatmap(
+    lambda p: st.tuples(
+        st.just(p), st.sets(st.integers(0, p - 1), min_size=1, max_size=min(p, 12)),
+        st.sampled_from([1, -1]), st.integers(0, p - 1))))
+@example((7, {0, 1, 3}, -1, 2))
+@example((13, set(range(13)), 1, 5))
+def test_orbit_form_anchors_the_orbit(case):
+    # the contract coverage_sweep rests on: eps*(A - t) is the anchored
+    # subset read off the key, and the key names the whole orbit
+    p, A, sign, shift = case
+    A = tuple(sorted(A))
+    key, eps, t = _orbit_form(A, p)
+    assert eps in (1, -1) and t in A
+    assert tuple(sorted(eps * (x - t) % p for x in A)) == \
+        tuple(accumulate(key[:-1], initial=0))
+    image = tuple(sorted((sign * x + shift) % p for x in A))
+    assert _orbit_form(image, p)[0] == key
 
 
 # ----------------------------------------------------------------------
