@@ -309,6 +309,17 @@ def key_coefficient(sizes, m) -> int:
     restricted-sumset lower bound for sets of the given sizes and
     forbidden sets with |S_ij| = m_ij.
     """
+    sizes, mults = _key_multiplicities(sizes, m)
+    return difference_coeff(len(sizes), sorted(mults.items()), tuple(sz - 1 for sz in sizes))
+
+
+def _key_multiplicities(sizes, m) -> tuple:
+    """(sizes, mults): the arguments of :func:`key_coefficient` checked,
+    with ``sizes`` as a tuple of ints and ``mults`` as the map
+    {(i, j): m_ij}.  Raises ParameterOutOfRange on a bad argument and
+    DegreeInfeasible when E < 0, so a caller that reaches the coefficient
+    another way refuses the same shapes with the same text.
+    """
     sizes = tuple(int(sz) for sz in sizes)
     n = len(sizes)
     if n < 1:
@@ -328,7 +339,7 @@ def key_coefficient(sizes, m) -> int:
     balance = sum(sizes) - n - deg
     if balance < 0:
         raise DegreeInfeasible(f"{names[0]} = {sum(sizes) - n} < {names[1]} = {deg}")
-    return difference_coeff(n, sorted(mults.items()), tuple(sz - 1 for sz in sizes))
+    return sizes, mults
 
 
 def key_coefficient_closed_form(n: int, m: int, k: int, s: int) -> int:

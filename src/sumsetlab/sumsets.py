@@ -21,7 +21,13 @@ from collections import namedtuple
 from math import isqrt, prod
 
 from .ffield import PrimeField
-from .identities import DegreeInfeasible, ParameterOutOfRange, key_coefficient
+from .identities import (
+    DegreeInfeasible,
+    ParameterOutOfRange,
+    _key_multiplicities,
+    key_coefficient,
+    key_coefficient_closed_form,
+)
 
 DEFAULT_BUDGET = 10 ** 7
 BUDGET_ENV_VAR = "SUMSETLAB_BUDGET"
@@ -179,12 +185,22 @@ def _capped_comb(p: int, size: int, cap: int) -> int:
     return count
 
 
+def _pair_differences(S, T, p: int) -> frozenset:
+    """D = S u -T mod p: a_i - a_j lies in D exactly when a_i - a_j is in
+    S or a_j - a_i is in T, so one membership test checks a pair (i, j)
+    in both orientations, S = S_ij and T = S_ji."""
+    return frozenset(S).union([(-t) % p for t in T])
+
+
 def enumerate_restricted_sumset(inst: SumsetInstance, budget: int = DEFAULT_BUDGET) -> set:
     """The exact restricted sumset C, as a set of canonical residues.
 
-    Depth-first over A_1 x ... x A_n; each new coordinate is checked
-    against all earlier ones (both orientations of the pair constraint)
-    before descending, which prunes hard when forbidden sets are dense.
+    Depth-first over A_1 x ... x A_n; each new coordinate a_d is checked
+    against every earlier a_i before descending, which prunes hard when
+    forbidden sets are dense.  Both orientations of a pair constraint are
+    one test, a_i - a_d mod p outside D_id = S_id u -S_di, built once per
+    unordered pair; a pair with D_id empty constrains nothing and is not
+    tested at all.  The last coordinate adds its sums where it is chosen.
     The walk stops as soon as C is all of Z/pZ: C holds at most p
     residues, so no later tuple can change the returned set.  The tuple
     count prod |A_j| must stay within the budget.
@@ -197,27 +213,32 @@ def enumerate_restricted_sumset(inst: SumsetInstance, budget: int = DEFAULT_BUDG
     p = inst.p
     n = inst.n
     sets = inst.sets
-    earlier = [
-        [(i, inst.forbidden[i, d], inst.forbidden[d, i]) for i in range(d)]
+    forbidden = inst.forbidden
+    checks = [
+        [(i, D) for i in range(d)
+         if (D := _pair_differences(forbidden[i, d], forbidden[d, i], p))]
         for d in range(n)
     ]
     out = set()
     chosen = [0] * n
+    last = n - 1
 
     def walk(d, acc):
         """Add the sums below this node; True once C = Z/pZ."""
-        if d == n:
-            out.add(acc % p)
-            return len(out) == p
+        tests = checks[d]
         for a in sets[d]:
-            for i, forb_id, forb_di in earlier[d]:
-                ai = chosen[i]
-                if (ai - a) % p in forb_id or (a - ai) % p in forb_di:
+            for i, D in tests:
+                if (chosen[i] - a) % p in D:
                     break
             else:
-                chosen[d] = a
-                if walk(d + 1, acc + a):
-                    return True
+                if d == last:
+                    out.add((acc + a) % p)
+                    if len(out) == p:
+                        return True
+                else:
+                    chosen[d] = a
+                    if walk(d + 1, acc + a):
+                        return True
         return False
 
     walk(0, 0)
@@ -345,11 +366,26 @@ def certificate_check(inst: SumsetInstance) -> CertificateReport:
     Nullstellensatz.  The certificate therefore depends on the sizes
     |S_ij| only, and ``method`` just records whether they are uniform.
     Raises DegreeInfeasible when E would be negative.
+
+    The coefficient takes one of two routes.  With every |S_ij| = m and
+    the sizes in {k, k+1}, s of them k+1, it is Prop. 2.1's closed form
+    :func:`key_coefficient_closed_form`, a product of n factorial ratios
+    proved for k > m(n-1).  That covers every such shape with E >= 0:
+    as k = min(sizes), s < n and E = n(k-1-m(n-1)) + s, which is >= 0
+    exactly when k > m(n-1).  The infeasible ones are refused first, with
+    the text :func:`key_coefficient` gives them.  Every other shape goes
+    through :func:`key_coefficient`, by expansion.
     """
     m = inst.uniform_m
-    mults = m if m is not None else {pair: len(S) for pair, S in inst.forbidden.items()}
-    coefficient = key_coefficient(inst.sizes, mults)
-    claimed = sum(sz - 1 for sz in inst.sizes) - sum(map(len, inst.forbidden.values())) + 1
+    sizes = inst.sizes
+    k = min(sizes)
+    if m is not None and max(sizes) - k <= 1:
+        _key_multiplicities(sizes, m)  # DegreeInfeasible when E < 0
+        coefficient = key_coefficient_closed_form(len(sizes), m, k, sizes.count(k + 1))
+    else:
+        mults = m if m is not None else {pair: len(S) for pair, S in inst.forbidden.items()}
+        coefficient = key_coefficient(sizes, mults)
+    claimed = sum(sz - 1 for sz in sizes) - sum(map(len, inst.forbidden.values())) + 1
     residue = coefficient % inst.p
     method = "leading-form" if m is not None else "literal-product"
     return CertificateReport(method, coefficient, residue, claimed, residue != 0)
@@ -433,8 +469,7 @@ def _uniform_sums(p: int, S: tuple, A: tuple, n: int) -> set:
     """
     if n == 0:
         return {0}  # the empty sum
-    D = set(S)
-    D.update((-s) % p for s in S)
+    D = _pair_differences(S, S, p)
     size = len(A)
     comp = [sum(1 << j for j in range(i, size) if (A[j] - A[i]) % p not in D)
             for i in range(size)]
@@ -563,9 +598,10 @@ def coverage_sweep(p: int, m: int, mode: str = "exhaustive", count: int = 50,
     """Run :func:`coverage_check` over many subsets A of a fixed size.
 
     The default size is the coverage threshold and the default S is
-    {0, ..., m-1}; S must hold residues in [0, p).  Exhaustive mode
-    walks all C(p, size) subsets (budget permitting); sample mode draws
-    ``count`` subsets from the seeded generator (repeats possible).
+    {0, ..., m-1}; m > p is refused before S is read, and S must hold
+    residues in [0, p).  Exhaustive mode walks all C(p, size) subsets
+    (budget permitting); sample mode draws ``count`` subsets from the
+    seeded generator (repeats possible).
     Either mode refuses more than ``budget`` subsets, before any is drawn.
     Every subset's check walks at most C(size + n - 1, n) nondecreasing
     tuples, n = floor((size - 1 + m) / (2m)), but the budget still counts
@@ -585,6 +621,8 @@ def coverage_sweep(p: int, m: int, mode: str = "exhaustive", count: int = 50,
     the output is the same as checking each one.
     """
     field = PrimeField(p)
+    if m > p:
+        raise ParameterOutOfRange(f"m={m} exceeds p={p}: S holds at most p residues")
     S = _residues(range(m) if s_set is None else s_set, p, "S")
     if len(S) != m:
         raise ParameterOutOfRange(f"S={S} does not have size m={m}")

@@ -10,9 +10,12 @@ multiplies every power of the variable sum through term by term.
 ``naive_coeff`` expands in full and reads the coefficient off at the
 end; Laurent products stay Laurent, with no clearing of denominators.
 ``kp_coeff`` reaches the key coefficient by exact evaluation, with no
-expansion at all.  ``brute_sumset`` and ``walked_coverage_sumset`` are
-the references for the sumset walks, ``coverage_sweep_rows`` for the
-sweep's orbit quotient.  ``lagrange_interpolate`` and ``eval_poly`` are the
+expansion at all.  ``expanded_certificate`` is the certificate with its
+coefficient always expanded by ``key_coefficient``, the reference for the
+closed-form route of ``certificate_check``.  ``brute_sumset``,
+``two_orientation_sumset`` and ``walked_coverage_sumset`` are the
+references for the sumset walks, ``coverage_sweep_rows`` for the sweep's
+orbit quotient.  ``lagrange_interpolate`` and ``eval_poly`` are the
 Fraction fit that the forward differences of
 ``leading_coefficient_check`` replaced.  ``fraction_dyson_closed_form``,
 ``fraction_aomoto_closed_form`` and ``fraction_key_closed_form`` are
@@ -35,6 +38,7 @@ from sumsetlab import (
     coverage_check,
     coverage_threshold,
     enumerate_restricted_sumset,
+    key_coefficient,
     uniform_forbidden,
 )
 
@@ -592,6 +596,17 @@ def literal_certificate(inst) -> CertificateReport:
     )
 
 
+def expanded_certificate(inst) -> CertificateReport:
+    """The certificate of a uniform instance (every |S_ij| = m) with its
+    coefficient expanded by key_coefficient(sizes, m), whatever the
+    sizes: the reference for certificate_check, which reads Prop. 2.1's
+    closed form when the sizes lie in {k, k+1}."""
+    coefficient = key_coefficient(inst.sizes, inst.uniform_m)
+    claimed = sum(sz - 1 for sz in inst.sizes) - sum(map(len, inst.forbidden.values())) + 1
+    residue = coefficient % inst.p
+    return CertificateReport("leading-form", coefficient, residue, claimed, residue != 0)
+
+
 def one_minus_ratio(nvars, i, j):
     """1 - x_i/x_j as a Laurent polynomial."""
     e = [0] * nvars
@@ -647,6 +662,39 @@ def brute_sumset(inst):
         for tup in itertools.product(*inst.sets)
         if all((tup[i] - tup[j]) % p not in inst.forbidden[i, j] for i, j in pairs)
     }
+
+
+def two_orientation_sumset(inst):
+    """The restricted sumset by a depth-first walk that tests each earlier
+    coordinate a_i against a new one a twice, (a_i - a) mod p in S_id and
+    then (a - a_i) mod p in S_di, recursing once per leaf and stopping
+    once C = Z/pZ: the walk enumerate_restricted_sumset made before it
+    tested each unordered pair once, against S_id u -S_di."""
+    p, n, sets = inst.p, inst.n, inst.sets
+    earlier = [
+        [(i, inst.forbidden[i, d], inst.forbidden[d, i]) for i in range(d)]
+        for d in range(n)
+    ]
+    out = set()
+    chosen = [0] * n
+
+    def walk(d, acc):
+        if d == n:
+            out.add(acc % p)
+            return len(out) == p
+        for a in sets[d]:
+            for i, forb_id, forb_di in earlier[d]:
+                ai = chosen[i]
+                if (ai - a) % p in forb_id or (a - ai) % p in forb_di:
+                    break
+            else:
+                chosen[d] = a
+                if walk(d + 1, acc + a):
+                    return True
+        return False
+
+    walk(0, 0)
+    return out
 
 
 def walked_coverage_sumset(p, s_set, a_set, n):

@@ -477,6 +477,18 @@ def test_thm4_forbidden_residue_out_of_range(capsys):
     assert code == 1 and out == "" and "outside [0, 13)" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["thm4", "--p", "3", "--m", "5"],
+    ["thm4", "--p", "3", "--m", "4", "--forbidden", "0,1,2"],
+])
+def test_thm4_m_above_p_is_refused_first(capsys, argv):
+    # no S of m > p residues exists, whether S is the default or given
+    code, out, err = run(capsys, argv)
+    assert code == 1 and out == ""
+    m = argv[argv.index("--m") + 1]
+    assert err == f"sumsetlab: error: m={m} exceeds p=3: S holds at most p residues\n"
+
+
 def test_package_runs_as_a_module():
     src = os.path.dirname(os.path.dirname(sumsetlab.__file__))
     proc = subprocess.run([sys.executable, "-m", "sumsetlab", "thm4", "--p", "7", "--m", "1"],

@@ -10,8 +10,10 @@ import sumsetlab.sumsets as sumsets_module
 from oracles import (
     brute_sumset,
     coverage_sweep_rows,
+    expanded_certificate,
     list_sample,
     literal_certificate,
+    two_orientation_sumset,
     walked_coverage_sumset,
 )
 from sumsetlab import (
@@ -34,6 +36,7 @@ from sumsetlab import (
     enumerate_restricted_sumset,
     instance_from_dict,
     instance_to_dict,
+    key_coefficient_closed_form,
     load_instance,
     parameter_hypothesis_met,
     random_instance,
@@ -143,8 +146,13 @@ def small_instances(draw):
 @given(small_instances())
 @example(SumsetInstance(7, [range(7)] * 3, uniform_forbidden(3, {0})))  # all of Z/7
 @example(SumsetInstance(7, [(0, 1, 2)] * 2, uniform_forbidden(2, {0})))  # {1, 2, 3}
+@example(SumsetInstance(5, [(0, 2, 4)]))  # n = 1: no pair to test
+@example(SumsetInstance(7, [(0, 3), (1, 2), (4,)]))  # every pair empty
+@example(SumsetInstance(7, [(0, 1, 2)] * 2, {(0, 1): [1], (1, 0): [2, 5]}))  # S_12 != S_21
+@example(SumsetInstance(7, [(0, 1, 2)] * 2, {(0, 1): [1], (1, 0): [6]}))  # S_21 = -S_12
+@example(SumsetInstance(5, [range(5)] * 3, {(0, 1): [0], (2, 0): [1]}))  # all of Z/5
 def test_enumerate_matches_brute_oracle(inst):
-    assert enumerate_restricted_sumset(inst) == brute_sumset(inst)
+    assert enumerate_restricted_sumset(inst) == two_orientation_sumset(inst) == brute_sumset(inst)
 
 
 def test_enumerate_stops_once_every_residue_is_hit():
@@ -337,6 +345,67 @@ def test_certificate_matches_literal_oracle(inst):
     assert cert.coefficient_mod_p == expected.coefficient_mod_p
     assert cert.claimed_bound == expected.claimed_bound
     assert cert.method == ("literal-product" if inst.uniform_m is None else "leading-form")
+
+
+_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
+
+
+@st.composite
+def uniform_shapes(draw):
+    """Instances with every |S_ij| = m <= 3, n <= 5 sets and sizes in
+    {k, k+1}, in any order, k from m(n-1) - 1 to m(n-1) + 2: on both
+    sides of the least feasible k, m(n-1) + 1.  The S_ij differ from
+    pair to pair."""
+    n = draw(st.integers(1, 5))
+    m = draw(st.integers(0, 3))
+    k = draw(st.integers(max(1, m * (n - 1) - 1), m * (n - 1) + 2))
+    s = draw(st.integers(0, n))
+    sizes = draw(st.permutations((k + 1,) * s + (k,) * (n - s)))
+    p = draw(st.sampled_from([q for q in _PRIMES if q > k and q >= m]))
+    residues = st.integers(0, p - 1)
+    sets = [draw(st.sets(residues, min_size=size, max_size=size)) for size in sizes]
+    forbidden = {(i, j): draw(st.sets(residues, min_size=m, max_size=m))
+                 for i in range(n) for j in range(n) if i != j}
+    return SumsetInstance(p, sets, forbidden)
+
+
+@settings(max_examples=150, deadline=None)
+@given(uniform_shapes())
+@example(SumsetInstance(5, [(0, 1, 2)]))  # n = 1
+@example(SumsetInstance(7, [(0, 1), (0, 1, 2), (0, 1, 2)], uniform_forbidden(3, {0})))  # E < 0
+def test_certificate_closed_form_route_matches_the_expansion(inst):
+    try:
+        expected = expanded_certificate(inst)
+    except DegreeInfeasible as exc:
+        with pytest.raises(DegreeInfeasible) as refused:
+            certificate_check(inst)
+        assert str(refused.value) == str(exc)
+        return
+    assert certificate_check(inst) == expected
+
+
+def test_certificate_route_by_shape(monkeypatch):
+    class Expanded(Exception):
+        pass
+
+    def expand(sizes, m):
+        raise Expanded
+
+    monkeypatch.setattr(sumsets_module, "key_coefficient", expand)
+    # sizes in {k, k+1} with every |S_ij| = m: the closed form, which
+    # takes well under a millisecond where this expansion took ~0.2 s
+    inst = SumsetInstance(23, [range(10)] * 7, uniform_forbidden(7, {0}))
+    coefficient = key_coefficient_closed_form(7, 1, 10, 0)
+    assert certificate_check(inst) == ("leading-form", coefficient, coefficient % 23, 22, True)
+    # an infeasible uniform shape is refused without an expansion
+    inst = SumsetInstance(7, [(0, 1), (0, 1, 2), (0, 1, 2)], uniform_forbidden(3, {0}))
+    with pytest.raises(DegreeInfeasible, match=re.escape("sum(sizes_j - 1) = 5 < m*n*(n-1) = 6")):
+        certificate_check(inst)
+    # sizes that spread by 2, and non-uniform |S_ij|, still expand
+    with pytest.raises(Expanded):
+        certificate_check(SumsetInstance(7, [(0, 1), (0, 1, 2, 3)], uniform_forbidden(2, {0})))
+    with pytest.raises(Expanded):
+        certificate_check(SumsetInstance(7, [(0, 1), (0, 1, 2)], {(0, 1): [0]}))
 
 
 def test_certificate_soundness_on_seeded_instances():
