@@ -8,8 +8,10 @@ variable sum.  The key coefficient is that shape as it stands; the
 Dyson and Aomoto constant terms reach it by clearing denominators,
 1 - x_i/x_j = x_j^{-1} (x_j - x_i).  Each closed form is built as one
 integer numerator over one integer denominator and finished by one exact
-division that raises on a remainder — a cheap transcription test — and
-the pair of routes is compared wherever either is used.
+division that raises on a remainder — a cheap transcription test.  The
+CLI's identity sweeps compare the routes; a caller may read one alone,
+as ``certificate_check`` reads :func:`key_coefficient_closed_form`, which
+only ``identities prop21`` compares with :func:`key_coefficient`.
 
 The Dyson constant term depends only on the multiset of the a-vector:
 permuting the a-vector relabels the variables of the product.  The

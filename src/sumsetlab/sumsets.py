@@ -51,9 +51,29 @@ class InstanceFormatError(ValueError):
     """Malformed instance document."""
 
 
+def _canonical(values, p: int, name: str, error=InstanceFormatError,
+               merge: bool = False) -> tuple:
+    """``values`` as a sorted tuple under the element contract: distinct
+    non-bool ints in [0, p), the types checked before anything is hashed
+    or sorted.  A fault raises ``error`` with a text that names ``name``;
+    ``merge`` merges repeats instead of refusing them."""
+    elems = tuple(values)
+    for x in elems:
+        if not isinstance(x, int) or isinstance(x, bool):
+            raise error(f"{name} must hold integers, got {x!r}")
+    out = tuple(sorted(set(elems)))
+    if len(out) < len(elems) and not merge:
+        raise error(f"{name} has repeated elements")
+    if out and (out[0] < 0 or out[-1] >= p):
+        raise error(f"{name} has elements outside [0, {p})")
+    return out
+
+
 class SumsetInstance:
     """Source sets plus per-ordered-pair forbidden difference sets.
 
+    Each set (nonempty) and forbidden set must hold distinct non-bool ints
+    in [0, p), else InstanceFormatError names it 1-based, as documents do.
     ``sets`` are stored as sorted tuples of canonical residues;
     ``forbidden`` maps every ordered pair (i, j), 0-based, i != j, to a
     frozenset (missing pairs are treated as empty).  Instances are
@@ -65,37 +85,20 @@ class SumsetInstance:
         p = self.field.p
         norm_sets = []
         for idx, raw in enumerate(sets):
-            elems = tuple(sorted(int(x) for x in raw))
+            elems = _canonical(raw, p, f"set {idx + 1}")
             if not elems:
                 raise InstanceFormatError(f"set {idx + 1} is empty")
-            if len(set(elems)) != len(elems):
-                raise InstanceFormatError(f"set {idx + 1} has repeated elements")
-            if elems[0] < 0 or elems[-1] >= p:
-                raise InstanceFormatError(
-                    f"set {idx + 1} has elements outside [0, {p})"
-                )
             norm_sets.append(elems)
         if not norm_sets:
             raise InstanceFormatError("need at least one set")
         n = len(norm_sets)
-        norm_forb = {}
-        forbidden = dict(forbidden or {})
-        for key, raw in forbidden.items():
-            i, j = key
-            if not (0 <= i < n and 0 <= j < n) or i == j:
+        norm_forb = dict.fromkeys(
+            ((i, j) for i in range(n) for j in range(n) if i != j), frozenset())
+        for key, raw in dict(forbidden or {}).items():
+            if key not in norm_forb:
                 raise InstanceFormatError(f"bad forbidden-set index pair {key}")
-            elems = sorted(int(x) for x in raw)
-            if len(set(elems)) != len(elems):
-                raise InstanceFormatError(f"forbidden set for pair {key} has repeats")
-            if elems and (elems[0] < 0 or elems[-1] >= p):
-                raise InstanceFormatError(
-                    f"forbidden set for pair {key} has elements outside [0, {p})"
-                )
-            norm_forb[(i, j)] = frozenset(elems)
-        for i in range(n):
-            for j in range(n):
-                if i != j:
-                    norm_forb.setdefault((i, j), frozenset())
+            i, j = key
+            norm_forb[i, j] = frozenset(_canonical(raw, p, f"forbidden set {i + 1},{j + 1}"))
         self.sets = tuple(norm_sets)
         self.forbidden = norm_forb
 
@@ -141,7 +144,7 @@ class SumsetInstance:
 
 def uniform_forbidden(n: int, s_set) -> dict:
     """The forbidden map with S_ij = s_set for every ordered pair."""
-    S = frozenset(int(x) for x in s_set)
+    S = frozenset(s_set)
     return {(i, j): S for i in range(n) for j in range(n) if i != j}
 
 
@@ -446,14 +449,6 @@ class CoverageReport(namedtuple(
     __slots__ = ()
 
 
-def _residues(values, p: int, name: str) -> tuple:
-    """The distinct ``values`` as a sorted tuple, each a residue in [0, p)."""
-    out = tuple(sorted(set(int(x) for x in values)))
-    if out and (out[0] < 0 or out[-1] >= p):
-        raise ParameterOutOfRange(f"{name} has elements outside [0, {p})")
-    return out
-
-
 def _uniform_sums(p: int, S: tuple, A: tuple, n: int) -> set:
     """C for n copies of the sorted residue tuple A with S_ij = S on every
     ordered pair, as a set of residues; stops once C = Z/pZ.
@@ -507,8 +502,8 @@ def coverage_check(p, s_set, a_set, budget: int = DEFAULT_BUDGET) -> CoverageRep
       - (|A| - 1 + m)^2 = r^2 (mod 4m),
       - when |A| meets the threshold, n(|A|-1) - mn(n-1) + 1 >= p.
 
-    S and A must hold residues in [0, p) (ParameterOutOfRange otherwise),
-    whatever n is.  Raises BudgetExceeded, before any tuple is visited,
+    S and A must hold non-bool ints in [0, p), repeats merged
+    (ParameterOutOfRange otherwise), whatever n is.  Raises BudgetExceeded, before any tuple is visited,
     when the |A|^n tuples exceed the budget, and after the walk when the
     residues missing from C exceed it, before they are listed.
 
@@ -520,8 +515,8 @@ def coverage_check(p, s_set, a_set, budget: int = DEFAULT_BUDGET) -> CoverageRep
     (2, True, True, ())
     """
     p = p.p if isinstance(p, PrimeField) else PrimeField(p).p
-    S = _residues(s_set, p, "S")
-    A = _residues(a_set, p, "A")
+    S = _canonical(s_set, p, "S", ParameterOutOfRange, merge=True)
+    A = _canonical(a_set, p, "A", ParameterOutOfRange, merge=True)
     m = len(S)
     if m < 1:
         raise ParameterOutOfRange("S must be nonempty")
@@ -623,7 +618,8 @@ def coverage_sweep(p: int, m: int, mode: str = "exhaustive", count: int = 50,
     field = PrimeField(p)
     if m > p:
         raise ParameterOutOfRange(f"m={m} exceeds p={p}: S holds at most p residues")
-    S = _residues(range(m) if s_set is None else s_set, p, "S")
+    S = _canonical(range(m) if s_set is None else s_set, p, "S",
+                   ParameterOutOfRange, merge=True)
     if len(S) != m:
         raise ParameterOutOfRange(f"S={S} does not have size m={m}")
     threshold = coverage_threshold(p, m)
@@ -736,26 +732,12 @@ def parameter_hypothesis_met(enforce: str, p: int, n: int, k: int, m: int) -> bo
     return enforce == "none" or getattr(_shape_bounds(p, (k,) * n, m), enforce).hypothesis_met
 
 
-def _draw_instance(rng: SplitMix64, p: int, n: int, k: int, m: int,
-                   enforce: str = "none") -> SumsetInstance:
-    """Uniform instance drawn from ``rng`` after the parameters are checked.
-
-    Draws A_1..A_n first (each a sorted k-subset of Z/pZ), then S_ij in
-    ascending (i, j) order.  Nothing is drawn unless p, n, k, m are in
-    range and the enforced hypothesis holds.
-    """
-    field = PrimeField(p)
-    if n < 1:
-        raise ParameterOutOfRange(f"n must be >= 1, got {n}")
-    if not 1 <= k <= p:
-        raise ParameterOutOfRange(f"k must lie in [1, {p}], got {k}")
-    if not 0 <= m <= p:
-        raise ParameterOutOfRange(f"m must lie in [0, {p}], got {m}")
-    if not parameter_hypothesis_met(enforce, p, n, k, m):
-        raise CannotSatisfyHypothesis(
-            f"hypothesis {enforce!r} fails for p={p}, n={n}, k={k}, m={m} "
-            "and does not depend on the sampled elements"
-        )
+def _draw_instance(rng: SplitMix64, field: PrimeField, n: int, k: int,
+                   m: int) -> SumsetInstance:
+    """Uniform instance drawn from ``rng``: A_1..A_n first (each a sorted
+    k-subset of Z/pZ), then S_ij in ascending (i, j) order.  The caller
+    has checked the parameters."""
+    p = field.p
     sets = [rng.sample(p, k) for _ in range(n)]
     forbidden = {
         (i, j): rng.sample(p, m)
@@ -769,11 +751,24 @@ def random_instance(seed: int, p: int, n: int, k: int, m: int,
     """Deterministic uniform instance from a seed.
 
     All draws come from one SplitMix64 stream, so the same seed always
-    yields the same instance.  Because the enforced hypotheses depend
-    only on (p, n, k, m), an unsatisfiable request fails immediately —
-    resampling the elements could never help.
+    yields the same instance.  Nothing is drawn unless p, n, k, m are in
+    range and the enforced hypothesis holds.  Because the enforced
+    hypotheses depend only on (p, n, k, m), an unsatisfiable request
+    fails immediately — resampling the elements could never help.
     """
-    return _draw_instance(SplitMix64(seed), p, n, k, m, enforce)
+    field = PrimeField(p)
+    if n < 1:
+        raise ParameterOutOfRange(f"n must be >= 1, got {n}")
+    if not 1 <= k <= p:
+        raise ParameterOutOfRange(f"k must lie in [1, {p}], got {k}")
+    if not 0 <= m <= p:
+        raise ParameterOutOfRange(f"m must lie in [0, {p}], got {m}")
+    if not parameter_hypothesis_met(enforce, p, n, k, m):
+        raise CannotSatisfyHypothesis(
+            f"hypothesis {enforce!r} fails for p={p}, n={n}, k={k}, m={m} "
+            "and does not depend on the sampled elements"
+        )
+    return _draw_instance(SplitMix64(seed), field, n, k, m)
 
 
 # ----------------------------------------------------------------------
@@ -843,8 +838,8 @@ def run_experiment(seed: int, trials: int, p_set, n_set, m_set, k_max: int,
     are redrawn (at most _MAX_RETRIES times), each redraw consuming
     stream output, so the whole run is a pure function of its arguments.
     Every accepted instance goes through :func:`analyze`.  Every listed
-    p, n and m is checked before the first draw; m <= p is checked per
-    draw, since it depends on the drawn p.
+    p, n and m is checked before the first draw, each p once; m <= p is
+    checked per draw, since it depends on the drawn p.
     """
     if enforce not in HYPOTHESIS_CHOICES:
         raise ValueError(f"enforce must be one of {HYPOTHESIS_CHOICES}, got {enforce!r}")
@@ -857,8 +852,8 @@ def run_experiment(seed: int, trials: int, p_set, n_set, m_set, k_max: int,
     m_choices = sorted(set(int(x) for x in m_set))
     if not (p_choices and n_choices and m_choices):
         raise ParameterOutOfRange("parameter ranges must be nonempty")
-    for p in p_choices:
-        PrimeField(p)  # OutOfRange or NotPrime, whether or not p is drawn
+    # OutOfRange or NotPrime, whether or not p is drawn
+    fields = {p: PrimeField(p) for p in p_choices}
     if n_choices[0] < 1:
         raise ParameterOutOfRange(f"n must be >= 1, got {n_choices[0]}")
     if m_choices[0] < 0:
@@ -877,7 +872,9 @@ def run_experiment(seed: int, trials: int, p_set, n_set, m_set, k_max: int,
             raise CannotSatisfyHypothesis(
                 f"no (p, n, k, m) draw satisfied {enforce!r} in {_MAX_RETRIES} tries"
             )
-        analysis = analyze(_draw_instance(rng, p, n, k, m), budget)
+        if m > p:
+            raise ParameterOutOfRange(f"m must lie in [0, {p}], got {m}")
+        analysis = analyze(_draw_instance(rng, fields[p], n, k, m), budget)
         rows.append(ExperimentTrial(t, p, n, k, m, analysis))
     return rows
 
@@ -904,8 +901,10 @@ def instance_to_dict(inst: SumsetInstance) -> dict:
 def instance_from_dict(doc) -> SumsetInstance:
     """Parse and validate an instance document.
 
-    Raises InstanceFormatError on shape problems and NotPrime/OutOfRange
-    on a bad modulus.
+    Checks the document's shape (the object, its fields, the lists, and
+    the spelling, range and uniqueness of the forbidden keys); the
+    elements are left to :class:`SumsetInstance`.  Raises
+    InstanceFormatError on either and NotPrime/OutOfRange on a bad modulus.
     """
     if not isinstance(doc, dict):
         raise InstanceFormatError(f"expected an object, got {type(doc).__name__}")
@@ -921,9 +920,7 @@ def instance_from_dict(doc) -> SumsetInstance:
     if not isinstance(sets, list) or not sets:
         raise InstanceFormatError("'sets' must be a nonempty list of integer lists")
     for idx, A in enumerate(sets):
-        if not isinstance(A, list) or not all(
-            isinstance(x, int) and not isinstance(x, bool) for x in A
-        ):
+        if not isinstance(A, list):
             raise InstanceFormatError(f"set {idx + 1} must be a list of integers")
     n = len(sets)
     forbidden = {}
@@ -943,9 +940,7 @@ def instance_from_dict(doc) -> SumsetInstance:
             )
         if (i - 1, j - 1) in forbidden:
             raise InstanceFormatError(f"forbidden key {key!r} repeats the pair {i},{j}")
-        if not isinstance(S, list) or not all(
-            isinstance(x, int) and not isinstance(x, bool) for x in S
-        ):
+        if not isinstance(S, list):
             raise InstanceFormatError(f"forbidden set {key!r} must be a list of integers")
         forbidden[(i - 1, j - 1)] = S
     return SumsetInstance(p, sets, forbidden)

@@ -10,6 +10,7 @@ import sumsetlab
 from oracles import aomoto_laurent_factors, naive_laurent_constant_term
 from sumsetlab import (
     AomotoParams,
+    InterpolationMismatch,
     NonIntegerResult,
     SplitMix64,
     SumsetInstance,
@@ -203,6 +204,19 @@ def test_identities_lemma22(capsys):
     assert all(row["agree"] for row in rep["rows"])
 
 
+def test_identities_lemma22_interpolation_mismatch_is_a_failed_row(capsys, monkeypatch):
+    def mismatch(n, s, b, m, slack):
+        raise InterpolationMismatch(f"sample off the fit at n={n}, s={s}, b={b}, m={m}")
+
+    monkeypatch.setattr(sumsetlab.cli, "leading_coefficient_check", mismatch)
+    code, rep, _ = run_doc(capsys, ["identities", "lemma22", "--max-b", "0",
+                                    "--max-s", "0", "--max-m", "0"])
+    assert code == 2
+    assert rep["rows"] == [{"n": 2, "s": 0, "b": 0, "m": 0, "agree": False,
+                            "error": "sample off the fit at n=2, s=0, b=0, m=0"}]
+    assert rep["first_failure"] == rep["rows"][0]
+
+
 def test_identities_prop21(capsys):
     code, rep, _ = run_doc(capsys, ["identities", "prop21"])
     assert code == 0
@@ -261,6 +275,16 @@ def test_sumset_table(capsys, eh_file):
     code, out, _ = run(capsys, ["sumset", eh_file])
     assert code == 0
     assert "certificate [leading-form]" in out
+
+
+def test_sumset_table_names_a_skipped_certificate(capsys, tmp_path):
+    path = tmp_path / "infeasible.json"
+    inst = SumsetInstance(7, [(0, 1), (0, 1, 2), (0, 1, 2)], uniform_forbidden(3, {0}))
+    path.write_text(json.dumps(instance_to_dict(inst)))
+    code, out, _ = run(capsys, ["sumset", str(path)])
+    assert code == 0
+    assert out.splitlines()[-1] == ("certificate: skipped (degree-infeasible: "
+                                    "sum(sizes_j - 1) = 5 < m*n*(n-1) = 6)")
 
 
 def test_sumset_literal_certificate(capsys, tmp_path):
@@ -404,6 +428,20 @@ def test_thm4_tiny_sets_vacuous(capsys):
     code, rep, _ = run_doc(capsys, ["thm4", "--p", "7", "--m", "3", "--size", "3"])
     assert code == 0
     assert all(not row["hypothesis_met"] for row in rep["rows"])
+
+
+def test_thm4_table(capsys):
+    code, out, _ = run(capsys, ["thm4", "--p", "7", "--m", "1"])
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[:4] == [
+        "p = 7, m = 1, S = [0], subset size 5 (threshold 5), mode exhaustive",
+        "subset           n  hypothesis  covered  missing",
+        "---------------  -  ----------  -------  -------",
+        "[0, 1, 2, 3, 4]  2  True        True     []",
+    ]
+    assert len(lines) == 3 + 21 + 1
+    assert lines[-1] == "subsets tested: 21   failures: 0"
 
 
 def test_thm4_budget(capsys):
@@ -608,6 +646,24 @@ def test_doc_writer_refuses_what_has_no_document_form(doc):
 # ----------------------------------------------------------------------
 # usage
 # ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("argv, message", [
+    (["thm4", "--p", "7", "--m", "1", "--forbidden", ",,,"],
+     "argument --forbidden: expected at least one integer"),
+    (["experiment", "--p-set", "x"],
+     "argument --p-set: expected comma-separated integers, got 'x'"),
+])
+def test_bad_integer_list_is_usage_error(capsys, argv, message):
+    code, out, err = run(capsys, argv)
+    assert code == 1 and out == ""
+    assert err.endswith(f"sumsetlab {argv[0]}: error: {message}\n")
+
+
+def test_budget_below_one_is_usage_error(capsys):
+    code, out, err = run(capsys, ["thm4", "--p", "7", "--m", "1", "--budget", "0"])
+    assert code == 1 and out == ""
+    assert err == "sumsetlab: error: budget must be >= 1, got 0\n"
+
 
 def test_no_command_is_usage_error(capsys):
     assert run(capsys, [])[0] == 1

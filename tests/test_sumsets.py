@@ -80,10 +80,20 @@ def test_instance_validation():
         SumsetInstance(7, [[0, 0, 1]])
     with pytest.raises(InstanceFormatError):
         SumsetInstance(7, [[0, 1]], {(0, 0): [1]})
+    for key in ((0, 1, 2), 0):
+        with pytest.raises(InstanceFormatError):
+            SumsetInstance(7, [[0, 1], [2, 3]], {key: [1]})
     with pytest.raises(InstanceFormatError):
         SumsetInstance(7, [[0, 1], [2, 3]], {(0, 1): [9]})
     with pytest.raises(NotPrime):
         SumsetInstance(6, [[0, 1]])
+    # one element contract: non-bool ints, never coerced, types checked first
+    for sets in ([[2.9, 4]], [[True, 2]], [["1", 2]], [[0, [1]]]):
+        with pytest.raises(InstanceFormatError):
+            SumsetInstance(7, sets)
+    for forbidden in ({(0, 1): [0.5]}, uniform_forbidden(2, [0.7])):
+        with pytest.raises(InstanceFormatError):
+            SumsetInstance(7, [[0, 1], [2, 3]], forbidden)
 
 
 # ----------------------------------------------------------------------
@@ -662,6 +672,12 @@ def test_coverage_residues_are_checked_whatever_n_is():
     for a_set in ([13], [-1, 2], range(5, 15)):
         with pytest.raises(ParameterOutOfRange):
             coverage_check(13, [0], a_set)
+    # the element contract of SumsetInstance, with repeats merged
+    for s_set, a_set in ((["0"], range(5)), ([0], [True, 2]), ([0], [1, True]), ([0.0], [1])):
+        with pytest.raises(ParameterOutOfRange):
+            coverage_check(7, s_set, a_set)
+    with pytest.raises(ParameterOutOfRange):
+        coverage_sweep(13, 1, s_set=[False], size=1)
 
 
 @st.composite
@@ -893,6 +909,12 @@ def test_document_canonical_shape():
     {"p": 7, "sets": [[0], [1]], "forbidden": {"1,2": 3}},
     {"p": 7, "sets": [[0], [1]], "forbidden": {"\u00b2,1": [0]}},
     {"p": 7, "sets": [[0], [1]], "forbidden": {"1,2": [0], "01,2": [1]}},
+    {"p": 7, "sets": [[2.5, 4]]},
+    {"p": 7, "sets": [[True, 2]]},
+    {"p": 7, "sets": [[0, 0]]},
+    {"p": 7, "sets": [[0], [1]], "forbidden": {"1,2": [0.5]}},
+    {"p": 7, "sets": [[0], [1]], "forbidden": {"1,2": [False]}},
+    {"p": 7, "sets": [[0], [1]], "forbidden": {"1,2": [[0]]}},
 ])
 def test_document_validation(doc):
     with pytest.raises(InstanceFormatError):
