@@ -266,9 +266,13 @@ def _cmd_identities(args, budget):
         # maps the m-block onto itself, so side "b" of (n, s, a, b, m) is
         # side "a" of (n, s, b, a, m): both routes run once per parameter
         # tuple, the swapped tuple computed on demand when it is off the grid.
+        # With s = n every a exponent carries the shift, so (n, n, a, b, m)
+        # is (n, 0, a + 1, b, m) on both routes, and is computed as that.
         side_a = {}
 
         def routes(params):
+            if params.s == params.n:
+                params = params._replace(s=0, a=params.a + 1)
             if params not in side_a:
                 side_a[params] = (aomoto_constant_term(params), aomoto_closed_form(params))
             return side_a[params]
@@ -312,13 +316,18 @@ def _cmd_identities(args, budget):
 
     elif scope == "prop21":
         _require(config["min_n"] <= config["max_n"], "--min-n must not exceed --max-n")
+        # The sizes (k+1,)*n of s = n are those of k + 1, s = 0, so each
+        # expansion is keyed by its sizes and m (sizes repeat across m).
+        expansions = {}
         for n in range(config["min_n"], config["max_n"] + 1):
             for m in range(1, config["max_m"] + 1):
                 for k in range(m * (n - 1) + 1, m * (n - 1) + config["k_span"] + 1):
                     for s in range(n + 1):
                         closed = key_coefficient_closed_form(n, m, k, s)
                         sizes = (k + 1,) * s + (k,) * (n - s)
-                        brute = key_coefficient(sizes, m)
+                        if (sizes, m) not in expansions:
+                            expansions[sizes, m] = key_coefficient(sizes, m)
+                        brute = expansions[sizes, m]
                         rows.append({
                             "n": n, "m": m, "k": k, "s": s,
                             "closed_form": closed, "expansion": brute,
@@ -556,38 +565,51 @@ def _doc_text(value, pad="\n"):
     on.  The dict loop writes scalar values inline and a list of plain
     ints is joined in one call, the two shapes that make up most of a
     report; bools, a subclass of int, take the general path.
+
+    Each container's text is made by one join, and a child's text is
+    never copied again by ``+`` or a format string.  A dict hands the
+    text of a container value to its join as a piece of its own.  A list
+    folds its brackets into the text of its first and last items, which
+    in a report are single rows, and joins with the separator.  So the
+    largest text is copied once per level it rises.
     """
     inner = pad + "  "
     if isinstance(value, dict):
         if not value:
             return "{}"
         parts = []
+        sep = "{" + inner
         for key, item in sorted(value.items()):
             if type(key) is not str:
                 raise TypeError(f"document keys must be str, not {type(key).__name__}")
+            head = sep + _encode_str(key) + ": "
+            sep = "," + inner
             kind = type(item)
             if kind is str:
-                text = _encode_str(item)
+                parts.append(head + _encode_str(item))
             elif kind is int:
-                text = int.__repr__(item)
+                parts.append(head + int.__repr__(item))
             elif item is None:
-                text = "null"
+                parts.append(head + "null")
             elif item is True:
-                text = "true"
+                parts.append(head + "true")
             elif item is False:
-                text = "false"
+                parts.append(head + "false")
             else:
-                text = _doc_text(item, inner)
-            parts.append(f"{_encode_str(key)}: {text}")
-        return "{" + inner + ("," + inner).join(parts) + pad + "}"
+                parts.append(head)
+                parts.append(_doc_text(item, inner))
+        parts.append(pad + "}")
+        return "".join(parts)
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
         if set(map(type, value)) == _INT_ONLY:
-            body = ("," + inner).join(map(int.__repr__, value))
+            texts = list(map(int.__repr__, value))
         else:
-            body = ("," + inner).join([_doc_text(item, inner) for item in value])
-        return "[" + inner + body + pad + "]"
+            texts = [_doc_text(item, inner) for item in value]
+        texts[0] = "[" + inner + texts[0]
+        texts[-1] += pad + "]"
+        return ("," + inner).join(texts)
     if isinstance(value, str):
         return _encode_str(value)
     if value is None:

@@ -109,6 +109,17 @@ def _ratio_constant_term(nvars, ratios) -> int:
     return difference_coeff(nvars, [((j, i), e) for (i, j), e in ratios], target)
 
 
+def _checked_ints(values, name: str, error=ParameterOutOfRange) -> tuple:
+    """``values`` as a tuple, each a non-bool int, else ``error`` with a
+    text that names ``name``: the one type check of parameters and set
+    elements, made before anything is hashed or sorted."""
+    values = tuple(values)
+    for x in values:
+        if not isinstance(x, int) or isinstance(x, bool):
+            raise error(f"{name} must hold integers, got {x!r}")
+    return values
+
+
 def _check_avec(avec):
     avec = tuple(int(a) for a in avec)
     if any(a < 0 for a in avec):
@@ -318,11 +329,12 @@ def key_coefficient(sizes, m) -> int:
 def _key_multiplicities(sizes, m) -> tuple:
     """(sizes, mults): the arguments of :func:`key_coefficient` checked,
     with ``sizes`` as a tuple of ints and ``mults`` as the map
-    {(i, j): m_ij}.  Raises ParameterOutOfRange on a bad argument and
+    {(i, j): m_ij}.  Sizes, indices and multiplicities must be non-bool
+    ints.  Raises ParameterOutOfRange on a bad argument and
     DegreeInfeasible when E < 0, so a caller that reaches the coefficient
     another way refuses the same shapes with the same text.
     """
-    sizes = tuple(int(sz) for sz in sizes)
+    sizes = _checked_ints(sizes, "sizes")
     n = len(sizes)
     if n < 1:
         raise ParameterOutOfRange("need at least one set size")
@@ -330,9 +342,12 @@ def _key_multiplicities(sizes, m) -> tuple:
         raise ParameterOutOfRange(f"sizes must be >= 1, got {sizes}")
     if isinstance(m, dict):
         mults, names = dict(m), ("sum(|A_j| - 1)", "deg P")
+        _checked_ints([x for pair in mults for x in pair], "index pairs")
+        _checked_ints(mults.values(), "m")
         if any(not (0 <= i < n and 0 <= j < n) or i == j for i, j in mults):
             raise ParameterOutOfRange(f"bad index pairs in {sorted(mults)} for n={n}")
     else:
+        _checked_ints([m], "m")
         mults = {(i, j): m for i in range(n) for j in range(n) if i != j}
         names = ("sum(sizes_j - 1)", "m*n*(n-1)")
     if any(e < 0 for e in mults.values()):

@@ -15,6 +15,7 @@ Instances can be serialized to a small JSON document and regenerated
 deterministically from a seed.
 """
 
+import bisect
 import itertools
 import json
 from collections import namedtuple
@@ -24,6 +25,7 @@ from .ffield import PrimeField
 from .identities import (
     DegreeInfeasible,
     ParameterOutOfRange,
+    _checked_ints,
     _key_multiplicities,
     key_coefficient,
     key_coefficient_closed_form,
@@ -57,10 +59,7 @@ def _canonical(values, p: int, name: str, error=InstanceFormatError,
     non-bool ints in [0, p), the types checked before anything is hashed
     or sorted.  A fault raises ``error`` with a text that names ``name``;
     ``merge`` merges repeats instead of refusing them."""
-    elems = tuple(values)
-    for x in elems:
-        if not isinstance(x, int) or isinstance(x, bool):
-            raise error(f"{name} must hold integers, got {x!r}")
+    elems = _checked_ints(values, name, error)
     out = tuple(sorted(set(elems)))
     if len(out) < len(elems) and not merge:
         raise error(f"{name} has repeated elements")
@@ -143,8 +142,10 @@ class SumsetInstance:
 
 
 def uniform_forbidden(n: int, s_set) -> dict:
-    """The forbidden map with S_ij = s_set for every ordered pair."""
-    S = frozenset(s_set)
+    """The forbidden map with S_ij = s_set for every ordered pair.  The
+    elements must be non-bool ints (InstanceFormatError otherwise), checked
+    before repeats merge, so that True cannot merge into 1 unseen."""
+    S = frozenset(_checked_ints(s_set, "S", InstanceFormatError))
     return {(i, j): S for i in range(n) for j in range(n) if i != j}
 
 
@@ -614,6 +615,16 @@ def coverage_sweep(p: int, m: int, mode: str = "exhaustive", count: int = 50,
     Every row, the first of its orbit included, is derived from B's
     report through A = eps*B + t.  Rows keep the order of the subsets, so
     the output is the same as checking each one.
+
+    Sample mode names every drawn subset with :func:`_orbit_form`.
+    Exhaustive mode walks the subsets in lexicographic order, so a subset
+    that no earlier orbit holds is the least of its own orbit: only such
+    a subset is named.  Once B is checked, the orbit's other images
+    eps*B + t wait in a dict, each with B's report and its (eps, t), and
+    every later subset is a lookup in it.  Under a stabilizer several
+    (eps, t) give one image, and any of them gives the same row.  The
+    dict holds only subsets the walk has still to reach, so it never
+    outgrows the subset count that the budget caps.
     """
     field = PrimeField(p)
     if m > p:
@@ -647,14 +658,32 @@ def coverage_sweep(p: int, m: int, mode: str = "exhaustive", count: int = 50,
         raise ParameterOutOfRange(f"mode must be 'exhaustive' or 'sample', got {mode!r}")
     if n_subsets:
         _check_sum_budget(size, (size - 1 + m) // (2 * m), budget)
-    anchored = {}  # key -> the fields of B's report after A; B itself is not kept
+    anchored = {}  # sample mode: key -> the fields of B's report after A
+    pending = {}   # exhaustive mode: a later subset -> (those fields, eps, t)
     rows = []
     for A in subsets:
-        key, eps, t = _orbit_form(A, p)
-        base = anchored.get(key)
-        if base is None:
-            B = tuple(itertools.accumulate(key[:-1], initial=0))
-            base = anchored[key] = coverage_check(field, S, B, budget)[1:]
+        hit = pending.pop(A, None)
+        if hit is not None:
+            base, eps, t = hit
+        else:
+            key, eps, t = _orbit_form(A, p)
+            base = anchored.get(key)
+            if base is None:
+                B = tuple(itertools.accumulate(key[:-1], initial=0))
+                base = coverage_check(field, S, B, budget)[1:]
+                if mode == "sample":
+                    anchored[key] = base
+                else:
+                    # e*B + u, sorted: the elements of e*B that wrap past p
+                    # come first.  A itself is reached now, not later.
+                    for e, image in ((1, B), (-1, tuple(sorted(-b % p for b in B)))):
+                        for u in range(p):
+                            cut = bisect.bisect_left(image, p - u)
+                            pending.setdefault(
+                                tuple([x + u - p for x in image[cut:]]
+                                      + [x + u for x in image[:cut]]),
+                                (base, e, u))
+                    del pending[A]
         n, _, hypothesis_met, covered, missing = base
         missing = tuple(sorted((eps * y + n * t) % p for y in missing))
         rows.append(CoverageReport(A, n, threshold, hypothesis_met, covered, missing))
@@ -837,19 +866,21 @@ def run_experiment(seed: int, trials: int, p_set, n_set, m_set, k_max: int,
     [1, min(k_max, p)]); parameter tuples failing the enforced hypothesis
     are redrawn (at most _MAX_RETRIES times), each redraw consuming
     stream output, so the whole run is a pure function of its arguments.
-    Every accepted instance goes through :func:`analyze`.  Every listed
-    p, n and m is checked before the first draw, each p once; m <= p is
-    checked per draw, since it depends on the drawn p.
+    Every accepted instance goes through :func:`analyze`.  The seed,
+    trials, k_max and every listed p, n and m must be non-bool ints, and
+    each listed value is checked before the first draw, each p once;
+    m <= p is checked per draw, since it depends on the drawn p.
     """
     if enforce not in HYPOTHESIS_CHOICES:
         raise ValueError(f"enforce must be one of {HYPOTHESIS_CHOICES}, got {enforce!r}")
+    _checked_ints((seed, trials, k_max), "seed, trials and k_max")
     if trials < 0:
         raise ParameterOutOfRange(f"trials must be >= 0, got {trials}")
     if k_max < 1:
         raise ParameterOutOfRange(f"k_max must be >= 1, got {k_max}")
-    p_choices = sorted(set(int(x) for x in p_set))
-    n_choices = sorted(set(int(x) for x in n_set))
-    m_choices = sorted(set(int(x) for x in m_set))
+    p_choices = sorted(set(_checked_ints(p_set, "p_set")))
+    n_choices = sorted(set(_checked_ints(n_set, "n_set")))
+    m_choices = sorted(set(_checked_ints(m_set, "m_set")))
     if not (p_choices and n_choices and m_choices):
         raise ParameterOutOfRange("parameter ranges must be nonempty")
     # OutOfRange or NotPrime, whether or not p is drawn

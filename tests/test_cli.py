@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -19,6 +20,7 @@ from sumsetlab import (
     dyson_closed_form,
     dyson_constant_term,
     instance_to_dict,
+    key_coefficient,
     uniform_forbidden,
     zeilberger_coefficient,
 )
@@ -163,14 +165,33 @@ def test_identities_aomoto_correct_orientation(capsys):
 
 def test_identities_aomoto_expands_side_a_once_per_params(capsys, monkeypatch):
     # each row reads its own tuple and the swapped one, so both routes run
-    # once per tuple: 288 closed forms, not one per row and orientation (576)
+    # once per tuple, and (n, n, a, b, m) runs as (n, 0, a + 1, b, m): the
+    # 192 grid tuples with s < n and the 24 of a = 4 that s = n, a = 3
+    # reaches, not one per row and orientation (576)
     expanded = counting(monkeypatch, "aomoto_constant_term", aomoto_constant_term)
     closed = counting(monkeypatch, "aomoto_closed_form", aomoto_closed_form)
     argv = ["identities", "aomoto", "--max-n", "3", "--max-a", "3", "--max-b", "3"]
     code, rep, _ = run_doc(capsys, argv)
     assert code == 0 and len(rep["rows"]) == 288
     for calls in (expanded, closed):
-        assert len(calls) == 288 and len(set(map(tuple, calls))) == 288
+        assert len(calls) == 216 and len(set(map(tuple, calls))) == 216
+        assert all(s < n for n, s, *_ in calls)
+        assert sum(a == 4 for _, _, a, _, _ in calls) == 24
+
+
+def test_identities_prop21_expands_each_size_tuple_once(capsys, monkeypatch):
+    # the sizes (k+1,)*n of s = n are those of k + 1, s = 0: for each of
+    # the 6 (n, m), 3 of the 4 k share them, so 96 rows need 78 expansions
+    calls = []
+
+    def counted(sizes, m):
+        calls.append((tuple(sizes), m))
+        return key_coefficient(sizes, m)
+
+    monkeypatch.setattr(sumsetlab.cli, "key_coefficient", counted)
+    code, rep, _ = run_doc(capsys, ["identities", "prop21", "--max-n", "4"])
+    assert code == 0 and len(rep["rows"]) == 96
+    assert len(calls) == len(set(calls)) == 78
 
 
 @pytest.mark.parametrize("chi_side, expected_code", [("a", 0), ("b", 2)])
@@ -631,8 +652,33 @@ _docs = st.recursive(
 @example({"a": [1, True, 0, False], "b": [-1, 10 ** 50], "c": [True]})
 @example({"": [[], {}, ()], "z": {"y": ([], ())}, "e": {}})
 @example({"\u00e9\u2603": "\x00\x1f\"\\\ud7ff", "\x7f": ["\n", "\U0001f600"]})
+# the list and dict shapes whose brackets are folded into an item's text
+@example([{"a": 1, "b": [2]}])
+@example([[1, 2], [[3]], [], ["x", None]])
+@example({"rows": [{"x": [1]}, {"y": {"z": ()}}]})
+@example([[], {}, (), [[]], [{}]])
+@example(((1, (2, 3)), ({"t": (True,)},), ()))
 def test_doc_writer_matches_json_dumps(doc):
     assert _doc_text(doc) == json.dumps(doc, sort_keys=True, indent=2)
+
+
+def test_doc_writer_peak_memory_is_one_copy_per_level():
+    # A thm4-shaped document: its rows hold most of the text, which each
+    # level copies once in its join, so at most two copies are alive.
+    rows = [{"covered": False, "hypothesis_met": True, "missing": [i % 13, 12],
+             "n": 2, "subset": [0, 1, i % 11 + 2, 12]} for i in range(1500)]
+    doc = {"command": "thm4", "config": {"p": 13, "forbidden": [0]}, "rows": rows,
+           "failures": 0, "subsets_tested": 1500}
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        text = _doc_text(doc)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert text == json.dumps(doc, sort_keys=True, indent=2)
+    assert peak < 2.5 * len(text)
 
 
 @pytest.mark.parametrize("doc", [

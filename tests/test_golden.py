@@ -8,7 +8,9 @@ the n = 3, 4 experiment with k up to 10 exercises; the pruning from
 below, which binds hardest on the four-variable Zeilberger sweep; the
 enumeration's stop at C = Z/pZ, which the thm4 sweeps reach; the orbit
 quotient of the thm4 sweep, whose below-threshold pins carry uncovered
-rows with nonempty missing sets), so any change to a doc byte fails here.
+rows with nonempty missing sets; the expansion of each orbit when it is
+first met, whose size-3 pin holds orbits with a stabilizer), so any
+change to a doc byte fails here.
 """
 
 import hashlib
@@ -64,6 +66,8 @@ GOLDEN = [
     (["thm4", "--p", "31", "--m", "2", "--mode", "sample", "--count", "20", "--seed", "4",
       "--size", "8"],
      "e895b663598dd72904078fc01b3b73c9adb3ab4ccb9f21353322e79a342bb74a"),
+    (["thm4", "--p", "13", "--m", "1", "--size", "3"],
+     "caecdb6863046576ab02b1a7f61133d0ee8f83a693605f036a9e970088d6f800"),
 ]
 
 

@@ -307,6 +307,16 @@ def test_key_coefficient_validation():
         key_coefficient((2, 2), {(0, 2): 1})
 
 
+@pytest.mark.parametrize("sizes, m", [
+    ([3.7, 3], 1), ((3, True), 1), (("3", 3), 1), ((3, 3), 1.0), ((3, 3), True),
+    ((3, 3), {(0, 1): 1.5}), ((3, 3), {(0.0, 1): 1}), ((3, 3), {(0, True): 1}),
+])
+def test_key_coefficient_refuses_what_is_not_an_int(sizes, m):
+    # int() would read [3.7, 3] as (3, 3) and return 2
+    with pytest.raises(ParameterOutOfRange, match="must hold integers"):
+        key_coefficient(sizes, m)
+
+
 def key_coefficient_cases():
     """Sizes 1..6 for n <= 4 sets, with a common m <= 2 or per-pair
     multiplicities m_ij <= 2."""

@@ -91,9 +91,19 @@ def test_instance_validation():
     for sets in ([[2.9, 4]], [[True, 2]], [["1", 2]], [[0, [1]]]):
         with pytest.raises(InstanceFormatError):
             SumsetInstance(7, sets)
-    for forbidden in ({(0, 1): [0.5]}, uniform_forbidden(2, [0.7])):
+    # uniform_forbidden refuses [0.7] itself, so both run inside the check
+    for forbidden in (lambda: {(0, 1): [0.5]}, lambda: uniform_forbidden(2, [0.7])):
         with pytest.raises(InstanceFormatError):
-            SumsetInstance(7, [[0, 1], [2, 3]], forbidden)
+            SumsetInstance(7, [[0, 1], [2, 3]], forbidden())
+
+
+def test_uniform_forbidden_checks_types_before_merging():
+    # True == 1, so a frozenset built first would merge it away unseen
+    with pytest.raises(InstanceFormatError, match="S must hold integers, got True"):
+        SumsetInstance(7, [[0], [1]], uniform_forbidden(2, [1, True]))
+    with pytest.raises(InstanceFormatError, match="got '1'"):
+        uniform_forbidden(3, ["1"])
+    assert uniform_forbidden(2, [1, 2, 1]) == {(0, 1): {1, 2}, (1, 0): {1, 2}}
 
 
 # ----------------------------------------------------------------------
@@ -702,31 +712,70 @@ def sweep_arguments(draw):
 @example((31, 2, (0, 1), 8, "sample", 20, 4))  # every sampled row uncovered
 # n = 1; {0, 1, 3, 4} and the like are their own reflections
 @example((7, 2, (2, 5), 4, "exhaustive", 0, 0))
+# orbits with a stabilizer: isosceles 3-subsets, and the one subset of size p
+@example((13, 1, (5,), 3, "exhaustive", 0, 0))
+@example((11, 2, (0, 3), 11, "exhaustive", 0, 0))
 def test_coverage_sweep_matches_per_subset_oracle(args):
     p, m, s_set, size, mode, count, seed = args
     kwargs = dict(mode=mode, count=count, seed=seed, size=size, s_set=s_set)
     assert coverage_sweep(p, m, **kwargs).rows == coverage_sweep_rows(p, m, **kwargs)
 
 
-def test_exhaustive_sweep_checks_one_subset_per_orbit(monkeypatch):
-    # Burnside over x -> +-x + t: (1716 + 13*20)/26 = 76 and (715 + 13*15)/26 = 35
-    checked = []
-    check = sumsets_module.coverage_check
+def count_checks_and_names(monkeypatch):
+    """Count coverage_sweep's calls of coverage_check and _orbit_form:
+    returns the list of checked subsets and the list of named ones."""
+    checked, named = [], []
+    check, name = sumsets_module.coverage_check, sumsets_module._orbit_form
 
-    def counted(p, s_set, a_set, *args, **kwargs):
+    def counted_check(p, s_set, a_set, *args, **kwargs):
         checked.append(tuple(a_set))
         return check(p, s_set, a_set, *args, **kwargs)
 
-    monkeypatch.setattr(sumsets_module, "coverage_check", counted)
+    def counted_name(A, p):
+        named.append(A)
+        return name(A, p)
+
+    monkeypatch.setattr(sumsets_module, "coverage_check", counted_check)
+    monkeypatch.setattr(sumsets_module, "_orbit_form", counted_name)
+    return checked, named
+
+
+def test_exhaustive_sweep_checks_one_subset_per_orbit(monkeypatch):
+    # Burnside over x -> +-x + t: (1716 + 13*20)/26 = 76 and (715 + 13*15)/26 = 35
+    checked, named = count_checks_and_names(monkeypatch)
     for m, orbits in ((1, 76), (2, 35)):
         checked.clear()
+        named.clear()
         sweep = coverage_sweep(13, m)
-        assert len(checked) == orbits
+        assert len(checked) == len(named) == orbits
         assert len(sweep.rows) == comb(13, coverage_threshold(13, m))
-        # each check runs on its orbit's anchored subset
+        # each check runs on its orbit's anchored subset, and only the
+        # least subset of each orbit in the walk's order is named
         for B in checked:
             key = _orbit_form(B, 13)[0]
             assert 0 in B and B == tuple(accumulate(key[:-1], initial=0))
+        firsts = {}
+        for row in sweep.rows:
+            firsts.setdefault(_orbit_form(row.subset, 13)[0], row.subset)
+        assert named == list(firsts.values())
+
+
+def test_sample_sweep_names_every_drawn_subset(monkeypatch):
+    checked, named = count_checks_and_names(monkeypatch)
+    sweep = coverage_sweep(11, 1, mode="sample", count=40, seed=3)
+    assert named == [row.subset for row in sweep.rows]
+    assert len(checked) == len({_orbit_form(A, 11)[0] for A in named}) < 40
+
+
+# x -> p - x + t fixes one residue of Z/13 and pairs off the rest, so the
+# 78 isosceles 3-subsets lie in orbits of 13, not 26: (286 + 13*6)/26 = 14
+@pytest.mark.parametrize("size, orbits", [(3, 14), (13, 1), (1, 1), (12, 1)])
+def test_exhaustive_sweep_rows_under_stabilizers(monkeypatch, size, orbits):
+    checked, named = count_checks_and_names(monkeypatch)
+    rows = coverage_sweep(13, 1, size=size).rows
+    assert len(checked) == len(named) == orbits and len(rows) == comb(13, size)
+    monkeypatch.undo()
+    assert rows == coverage_sweep_rows(13, 1, size=size)
 
 
 @settings(max_examples=300, deadline=None)
@@ -869,6 +918,16 @@ def test_experiment_deterministic():
 
 def test_experiment_zero_trials():
     assert run_experiment(1, 0, (5,), (2,), (0,), 3) == []
+
+
+@pytest.mark.parametrize("args", [
+    (0, 1, [7.9], [2.5], ["1"], 3),  # int() would run one trial at p = 7
+    (0, 1, [7], [2], [True], 3), (0, 1, [7, 7.0], [2], [1], 3),
+    (0, True, [7], [2], [1], 3), (0, 1, [7], [2], [1], 3.5), (0.5, 1, [7], [2], [1], 3),
+])
+def test_experiment_refuses_what_is_not_an_int(args):
+    with pytest.raises(ParameterOutOfRange, match="must hold integers"):
+        run_experiment(*args)
 
 
 def test_experiment_unsatisfiable():
