@@ -32,7 +32,7 @@ x_1..x_n (indexed 0..n-1 internally).
 from collections import namedtuple
 from math import comb, factorial, gcd
 
-from .mpoly import difference_coeff
+from .mpoly import _checked_ints, difference_coeff
 
 
 class TooFewVariables(ValueError):
@@ -109,19 +109,8 @@ def _ratio_constant_term(nvars, ratios) -> int:
     return difference_coeff(nvars, [((j, i), e) for (i, j), e in ratios], target)
 
 
-def _checked_ints(values, name: str, error=ParameterOutOfRange) -> tuple:
-    """``values`` as a tuple, each a non-bool int, else ``error`` with a
-    text that names ``name``: the one type check of parameters and set
-    elements, made before anything is hashed or sorted."""
-    values = tuple(values)
-    for x in values:
-        if not isinstance(x, int) or isinstance(x, bool):
-            raise error(f"{name} must hold integers, got {x!r}")
-    return values
-
-
 def _check_avec(avec):
-    avec = tuple(int(a) for a in avec)
+    avec = _checked_ints(avec, "entries", ParameterOutOfRange)
     if any(a < 0 for a in avec):
         raise ParameterOutOfRange(f"entries must be >= 0, got {avec}")
     return avec
@@ -334,7 +323,7 @@ def _key_multiplicities(sizes, m) -> tuple:
     DegreeInfeasible when E < 0, so a caller that reaches the coefficient
     another way refuses the same shapes with the same text.
     """
-    sizes = _checked_ints(sizes, "sizes")
+    sizes = _checked_ints(sizes, "sizes", ParameterOutOfRange)
     n = len(sizes)
     if n < 1:
         raise ParameterOutOfRange("need at least one set size")
@@ -342,12 +331,12 @@ def _key_multiplicities(sizes, m) -> tuple:
         raise ParameterOutOfRange(f"sizes must be >= 1, got {sizes}")
     if isinstance(m, dict):
         mults, names = dict(m), ("sum(|A_j| - 1)", "deg P")
-        _checked_ints([x for pair in mults for x in pair], "index pairs")
-        _checked_ints(mults.values(), "m")
+        _checked_ints([x for pair in mults for x in pair], "index pairs", ParameterOutOfRange)
+        _checked_ints(mults.values(), "m", ParameterOutOfRange)
         if any(not (0 <= i < n and 0 <= j < n) or i == j for i, j in mults):
             raise ParameterOutOfRange(f"bad index pairs in {sorted(mults)} for n={n}")
     else:
-        _checked_ints([m], "m")
+        _checked_ints([m], "m", ParameterOutOfRange)
         mults = {(i, j): m for i in range(n) for j in range(n) if i != j}
         names = ("sum(sizes_j - 1)", "m*n*(n-1)")
     if any(e < 0 for e in mults.values()):

@@ -25,11 +25,23 @@ that power and never computes E!.
 from math import comb
 
 
+def _checked_ints(values, name: str, error=ValueError) -> tuple:
+    """``values`` as a tuple, each a non-bool int, else ``error`` with a
+    text that names ``name``: the one type check of parameters and set
+    elements, made before anything is hashed or sorted."""
+    values = tuple(values)
+    for x in values:
+        if not isinstance(x, int) or isinstance(x, bool):
+            raise error(f"{name} must hold integers, got {x!r}")
+    return values
+
+
 def difference_coeff(nvars, mults, target) -> int:
     """[x^target] prod (x_i - x_j)^e (x_0 + ... + x_{nvars-1})^E
 
     over the entries ((i, j), e) of ``mults``, with the balancing
-    exponent E = sum(target) - sum(e).  E < 0 raises ValueError, as do a
+    exponent E = sum(target) - sum(e).  E < 0 raises ValueError, as do an
+    index, multiplicity or target entry that is not a non-bool int, a
     negative multiplicity, a pair that is not two distinct indices in
     0..nvars-1 and a target of the wrong length; a target with a
     negative entry has coefficient 0.
@@ -89,13 +101,13 @@ def difference_coeff(nvars, mults, target) -> int:
     >>> difference_coeff(3, [((0, 1), 1)], (2, 1, 1))  # x2 is in no pair
     3
     """
-    target = tuple(int(t) for t in target)
+    target = _checked_ints(target, "target")
     if len(target) != nvars:
         raise ValueError(f"target {target} has length {len(target)}, expected {nvars}")
     merged = {}  # (i, j) with i < j -> multiplicity, in first-seen order
     negate = 0
     for (i, j), e in mults:
-        i, j, e = int(i), int(j), int(e)
+        _checked_ints((i, j, e), "pairs and multiplicities")
         if e < 0:
             raise ValueError(f"multiplicity must be >= 0, got {e} for pair {(i, j)}")
         if not (0 <= i < nvars and 0 <= j < nvars) or i == j:

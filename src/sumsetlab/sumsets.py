@@ -25,11 +25,11 @@ from .ffield import PrimeField
 from .identities import (
     DegreeInfeasible,
     ParameterOutOfRange,
-    _checked_ints,
     _key_multiplicities,
     key_coefficient,
     key_coefficient_closed_form,
 )
+from .mpoly import _checked_ints
 
 DEFAULT_BUDGET = 10 ** 7
 BUDGET_ENV_VAR = "SUMSETLAB_BUDGET"
@@ -564,30 +564,6 @@ class CoverageSweepResult(namedtuple(
         return [row for row in self.rows if row.hypothesis_met and not row.covered]
 
 
-def _orbit_form(A: tuple, p: int) -> tuple:
-    """(key, eps, t): the orbit of the sorted subset A under x -> eps*x + t.
-
-    Each of the 2|A| anchored images eps*(A - a), a in A, eps = +-1,
-    contains 0 and is named by its gap sequence from 0 upwards: a
-    rotation of A's cyclic gaps (eps = 1) or of their reversal
-    (eps = -1).  ``key`` is the least of these, so it is the same for
-    every subset in the orbit, and eps*(A - t) is an image with that
-    gap sequence: reduced mod p and sorted, it is the orbit's anchored
-    subset accumulate(key[:-1], initial=0).  O(|A|^2) work, whatever p is.
-    """
-    k = len(A)
-    gaps = [b - a for a, b in zip(A, A[1:])]
-    gaps.append(A[0] + p - A[-1])
-    ring = gaps + gaps
-    back = ring[::-1]
-    up = [tuple(ring[i:i + k]) for i in range(k)]     # the gaps of A - A[i]
-    down = [tuple(back[j:j + k]) for j in range(k)]   # the gaps of A[-j % k] - A
-    key_up, key_down = min(up), min(down)
-    if key_up <= key_down:
-        return key_up, 1, A[up.index(key_up)]
-    return key_down, -1, A[-down.index(key_down) % k]
-
-
 def coverage_sweep(p: int, m: int, mode: str = "exhaustive", count: int = 50,
                    seed: int = 0, size: int | None = None, s_set=None,
                    budget: int = DEFAULT_BUDGET) -> CoverageSweepResult:
@@ -605,26 +581,27 @@ def coverage_sweep(p: int, m: int, mode: str = "exhaustive", count: int = 50,
     budget is refused before any subset is drawn or any tuple visited.
 
     Only one subset per orbit of x -> eps*x + t (eps = +-1, t in Z/pZ)
-    is checked: its anchored subset B, the image that contains 0 and
-    reads the orbit's key as its gaps (see :func:`_orbit_form`).  This is
-    exact.  Every ordered pair has the same S and the pair test runs in
-    both orientations, so the constraint reads a_i - a_j not in S u -S, a
-    set that negation maps onto itself and translation leaves alone.
-    Hence C(eps*B + t) = eps*C(B) + n*t, the missing residues move the
-    same way, and n, the threshold and the hypothesis depend only on |A|.
-    Every row, the first of its orbit included, is derived from B's
-    report through A = eps*B + t.  Rows keep the order of the subsets, so
-    the output is the same as checking each one.
+    is checked in exhaustive mode.  This is exact.  Every ordered pair
+    has the same S and the pair test runs in both orientations, so the
+    constraint reads a_i - a_j not in S u -S, a set that negation maps
+    onto itself and translation leaves alone.  Hence
+    C(eps*A + t) = eps*C(A) + n*t, the missing residues move the same
+    way, and n, the threshold and the hypothesis depend only on |A|.
+    The walk runs in lexicographic order, so a subset that no earlier
+    orbit holds is the least of its own orbit: it is checked, and its
+    report is its row.  Its other images eps*A + t then wait in a dict,
+    each with that report and its (eps, t), and every later subset of
+    the orbit is a lookup whose row is derived through that map.  Under
+    a stabilizer several (eps, t) give one image, and any of them gives
+    the same row.  The dict holds only subsets the walk has still to
+    reach, so it never outgrows the subset count that the budget caps.
+    Rows keep the order of the subsets, so the output is the same as
+    checking each one.  Sample mode checks every drawn subset: a sweep
+    that draws one orbit twice checks it twice, and at a large p it
+    could not hold the 2p images of each orbit.
 
-    Sample mode names every drawn subset with :func:`_orbit_form`.
-    Exhaustive mode walks the subsets in lexicographic order, so a subset
-    that no earlier orbit holds is the least of its own orbit: only such
-    a subset is named.  Once B is checked, the orbit's other images
-    eps*B + t wait in a dict, each with B's report and its (eps, t), and
-    every later subset is a lookup in it.  Under a stabilizer several
-    (eps, t) give one image, and any of them gives the same row.  The
-    dict holds only subsets the walk has still to reach, so it never
-    outgrows the subset count that the budget caps.
+    Raises BudgetExceeded once the missing residues listed over all
+    rows exceed the budget.
     """
     field = PrimeField(p)
     if m > p:
@@ -658,35 +635,35 @@ def coverage_sweep(p: int, m: int, mode: str = "exhaustive", count: int = 50,
         raise ParameterOutOfRange(f"mode must be 'exhaustive' or 'sample', got {mode!r}")
     if n_subsets:
         _check_sum_budget(size, (size - 1 + m) // (2 * m), budget)
-    anchored = {}  # sample mode: key -> the fields of B's report after A
-    pending = {}   # exhaustive mode: a later subset -> (those fields, eps, t)
+    pending = {}  # exhaustive mode: a later subset -> (its orbit's report, eps, t)
+    listed = 0    # missing residues in the rows so far
     rows = []
     for A in subsets:
         hit = pending.pop(A, None)
-        if hit is not None:
-            base, eps, t = hit
+        if hit is None:
+            row = coverage_check(field, S, A, budget)
+            if mode == "exhaustive":
+                # e*A + u, sorted: the elements of e*A that wrap past p
+                # come first.  A itself is reached now, not later.
+                for e, image in ((1, A), (-1, tuple(sorted(-a % p for a in A)))):
+                    for u in range(p):
+                        cut = bisect.bisect_left(image, p - u)
+                        pending.setdefault(
+                            tuple([x + u - p for x in image[cut:]]
+                                  + [x + u for x in image[:cut]]),
+                            (row, e, u))
+                del pending[A]
         else:
-            key, eps, t = _orbit_form(A, p)
-            base = anchored.get(key)
-            if base is None:
-                B = tuple(itertools.accumulate(key[:-1], initial=0))
-                base = coverage_check(field, S, B, budget)[1:]
-                if mode == "sample":
-                    anchored[key] = base
-                else:
-                    # e*B + u, sorted: the elements of e*B that wrap past p
-                    # come first.  A itself is reached now, not later.
-                    for e, image in ((1, B), (-1, tuple(sorted(-b % p for b in B)))):
-                        for u in range(p):
-                            cut = bisect.bisect_left(image, p - u)
-                            pending.setdefault(
-                                tuple([x + u - p for x in image[cut:]]
-                                      + [x + u for x in image[:cut]]),
-                                (base, e, u))
-                    del pending[A]
-        n, _, hypothesis_met, covered, missing = base
-        missing = tuple(sorted((eps * y + n * t) % p for y in missing))
-        rows.append(CoverageReport(A, n, threshold, hypothesis_met, covered, missing))
+            base, eps, t = hit
+            missing = tuple(sorted((eps * y + base.n * t) % p for y in base.missing))
+            row = CoverageReport(A, base.n, threshold, base.hypothesis_met,
+                                 base.covered, missing)
+        listed += len(row.missing)
+        if listed > budget:
+            raise BudgetExceeded(
+                f"more than {budget} missing residues over the rows exceed the budget"
+            )
+        rows.append(row)
     return CoverageSweepResult(p, m, S, size, threshold, mode, tuple(rows))
 
 
@@ -873,14 +850,14 @@ def run_experiment(seed: int, trials: int, p_set, n_set, m_set, k_max: int,
     """
     if enforce not in HYPOTHESIS_CHOICES:
         raise ValueError(f"enforce must be one of {HYPOTHESIS_CHOICES}, got {enforce!r}")
-    _checked_ints((seed, trials, k_max), "seed, trials and k_max")
+    _checked_ints((seed, trials, k_max), "seed, trials and k_max", ParameterOutOfRange)
     if trials < 0:
         raise ParameterOutOfRange(f"trials must be >= 0, got {trials}")
     if k_max < 1:
         raise ParameterOutOfRange(f"k_max must be >= 1, got {k_max}")
-    p_choices = sorted(set(_checked_ints(p_set, "p_set")))
-    n_choices = sorted(set(_checked_ints(n_set, "n_set")))
-    m_choices = sorted(set(_checked_ints(m_set, "m_set")))
+    p_choices = sorted(set(_checked_ints(p_set, "p_set", ParameterOutOfRange)))
+    n_choices = sorted(set(_checked_ints(n_set, "n_set", ParameterOutOfRange)))
+    m_choices = sorted(set(_checked_ints(m_set, "m_set", ParameterOutOfRange)))
     if not (p_choices and n_choices and m_choices):
         raise ParameterOutOfRange("parameter ranges must be nonempty")
     # OutOfRange or NotPrime, whether or not p is drawn

@@ -15,8 +15,8 @@ coefficient always expanded by ``key_coefficient``, the reference for the
 closed-form route of ``certificate_check``.  ``brute_sumset``,
 ``two_orientation_sumset`` and ``walked_coverage_sumset`` are the
 references for the sumset walks, ``coverage_sweep_rows`` for the sweep's
-orbit quotient.  ``lagrange_interpolate`` and ``eval_poly`` are the
-Fraction fit that the forward differences of
+orbit quotient and ``orbit_key`` for its orbits.  ``lagrange_interpolate``
+and ``eval_poly`` are the Fraction fit that the forward differences of
 ``leading_coefficient_check`` replaced.  ``fraction_dyson_closed_form``,
 ``fraction_aomoto_closed_form`` and ``fraction_key_closed_form`` are
 the closed forms evaluated factor by factor in Fractions, the reference
@@ -720,6 +720,14 @@ def coverage_sweep_rows(p, m, mode="exhaustive", count=50, seed=0, size=None,
         rng = SplitMix64(seed)
         subsets = (rng.sample(p, size) for _ in range(count))
     return tuple(coverage_check(p, S, A, budget) for A in subsets)
+
+
+def orbit_key(A, p):
+    """The least sorted image of A under the 2p maps x -> eps*x + t
+    (eps = +-1, t in Z/pZ), by brute force: one name per orbit of the
+    thm4 sweep."""
+    return min(tuple(sorted((eps * a + t) % p for a in A))
+               for eps in (1, -1) for t in range(p))
 
 
 def trial_division_is_prime(n):

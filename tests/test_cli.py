@@ -524,6 +524,15 @@ def test_thm4_missing_list_over_the_budget_is_budget_exit():
     assert "missing residues exceed the budget" in err
 
 
+def test_thm4_missing_residues_over_all_rows_are_budget_exit(capsys):
+    # 101 rows of 100 missing residues each: listed at a budget of 10100
+    argv = ["thm4", "--p", "101", "--m", "1", "--size", "1", "--budget"]
+    code, rep, _ = run_doc(capsys, argv + ["10100"])
+    assert code == 0 and sum(len(row["missing"]) for row in rep["rows"]) == 10100
+    code, out, err = run(capsys, argv + ["10099"])
+    assert code == 3 and out == "" and "missing residues over the rows" in err
+
+
 def test_thm4_bad_size(capsys):
     code, _, _ = run(capsys, ["thm4", "--p", "7", "--m", "1", "--size", "9"])
     assert code == 1

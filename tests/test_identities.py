@@ -317,6 +317,15 @@ def test_key_coefficient_refuses_what_is_not_an_int(sizes, m):
         key_coefficient(sizes, m)
 
 
+@pytest.mark.parametrize("avec", [[1.5, 1], [True, 1], (1, "1")])
+@pytest.mark.parametrize("route", [dyson_constant_term, dyson_closed_form,
+                                   zeilberger_coefficient])
+def test_dyson_routes_refuse_what_is_not_an_int(route, avec):
+    # int() would read [1.5, 1] and [True, 1] as (1, 1) and return 2
+    with pytest.raises(ParameterOutOfRange, match="must hold integers"):
+        route(avec)
+
+
 def key_coefficient_cases():
     """Sizes 1..6 for n <= 4 sets, with a common m <= 2 or per-pair
     multiplicities m_ij <= 2."""

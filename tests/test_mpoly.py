@@ -330,6 +330,16 @@ def test_difference_coeff_without_power(nvars, mults, target, expected):
     assert targeted_coeff(difference_factors(nvars, mults, target), target) == expected
 
 
+@pytest.mark.parametrize("mults, target", [
+    ([((0, 1), 1.7)], (1.2, 0)), ([((0, 1), 1.7)], (1, 0)), ([((0.0, 1), 1)], (1, 0)),
+    ([((0, 1), True)], (1, 0)), ([((0, 1), 1)], (True, 0)),
+])
+def test_difference_coeff_refuses_what_is_not_an_int(mults, target):
+    # int() would read each as (x0 - x1) at (1, 0), coefficient 1
+    with pytest.raises(ValueError, match="must hold integers"):
+        difference_coeff(2, mults, target)
+
+
 def test_difference_coeff_refusals():
     with pytest.raises(ValueError):
         difference_coeff(2, [((0, 1), 3)], (1, 1))  # E = -1

@@ -1,6 +1,5 @@
 import json
 import re
-from itertools import accumulate
 from math import comb
 
 import pytest
@@ -13,6 +12,7 @@ from oracles import (
     expanded_certificate,
     list_sample,
     literal_certificate,
+    orbit_key,
     two_orientation_sumset,
     walked_coverage_sumset,
 )
@@ -44,7 +44,6 @@ from sumsetlab import (
     shrink_sizes,
     uniform_forbidden,
 )
-from sumsetlab.sumsets import _orbit_form
 
 
 def eh_instance(p=7, upto=4):
@@ -663,6 +662,15 @@ def test_coverage_sample_count_is_held_to_the_budget():
         coverage_sweep(11, 1, mode="sample", count=401, seed=3, budget=400)
 
 
+def test_coverage_sweep_holds_the_listed_residues_to_the_budget():
+    # size 1 gives n = 0 and C = {0}: each of the 101 rows lists the other
+    # 100 residues, 10100 over the sweep, while no one row nears the budget
+    rows = coverage_sweep(101, 1, size=1, budget=10100).rows
+    assert len(rows) == 101 and sum(len(row.missing) for row in rows) == 10100
+    with pytest.raises(BudgetExceeded, match="missing residues over the rows"):
+        coverage_sweep(101, 1, size=1, budget=10099)
+
+
 def test_coverage_sweep_validation():
     with pytest.raises(ParameterOutOfRange):
         coverage_sweep(7, 1, size=8)
@@ -721,81 +729,52 @@ def test_coverage_sweep_matches_per_subset_oracle(args):
     assert coverage_sweep(p, m, **kwargs).rows == coverage_sweep_rows(p, m, **kwargs)
 
 
-def count_checks_and_names(monkeypatch):
-    """Count coverage_sweep's calls of coverage_check and _orbit_form:
-    returns the list of checked subsets and the list of named ones."""
-    checked, named = [], []
-    check, name = sumsets_module.coverage_check, sumsets_module._orbit_form
+def count_checks(monkeypatch):
+    """Count coverage_sweep's calls of coverage_check: returns the list of
+    checked subsets."""
+    checked = []
+    check = sumsets_module.coverage_check
 
     def counted_check(p, s_set, a_set, *args, **kwargs):
         checked.append(tuple(a_set))
         return check(p, s_set, a_set, *args, **kwargs)
 
-    def counted_name(A, p):
-        named.append(A)
-        return name(A, p)
-
     monkeypatch.setattr(sumsets_module, "coverage_check", counted_check)
-    monkeypatch.setattr(sumsets_module, "_orbit_form", counted_name)
-    return checked, named
+    return checked
 
 
 def test_exhaustive_sweep_checks_one_subset_per_orbit(monkeypatch):
     # Burnside over x -> +-x + t: (1716 + 13*20)/26 = 76 and (715 + 13*15)/26 = 35
-    checked, named = count_checks_and_names(monkeypatch)
+    checked = count_checks(monkeypatch)
     for m, orbits in ((1, 76), (2, 35)):
         checked.clear()
-        named.clear()
         sweep = coverage_sweep(13, m)
-        assert len(checked) == len(named) == orbits
+        assert len(checked) == orbits
         assert len(sweep.rows) == comb(13, coverage_threshold(13, m))
-        # each check runs on its orbit's anchored subset, and only the
-        # least subset of each orbit in the walk's order is named
-        for B in checked:
-            key = _orbit_form(B, 13)[0]
-            assert 0 in B and B == tuple(accumulate(key[:-1], initial=0))
+        # the checked subsets are each orbit's first in the walk's order
         firsts = {}
         for row in sweep.rows:
-            firsts.setdefault(_orbit_form(row.subset, 13)[0], row.subset)
-        assert named == list(firsts.values())
+            firsts.setdefault(orbit_key(row.subset, 13), row.subset)
+        assert checked == list(firsts.values())
 
 
-def test_sample_sweep_names_every_drawn_subset(monkeypatch):
-    checked, named = count_checks_and_names(monkeypatch)
+def test_sample_sweep_checks_every_drawn_subset(monkeypatch):
+    checked = count_checks(monkeypatch)
     sweep = coverage_sweep(11, 1, mode="sample", count=40, seed=3)
-    assert named == [row.subset for row in sweep.rows]
-    assert len(checked) == len({_orbit_form(A, 11)[0] for A in named}) < 40
+    assert checked == [row.subset for row in sweep.rows]
+    # the draws repeat orbits, and each repeat is checked again
+    assert len({orbit_key(A, 11) for A in checked}) < 40
 
 
 # x -> p - x + t fixes one residue of Z/13 and pairs off the rest, so the
 # 78 isosceles 3-subsets lie in orbits of 13, not 26: (286 + 13*6)/26 = 14
 @pytest.mark.parametrize("size, orbits", [(3, 14), (13, 1), (1, 1), (12, 1)])
 def test_exhaustive_sweep_rows_under_stabilizers(monkeypatch, size, orbits):
-    checked, named = count_checks_and_names(monkeypatch)
+    checked = count_checks(monkeypatch)
     rows = coverage_sweep(13, 1, size=size).rows
-    assert len(checked) == len(named) == orbits and len(rows) == comb(13, size)
+    assert len(checked) == orbits and len(rows) == comb(13, size)
     monkeypatch.undo()
     assert rows == coverage_sweep_rows(13, 1, size=size)
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.sampled_from([2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 1000003]).flatmap(
-    lambda p: st.tuples(
-        st.just(p), st.sets(st.integers(0, p - 1), min_size=1, max_size=min(p, 12)),
-        st.sampled_from([1, -1]), st.integers(0, p - 1))))
-@example((7, {0, 1, 3}, -1, 2))
-@example((13, set(range(13)), 1, 5))
-def test_orbit_form_anchors_the_orbit(case):
-    # the contract coverage_sweep rests on: eps*(A - t) is the anchored
-    # subset read off the key, and the key names the whole orbit
-    p, A, sign, shift = case
-    A = tuple(sorted(A))
-    key, eps, t = _orbit_form(A, p)
-    assert eps in (1, -1) and t in A
-    assert tuple(sorted(eps * (x - t) % p for x in A)) == \
-        tuple(accumulate(key[:-1], initial=0))
-    image = tuple(sorted((sign * x + shift) % p for x in A))
-    assert _orbit_form(image, p)[0] == key
 
 
 # ----------------------------------------------------------------------
