@@ -405,11 +405,11 @@ def _cmd_thm4(args, budget):
     )
     rows = [
         {
-            "subset": list(row.subset),
+            "subset": row.subset,
             "n": row.n,
             "hypothesis_met": row.hypothesis_met,
             "covered": row.covered,
-            "missing": list(row.missing),
+            "missing": row.missing,
         }
         for row in sweep.rows
     ]
@@ -519,10 +519,11 @@ def _render(report):
             f"subset size {cfg['subset_size']} (threshold {cfg['threshold']}), "
             f"mode {cfg['mode']}"
         )
+        # the rows hold the sweep's tuples; a cell prints them as lists
         lines.append(_format_table(
             ["subset", "n", "hypothesis", "covered", "missing"],
-            [[row["subset"], row["n"], row["hypothesis_met"], row["covered"],
-              row["missing"]] for row in report["rows"]],
+            [[str(list(row["subset"])), row["n"], row["hypothesis_met"], row["covered"],
+              str(list(row["missing"]))] for row in report["rows"]],
         ))
         lines.append(
             f"subsets tested: {report['subsets_tested']}   "
@@ -562,9 +563,10 @@ def _doc_text(value, pad="\n"):
     None; anything else raises TypeError.
 
     ``pad`` is a newline and the indentation of the line ``value`` starts
-    on.  The dict loop writes scalar values inline and a list of plain
-    ints is joined in one call, the two shapes that make up most of a
-    report; bools, a subclass of int, take the general path.
+    on.  A dict writes its scalar values inline (see :func:`_dict_parts`)
+    and a list of plain ints is joined in one call, the two shapes that
+    make up most of a report; bools, a subclass of int, take the general
+    path.
 
     Each container's text is made by one join, and a child's text is
     never copied again by ``+`` or a format string.  A dict hands the
@@ -573,36 +575,12 @@ def _doc_text(value, pad="\n"):
     in a report are single rows, and joins with the separator.  So the
     largest text is copied once per level it rises.
     """
-    inner = pad + "  "
     if isinstance(value, dict):
-        if not value:
-            return "{}"
-        parts = []
-        sep = "{" + inner
-        for key, item in sorted(value.items()):
-            if type(key) is not str:
-                raise TypeError(f"document keys must be str, not {type(key).__name__}")
-            head = sep + _encode_str(key) + ": "
-            sep = "," + inner
-            kind = type(item)
-            if kind is str:
-                parts.append(head + _encode_str(item))
-            elif kind is int:
-                parts.append(head + int.__repr__(item))
-            elif item is None:
-                parts.append(head + "null")
-            elif item is True:
-                parts.append(head + "true")
-            elif item is False:
-                parts.append(head + "false")
-            else:
-                parts.append(head)
-                parts.append(_doc_text(item, inner))
-        parts.append(pad + "}")
-        return "".join(parts)
+        return "".join(_dict_parts(value, pad, _doc_text))
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
+        inner = pad + "  "
         if set(map(type, value)) == _INT_ONLY:
             texts = list(map(int.__repr__, value))
         else:
@@ -623,16 +601,80 @@ def _doc_text(value, pad="\n"):
     raise TypeError(f"{type(value).__name__} values have no document form")
 
 
+def _dict_parts(value, pad, render):
+    """The parts whose join is the document form of dict ``value``: keys
+    sorted and checked to be str, scalar values inline with their keys,
+    and a container value as the part ``render(item, pad + "  ")``."""
+    if not value:
+        return ["{}"]
+    inner = pad + "  "
+    parts = []
+    sep = "{" + inner
+    for key, item in sorted(value.items()):
+        if type(key) is not str:
+            raise TypeError(f"document keys must be str, not {type(key).__name__}")
+        head = sep + _encode_str(key) + ": "
+        sep = "," + inner
+        kind = type(item)
+        if kind is str:
+            parts.append(head + _encode_str(item))
+        elif kind is int:
+            parts.append(head + int.__repr__(item))
+        elif item is None:
+            parts.append(head + "null")
+        elif item is True:
+            parts.append(head + "true")
+        elif item is False:
+            parts.append(head + "false")
+        else:
+            parts.append(head)
+            parts.append(render(item, inner))
+    parts.append(pad + "}")
+    return parts
+
+
+# Rows per streamed piece.  Not one: an io.StringIO sink, such as the
+# captured stdout of bench/passrun.py, keeps every piece written to it
+# as a str of its own until getvalue, at about 57 bytes a piece.
+_ROW_BATCH = 64
+
+
+def _rows_or_text(item, pad):
+    """A report entry: a list of dicts stays a list, for _doc_pieces to
+    write in batches; anything else becomes its text."""
+    if isinstance(item, list) and item and all(type(row) is dict for row in item):
+        return item
+    return _doc_text(item, pad)
+
+
+def _doc_pieces(report):
+    """``_doc_text(report) + "\\n"`` in pieces: the rows of a top-level
+    list of dicts _ROW_BATCH at a time, each batch made when it is asked
+    for, and the text between two batches as one piece."""
+    text = []
+    for part in _dict_parts(report, "\n", _rows_or_text):
+        if type(part) is str:
+            text.append(part)
+            continue
+        sep = "[\n    "
+        for start in range(0, len(part), _ROW_BATCH):
+            text.append(sep)
+            yield "".join(text)
+            text, sep = [], ",\n    "
+            yield sep.join([_doc_text(row, "\n    ")
+                            for row in part[start:start + _ROW_BATCH]])
+        text.append("\n  ]")
+    text.append("\n")
+    yield "".join(text)
+
+
 def _emit(report, args):
-    if args.format == "doc":
-        text = _doc_text(report) + "\n"
-    else:
-        text = _render(report)
+    pieces = _doc_pieces(report) if args.format == "doc" else [_render(report)]
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            handle.writelines(pieces)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
 
 
 _HANDLERS = {
