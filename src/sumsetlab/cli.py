@@ -207,6 +207,24 @@ def _require(condition, message):
         raise _UsageError(message)
 
 
+class _Rows:
+    """The rows of a report: the library's records and the projection that
+    makes one record's row dict.  Iterating projects one record at a time,
+    so a writer holds the row dicts of one batch at most, never all."""
+
+    __slots__ = ("records", "project")
+
+    def __init__(self, records, project=lambda row: row):
+        self.records = records
+        self.project = project
+
+    def __len__(self):
+        return len(self.records)
+
+    def __iter__(self):
+        return map(self.project, self.records)
+
+
 # ----------------------------------------------------------------------
 # identities
 # ----------------------------------------------------------------------
@@ -339,7 +357,7 @@ def _cmd_identities(args, budget):
     report = {
         "command": "identities",
         "config": {"scope": scope, **config},
-        "rows": rows,
+        "rows": _Rows(rows),
         "all_agree": all_agree,
         "first_failure": first_failure,
     }
@@ -398,21 +416,19 @@ def _cmd_sumset(args, budget):
 # thm4
 # ----------------------------------------------------------------------
 
+def _coverage_row(row):
+    """The report row of one :class:`CoverageReport`; the subset and the
+    missing residues stay the sweep's tuples, which the writers print as
+    lists."""
+    return {"subset": row.subset, "n": row.n, "hypothesis_met": row.hypothesis_met,
+            "covered": row.covered, "missing": row.missing}
+
+
 def _cmd_thm4(args, budget):
     sweep = coverage_sweep(
         args.p, args.m, mode=args.mode, count=args.count, seed=args.seed,
         size=args.size, s_set=args.forbidden, budget=budget,
     )
-    rows = [
-        {
-            "subset": row.subset,
-            "n": row.n,
-            "hypothesis_met": row.hypothesis_met,
-            "covered": row.covered,
-            "missing": row.missing,
-        }
-        for row in sweep.rows
-    ]
     failures = sweep.failures()
     report = {
         "command": "thm4",
@@ -421,8 +437,8 @@ def _cmd_thm4(args, budget):
             "subset_size": sweep.subset_size, "threshold": sweep.threshold,
             "mode": sweep.mode, "count": args.count, "seed": args.seed,
         },
-        "rows": rows,
-        "subsets_tested": len(rows),
+        "rows": _Rows(sweep.rows, _coverage_row),
+        "subsets_tested": len(sweep.rows),
         "failures": len(failures),
     }
     return (EXIT_DISAGREEMENT if failures else EXIT_OK), report
@@ -432,14 +448,18 @@ def _cmd_thm4(args, budget):
 # experiment
 # ----------------------------------------------------------------------
 
+def _trial_row(trial):
+    """The report row of one :class:`ExperimentTrial`."""
+    return {"trial": trial.index, "p": trial.p, "n": trial.n, "k": trial.k,
+            "m": trial.m, **_analysis_dict(trial.analysis)}
+
+
 def _cmd_experiment(args, budget):
     trials = run_experiment(
         args.seed, args.trials, args.p_set, args.n_set, args.m_set,
         args.k_max, enforce=args.enforce, budget=budget,
     )
-    rows = [{"trial": t.index, "p": t.p, "n": t.n, "k": t.k, "m": t.m,
-             **_analysis_dict(t.analysis)} for t in trials]
-    total = sum(len(row["violations"]) for row in rows)
+    total = sum(len(t.analysis.violations) for t in trials)
     report = {
         "command": "experiment",
         "config": {
@@ -448,7 +468,7 @@ def _cmd_experiment(args, budget):
             "m_set": sorted(set(args.m_set)), "k_max": args.k_max,
             "enforce": args.enforce, "budget": budget,
         },
-        "rows": rows,
+        "rows": _Rows(trials, _trial_row),
         "violations_total": total,
         "notes": [_CHAR0_NOTE],
     }
@@ -459,99 +479,114 @@ def _cmd_experiment(args, budget):
 # rendering
 # ----------------------------------------------------------------------
 
-def _format_table(headers, rows):
-    table = [headers] + [[str(c) for c in row] for row in rows]
-    widths = [max(len(r[i]) for r in table) for i in range(len(headers))]
-    lines = []
-    for idx, row in enumerate(table):
-        lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
-        if idx == 0:
-            lines.append("  ".join("-" * w for w in widths))
-    return "\n".join(lines)
+# Rows per streamed piece.  Not one: an io.StringIO sink, such as the
+# captured stdout of bench/passrun.py, keeps every piece written to it
+# as a str of its own until getvalue, at about 57 bytes a piece.
+_ROW_BATCH = 64
 
 
-def _render_bounds(bounds_dict):
-    rows = []
-    for name in ("thm1", "thm2", "thm3", "old"):
-        entry = bounds_dict[name]
-        value = "n/a" if entry["value"] is None else entry["value"]
-        rows.append([name, value, entry["hypothesis_met"], entry["reason"]])
-    return _format_table(["bound", "value", "hypothesis", "reason"], rows)
+def _batches(items):
+    """The items of an iterable in lists of _ROW_BATCH."""
+    items = iter(items)
+    while batch := list(itertools.islice(items, _ROW_BATCH)):
+        yield batch
+
+
+def _table_pieces(headers, rows, cells):
+    """The lines of a table, each ending in a newline: the headers, a rule,
+    then one line per row, _ROW_BATCH rows to a piece.  ``cells`` maps a
+    row to its cell values, printed with str; a first pass over the cells
+    sets the column widths, so the lines of one batch at most are alive."""
+    widths = list(map(len, headers))
+    for batch in _batches(map(cells, rows)):
+        widths = [max(width, *map(len, map(str, column)))
+                  for width, column in zip(widths, zip(*batch))]
+
+    def line(values):
+        return "  ".join(map(str.ljust, values, widths)).rstrip() + "\n"
+
+    yield line(headers) + "  ".join("-" * w for w in widths) + "\n"
+    for batch in _batches(rows):
+        yield "".join([line(map(str, cells(row))) for row in batch])
+
+
+_BOUND_NAMES = ("thm1", "thm2", "thm3", "old")
+
+
+def _bound_value(entry):
+    return "n/a" if entry["value"] is None else entry["value"]
+
+
+def _trial_cells(row):
+    cert = row["certificate"]
+    return [
+        row["trial"], row["p"], row["n"], row["k"], row["m"], row["cardinality"],
+        *(_bound_value(row["bounds"][name]) for name in _BOUND_NAMES),
+        "skipped" if cert is None else ("valid" if cert["valid"] else "vanishes"),
+        ";".join(row["violations"]) or "-",
+    ]
 
 
 def _render(report):
+    """The table form of ``report``, in pieces that each end a line."""
     command = report["command"]
-    lines = []
     if command == "identities":
         rows = report["rows"]
-        if rows:
-            headers = [k for k in rows[0] if k != "agree"] + ["agree"]
-            lines.append(_format_table(
-                headers, [[row.get(h, "") for h in headers] for row in rows]
-            ))
-        lines.append(f"points checked: {len(rows)}   all agree: {report['all_agree']}")
+        if len(rows):
+            headers = [k for k in next(iter(rows)) if k != "agree"] + ["agree"]
+            yield from _table_pieces(headers, rows,
+                                     lambda row: [row.get(h, "") for h in headers])
+        yield f"points checked: {len(rows)}   all agree: {report['all_agree']}\n"
         if report["first_failure"] is not None:
-            lines.append(f"FIRST FAILURE: {report['first_failure']}")
+            yield f"FIRST FAILURE: {report['first_failure']}\n"
     elif command == "sumset":
         inst = report["instance"]
-        lines.append(f"p = {inst['p']}")
+        yield f"p = {inst['p']}\n"
         for idx, A in enumerate(inst["sets"]):
-            lines.append(f"A_{idx + 1} = {A}")
+            yield f"A_{idx + 1} = {A}\n"
         for key, S in inst["forbidden"].items():
-            lines.append(f"S_{key} = {S}")
-        lines.append(f"sumset ({report['cardinality']} residues): {report['sumset']}")
-        lines.append(_render_bounds(report["bounds"]))
+            yield f"S_{key} = {S}\n"
+        yield f"sumset ({report['cardinality']} residues): {report['sumset']}\n"
+        bounds = report["bounds"]
+        yield from _table_pieces(
+            ["bound", "value", "hypothesis", "reason"], _BOUND_NAMES,
+            lambda name: [name, _bound_value(bounds[name]), bounds[name]["hypothesis_met"],
+                          bounds[name]["reason"]],
+        )
         cert = report["certificate"]
         if cert:
-            lines.append(
+            yield (
                 f"certificate [{cert['method']}]: coefficient {cert['coefficient']} "
                 f"= {cert['coefficient_mod_p']} mod p, claimed bound "
-                f"{cert['claimed_bound']}, valid: {cert['valid']}"
+                f"{cert['claimed_bound']}, valid: {cert['valid']}\n"
             )
         else:
-            lines.append(f"certificate: skipped ({report['certificate_skip_reason']})")
+            yield f"certificate: skipped ({report['certificate_skip_reason']})\n"
         if report["violations"]:
-            lines.append(f"VIOLATIONS: {report['violations']}")
+            yield f"VIOLATIONS: {report['violations']}\n"
     elif command == "thm4":
         cfg = report["config"]
-        lines.append(
+        yield (
             f"p = {cfg['p']}, m = {cfg['m']}, S = {cfg['forbidden']}, "
             f"subset size {cfg['subset_size']} (threshold {cfg['threshold']}), "
-            f"mode {cfg['mode']}"
+            f"mode {cfg['mode']}\n"
         )
         # the rows hold the sweep's tuples; a cell prints them as lists
-        lines.append(_format_table(
-            ["subset", "n", "hypothesis", "covered", "missing"],
-            [[str(list(row["subset"])), row["n"], row["hypothesis_met"], row["covered"],
-              str(list(row["missing"]))] for row in report["rows"]],
-        ))
-        lines.append(
+        yield from _table_pieces(
+            ["subset", "n", "hypothesis", "covered", "missing"], report["rows"],
+            lambda row: [list(row["subset"]), row["n"], row["hypothesis_met"],
+                         row["covered"], list(row["missing"])],
+        )
+        yield (
             f"subsets tested: {report['subsets_tested']}   "
-            f"failures: {report['failures']}"
+            f"failures: {report['failures']}\n"
         )
     elif command == "experiment":
-        rows = []
-        for row in report["rows"]:
-            cert = row["certificate"]
-            cert_state = "skipped" if cert is None else (
-                "valid" if cert["valid"] else "vanishes"
-            )
-            bounds = row["bounds"]
-            rows.append([
-                row["trial"], row["p"], row["n"], row["k"], row["m"],
-                row["cardinality"],
-                *(("n/a" if bounds[b]["value"] is None else bounds[b]["value"])
-                  for b in ("thm1", "thm2", "thm3", "old")),
-                cert_state,
-                ";".join(row["violations"]) or "-",
-            ])
-        lines.append(_format_table(
-            ["trial", "p", "n", "k", "m", "|C|", "thm1", "thm2", "thm3", "old",
-             "certificate", "violations"],
-            rows,
-        ))
-        lines.append(f"violations total: {report['violations_total']}")
-    return "\n".join(lines) + "\n"
+        yield from _table_pieces(
+            ["trial", "p", "n", "k", "m", "|C|", *_BOUND_NAMES, "certificate", "violations"],
+            report["rows"], _trial_cells,
+        )
+        yield f"violations total: {report['violations_total']}\n"
 
 
 _INT_ONLY = frozenset({int})
@@ -633,43 +668,35 @@ def _dict_parts(value, pad, render):
     return parts
 
 
-# Rows per streamed piece.  Not one: an io.StringIO sink, such as the
-# captured stdout of bench/passrun.py, keeps every piece written to it
-# as a str of its own until getvalue, at about 57 bytes a piece.
-_ROW_BATCH = 64
-
-
 def _rows_or_text(item, pad):
-    """A report entry: a list of dicts stays a list, for _doc_pieces to
-    write in batches; anything else becomes its text."""
-    if isinstance(item, list) and item and all(type(row) is dict for row in item):
-        return item
-    return _doc_text(item, pad)
+    """A report entry: _Rows stay as they are, for _doc_pieces to write in
+    batches; anything else becomes its text."""
+    return item if type(item) is _Rows else _doc_text(item, pad)
 
 
 def _doc_pieces(report):
-    """``_doc_text(report) + "\\n"`` in pieces: the rows of a top-level
-    list of dicts _ROW_BATCH at a time, each batch made when it is asked
-    for, and the text between two batches as one piece."""
+    """``_doc_text`` of ``report``, with its _Rows as lists of row dicts,
+    plus a newline, in pieces: the rows _ROW_BATCH at a time, each batch
+    projected and written when it is asked for, and the text between two
+    batches as one piece."""
     text = []
     for part in _dict_parts(report, "\n", _rows_or_text):
         if type(part) is str:
             text.append(part)
             continue
         sep = "[\n    "
-        for start in range(0, len(part), _ROW_BATCH):
+        for batch in _batches(part):
             text.append(sep)
             yield "".join(text)
             text, sep = [], ",\n    "
-            yield sep.join([_doc_text(row, "\n    ")
-                            for row in part[start:start + _ROW_BATCH]])
-        text.append("\n  ]")
+            yield sep.join([_doc_text(row, "\n    ") for row in batch])
+        text.append("\n  ]" if len(part) else "[]")
     text.append("\n")
     yield "".join(text)
 
 
 def _emit(report, args):
-    pieces = _doc_pieces(report) if args.format == "doc" else [_render(report)]
+    pieces = (_doc_pieces if args.format == "doc" else _render)(report)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.writelines(pieces)

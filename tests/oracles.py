@@ -20,7 +20,9 @@ and ``eval_poly`` are the Fraction fit that the forward differences of
 ``leading_coefficient_check`` replaced.  ``fraction_dyson_closed_form``,
 ``fraction_aomoto_closed_form`` and ``fraction_key_closed_form`` are
 the closed forms evaluated factor by factor in Fractions, the reference
-for their integer numerator-over-denominator versions.
+for their integer numerator-over-denominator versions.  ``whole_table``
+is the CLI table made as one string, the reference for the table that
+the CLI writes a batch of rows at a time.
 """
 
 import itertools
@@ -753,3 +755,17 @@ def list_sample(rng, population_size, count):
         j = i + rng.below(population_size - i)
         pool[i], pool[j] = pool[j], pool[i]
     return tuple(sorted(pool[:count]))
+
+
+def whole_table(headers, rows):
+    """The lines of a CLI table joined as one string, every cell, padded
+    line and the join alive at once: the reference for the table that
+    the CLI writes a batch of rows at a time."""
+    table = [headers] + [[str(c) for c in row] for row in rows]
+    widths = [max(len(r[i]) for r in table) for i in range(len(headers))]
+    lines = []
+    for idx, row in enumerate(table):
+        lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
+        if idx == 0:
+            lines.append("  ".join("-" * w for w in widths))
+    return "\n".join(lines)

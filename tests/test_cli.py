@@ -8,11 +8,14 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import sumsetlab
-from oracles import aomoto_laurent_factors, naive_laurent_constant_term
+from oracles import aomoto_laurent_factors, naive_laurent_constant_term, whole_table
 from sumsetlab import (
+    DEFAULT_BUDGET,
     AomotoParams,
+    BudgetExceeded,
     InterpolationMismatch,
     NonIntegerResult,
+    ParameterOutOfRange,
     SplitMix64,
     SumsetInstance,
     aomoto_closed_form,
@@ -24,7 +27,16 @@ from sumsetlab import (
     uniform_forbidden,
     zeilberger_coefficient,
 )
-from sumsetlab.cli import _ROW_BATCH, _doc_pieces, _doc_text, main
+from sumsetlab.cli import (
+    _HANDLERS,
+    _ROW_BATCH,
+    _Rows,
+    _doc_pieces,
+    _doc_text,
+    _table_pieces,
+    build_parser,
+    main,
+)
 
 
 def run(capsys, argv):
@@ -668,6 +680,7 @@ _docs = st.recursive(
 @example([[], {}, (), [[]], [{}]])
 @example(((1, (2, 3)), ({"t": (True,)},), ()))
 # top-level lists, which the streamed writer cuts into batches of rows
+# when they are given as _Rows
 @example({"a": 0, "rows": [{"i": i, "t": (i, [])} for i in range(_ROW_BATCH + 1)]})
 @example({"rows": [{"i": i} for i in range(2 * _ROW_BATCH)], "z": [{}]})
 @example({"rows": [], "x": {"rows": [{"i": 0}]}})
@@ -678,7 +691,101 @@ def test_doc_writer_matches_json_dumps(doc):
     text = json.dumps(doc, sort_keys=True, indent=2)
     if isinstance(doc, dict):
         assert "".join(_doc_pieces(doc)) == text + "\n"
+        streamed = {key: _Rows(item) if type(item) is list else item
+                    for key, item in doc.items()}
+        assert "".join(_doc_pieces(streamed)) == text + "\n"
     assert _doc_text(doc) == text
+
+
+def _report(argv):
+    args = build_parser().parse_args(argv)
+    return _HANDLERS[args.command](args, DEFAULT_BUDGET)[1]
+
+
+def assert_doc_is_json_dumps_of_the_row_dicts(report):
+    whole = {**report, "rows": list(report["rows"])}
+    assert all(type(row) is dict for row in whole["rows"])
+    text = json.dumps(whole, sort_keys=True, indent=2) + "\n"
+    assert "".join(_doc_pieces(report)) == text
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([3, 5, 7, 11, 13]).flatmap(lambda p: st.tuples(
+    st.just(p), st.integers(1, min(3, p)), st.sampled_from(["exhaustive", "sample"]),
+    st.integers(0, 2 * _ROW_BATCH + 1), st.integers(0, 2 ** 32),
+    st.none() | st.integers(1, p))))
+@example((13, 1, "exhaustive", 0, 0, None))
+@example((7, 1, "sample", 0, 0, None))
+@example((11, 2, "sample", _ROW_BATCH, 5, 4))
+def test_thm4_doc_matches_json_dumps_of_its_row_dicts(params):
+    # the report keeps the sweep's records and projects each to its row
+    # dict only as its batch is written
+    p, m, mode, count, seed, size = params
+    argv = ["thm4", "--p", str(p), "--m", str(m), "--mode", mode,
+            "--count", str(count), "--seed", str(seed)]
+    try:
+        report = _report(argv + ([] if size is None else ["--size", str(size)]))
+    except (BudgetExceeded, ParameterOutOfRange):
+        return  # a threshold above p, or sums over the budget: no report
+    assert type(report["rows"]) is _Rows
+    assert_doc_is_json_dumps_of_the_row_dicts(report)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2 ** 32), st.integers(0, _ROW_BATCH + 1),
+       st.lists(st.sampled_from([5, 7, 11, 13]), min_size=1, max_size=3),
+       st.lists(st.sampled_from([2, 3]), min_size=1, max_size=2),
+       st.lists(st.sampled_from([0, 1, 2]), min_size=1, max_size=3),
+       st.integers(1, 6))
+@example(0, 0, [5], [2], [0], 1)
+def test_experiment_doc_matches_json_dumps_of_its_row_dicts(seed, trials, p_set, n_set,
+                                                            m_set, k_max):
+    def listed(values):
+        return ",".join(map(str, values))
+
+    report = _report(["experiment", "--seed", str(seed), "--trials", str(trials),
+                      "--p-set", listed(p_set), "--n-set", listed(n_set),
+                      "--m-set", listed(m_set), "--k-max", str(k_max)])
+    assert type(report["rows"]) is _Rows
+    assert_doc_is_json_dumps_of_the_row_dicts(report)
+
+
+_cells = st.none() | st.booleans() | st.integers() | st.text(max_size=12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda width: st.tuples(
+    st.lists(st.text(min_size=1, max_size=8), min_size=width, max_size=width),
+    st.lists(st.lists(_cells, min_size=width, max_size=width),
+             max_size=2 * _ROW_BATCH + 1))))
+@example((["a", "b"], []))
+@example((["x"], [[i] for i in range(_ROW_BATCH + 1)]))
+@example((["subset", "n"], [["[0, 1]  ", 2], [" ", None]]))
+def test_streamed_table_matches_the_whole_table(table):
+    headers, rows = table
+    streamed = list(_table_pieces(headers, rows, lambda row: row))
+    assert "".join(streamed) == whole_table(headers, rows) + "\n"
+    # the header and its rule, then one piece per batch of rows
+    assert len(streamed) == 1 + -(-len(rows) // _ROW_BATCH)
+
+
+@pytest.mark.parametrize("argv, table", [
+    (["thm4", "--p", "29", "--m", "1", "--mode", "sample", "--count", "0"],
+     ["p = 29, m = 1, S = [0], subset size 11 (threshold 11), mode sample",
+      "subset  n  hypothesis  covered  missing",
+      "------  -  ----------  -------  -------",
+      "subsets tested: 0   failures: 0"]),
+    (["experiment", "--trials", "0"],
+     ["trial  p  n  k  m  |C|  thm1  thm2  thm3  old  certificate  violations",
+      "-----  -  -  -  -  ---  ----  ----  ----  ---  -----------  ----------",
+      "violations total: 0"]),
+])
+def test_report_without_rows_keeps_its_list_and_table_header(capsys, argv, table):
+    code, out, _ = run(capsys, argv + ["--format", "doc"])
+    assert code == 0 and '\n  "rows": [],\n' in out
+    assert json.loads(out)["rows"] == []
+    code, out, _ = run(capsys, argv)
+    assert code == 0 and out == "\n".join(table) + "\n"
 
 
 def test_doc_writer_peak_memory_is_one_copy_per_level():
@@ -721,8 +828,33 @@ def test_doc_output_file_peak_memory_is_below_three_copies(capsys, tmp_path):
     assert peak < 3 * len(data)
 
 
+@pytest.mark.parametrize("fmt, copies", [("doc", 1.0), ("table", 3.0)])
+def test_thm4_output_file_peak_memory_is_the_sweeps_own(capsys, tmp_path, fmt, copies):
+    # The report keeps the sweep's 1716 records and makes the row dicts,
+    # cells and lines of one batch at a time, so the peak is that of the
+    # sweep itself: 0.76 times the doc file and 2.93 times the smaller
+    # table file.  With a dict per row alive until the write ended, the
+    # doc peaked at 1.41 times its file; with every cell, padded line and
+    # their join alive at once, the table peaked at 14.1 times.
+    argv = ["thm4", "--p", "13", "--m", "1", "--format", fmt]
+    code, out, _ = run(capsys, argv)
+    path = tmp_path / "report.txt"
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        assert main(argv + ["--out", str(path)]) == code == 0
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    data = path.read_bytes()
+    assert data == out.encode()
+    assert peak < copies * len(data)
+
+
 @pytest.mark.parametrize("doc", [
     0.5, {"x": 0.5}, [1, 2.0], {"x": {1, 2}}, {1: "x"}, {"a": [{2: 3}]},
+    {"rows": _Rows([object()])},
 ])
 def test_doc_writer_refuses_what_has_no_document_form(doc):
     with pytest.raises(TypeError):
