@@ -18,25 +18,9 @@ import itertools
 import os
 import sys
 from json.encoder import encode_basestring_ascii as _encode_str
-from math import factorial
 
 from .ffield import NotPrime, OutOfRange
-from .identities import (
-    AomotoParams,
-    InterpolationMismatch,
-    ParameterOutOfRange,
-    aomoto_closed_form,
-    aomoto_constant_term,
-    dyson_closed_form,
-    dyson_constant_term,
-    key_coefficient,
-    key_coefficient_closed_form,
-    leading_coefficient_check,
-    ratio_text,
-    relabel_sign,
-    zeilberger_coefficient,
-    zeilberger_sign,
-)
+from .identities import ParameterOutOfRange, sweep
 from .sumsets import (
     BUDGET_ENV_VAR,
     BudgetExceeded,
@@ -248,110 +232,12 @@ def _scope_config(args):
 
 def _cmd_identities(args, budget):
     scope = args.scope
-    rows = []
     config = _scope_config(args)
-
-    if scope in ("dyson", "zeilberger"):
-        # A permuted a-vector relabels the Dyson product's variables, so
-        # the Dyson values belong to its multiset: one expansion each, on
-        # the sorted order, which is also the first row to meet it.  So is
-        # the raw Zeilberger coefficient (its global sign taken off); each
-        # row puts back its own sign (see zeilberger_coefficient).
-        zeilberger = scope == "zeilberger"
-        by_multiset = {}
-        for nv in range(2, config["max_vars"] + 1):
-            for avec in itertools.product(range(config["max_entry"] + 1), repeat=nv):
-                key = tuple(sorted(avec))
-                if key not in by_multiset:
-                    by_multiset[key] = (
-                        dyson_constant_term(key), dyson_closed_form(key),
-                        zeilberger_sign(key) * zeilberger_coefficient(key)
-                        if zeilberger else None)
-                ct, closed, raw = by_multiset[key]
-                row = {"avec": list(avec), "constant_term": ct, "closed_form": closed}
-                if zeilberger:
-                    coeff = zeilberger_sign(avec) * relabel_sign(avec) * raw
-                    row["coefficient_form"] = coeff
-                    row["agree"] = ct == closed == coeff
-                else:
-                    row["agree"] = ct == closed
-                rows.append(row)
-
-    elif scope == "aomoto":
-        chi_side = config["chi_side"]
-        other = "b" if chi_side == "a" else "a"
-        # Inverting every variable swaps the (l, 0) and (0, l) blocks and
-        # maps the m-block onto itself, so side "b" of (n, s, a, b, m) is
-        # side "a" of (n, s, b, a, m): both routes run once per parameter
-        # tuple, the swapped tuple computed on demand when it is off the grid.
-        # With s = n every a exponent carries the shift, so (n, n, a, b, m)
-        # is (n, 0, a + 1, b, m) on both routes, and is computed as that.
-        side_a = {}
-
-        def routes(params):
-            if params.s == params.n:
-                params = params._replace(s=0, a=params.a + 1)
-            if params not in side_a:
-                side_a[params] = (aomoto_constant_term(params), aomoto_closed_form(params))
-            return side_a[params]
-
-        for n in range(1, config["max_n"] + 1):
-            for s in range(n + 1):
-                for a in range(config["max_a"] + 1):
-                    for b in range(config["max_b"] + 1):
-                        for m in range(config["max_m"] + 1):
-                            params = AomotoParams(n=n, s=s, a=a, b=b, m=m)
-                            ct_a, closed = routes(params)
-                            ct_b, inverted = routes(params._replace(a=b, b=a))
-                            ct = {"a": ct_a, "b": ct_b}
-                            agree = closed == ct[chi_side] and inverted == ct[other]
-                            rows.append({
-                                "n": n, "s": s, "a": a, "b": b, "m": m,
-                                "ct_chi_a": ct_a, "ct_chi_b": ct_b,
-                                "closed_form": closed, "inverted_form": inverted,
-                                "agree": agree,
-                            })
-
-    elif scope == "lemma22":
-        n = config["n"] = config.pop("fix_n")  # reported as "n"
-        for b in range(config["max_b"] + 1):
-            for s in range(min(config["max_s"], n) + 1):
-                for m in range(config["max_m"] + 1):
-                    base = {"n": n, "s": s, "b": b, "m": m}
-                    try:
-                        rep = leading_coefficient_check(n, s, b, m, config["slack"])
-                    except InterpolationMismatch as exc:
-                        rows.append({**base, "agree": False, "error": str(exc)})
-                        continue
-                    scale = factorial(rep.degree)
-                    rows.append({
-                        **base,
-                        "degree": rep.degree,
-                        "leading_coefficient": ratio_text(rep.leading_coefficient, scale),
-                        "expected_leading": ratio_text(rep.expected_leading, scale),
-                        "agree": rep.agree,
-                    })
-
-    elif scope == "prop21":
+    if scope == "prop21":
         _require(config["min_n"] <= config["max_n"], "--min-n must not exceed --max-n")
-        # The sizes (k+1,)*n of s = n are those of k + 1, s = 0, so each
-        # expansion is keyed by its sizes and m (sizes repeat across m).
-        expansions = {}
-        for n in range(config["min_n"], config["max_n"] + 1):
-            for m in range(1, config["max_m"] + 1):
-                for k in range(m * (n - 1) + 1, m * (n - 1) + config["k_span"] + 1):
-                    for s in range(n + 1):
-                        closed = key_coefficient_closed_form(n, m, k, s)
-                        sizes = (k + 1,) * s + (k,) * (n - s)
-                        if (sizes, m) not in expansions:
-                            expansions[sizes, m] = key_coefficient(sizes, m)
-                        brute = expansions[sizes, m]
-                        rows.append({
-                            "n": n, "m": m, "k": k, "s": s,
-                            "closed_form": closed, "expansion": brute,
-                            "agree": closed == brute and closed > 0,
-                        })
-
+    if scope == "lemma22":
+        config["n"] = config.pop("fix_n")  # reported as "n"
+    rows = sweep(scope, **config)
     all_agree = all(row["agree"] for row in rows)
     first_failure = next((row for row in rows if not row["agree"]), None)
     report = {
@@ -362,11 +248,12 @@ def _cmd_identities(args, budget):
         "first_failure": first_failure,
     }
     if scope == "aomoto":
+        side = config["chi_side"]
         report["orientation"] = {
             "closed_form": "chi shift on the a-side factorials",
             "inverted_form": "chi shift on the b-side factorials",
-            "closed_form_paired_with": f"ct_chi_{chi_side}",
-            "inverted_form_paired_with": f"ct_chi_{other}",
+            "closed_form_paired_with": f"ct_chi_{side}",
+            "inverted_form_paired_with": "ct_chi_b" if side == "a" else "ct_chi_a",
         }
     return (EXIT_OK if all_agree else EXIT_DISAGREEMENT), report
 

@@ -8,28 +8,21 @@ variable sum.  The key coefficient is that shape as it stands; the
 Dyson and Aomoto constant terms reach it by clearing denominators,
 1 - x_i/x_j = x_j^{-1} (x_j - x_i).  Each closed form is built as one
 integer numerator over one integer denominator and finished by one exact
-division that raises on a remainder — a cheap transcription test.  The
-CLI's identity sweeps compare the routes; a caller may read one alone,
-as ``certificate_check`` reads :func:`key_coefficient_closed_form`, which
-only ``identities prop21`` compares with :func:`key_coefficient`.
-
-The Dyson constant term depends only on the multiset of the a-vector:
-permuting the a-vector relabels the variables of the product.  The
-``dyson`` and ``zeilberger`` sweeps of the CLI therefore expand it, and
-:func:`zeilberger_coefficient`, once per multiset, in sorted order.
-Every other row takes the Dyson value as it stands and the Zeilberger
-value under its own sign, :func:`zeilberger_sign` times
-:func:`relabel_sign` (see :func:`zeilberger_coefficient` for what that
-does and does not check).  The Aomoto functions compute side "a" only;
-side "b" is side "a" of the swapped tuple, so the ``aomoto`` sweep
-computes each parameter tuple once.
+division that raises on a remainder — a cheap transcription test.
+:func:`sweep` compares the routes over parameter grids, computing each
+value that a symmetry of the product repeats once; a caller may read
+one route alone, as ``certificate_check`` reads
+:func:`key_coefficient_closed_form`, which only the ``prop21`` sweep
+compares with :func:`key_coefficient`.
 
 Variable conventions follow the classical statements: the Dyson and
 Aomoto products live on variables x_0..x_n, the key coefficient on
 x_1..x_n (indexed 0..n-1 internally).
 """
 
+import itertools
 from collections import namedtuple
+from functools import partial
 from math import comb, factorial, gcd
 
 from .mpoly import _checked_ints, difference_coeff
@@ -165,23 +158,9 @@ def zeilberger_coefficient(avec) -> int:
     global sign (-1)^{sum_j j*a_j} itself.  Their agreement therefore
     checks that global sign against the per-pair ones.
 
-    The CLI sweeps call this function, like :func:`dyson_constant_term`,
-    once per multiset of the a-vector, on its sorted order ``key``.  A
-    row ``avec`` of that multiset gets
-
-        zeilberger_sign(avec) * relabel_sign(avec)
-        * zeilberger_sign(key) * zeilberger_coefficient(key),
-
-    which is this function on ``avec``: the two global signs undo and
-    redo the row's own sign, and :func:`relabel_sign` is the sign the
-    product picks up when its variables are relabelled into sorted
-    order.  Every row so still applies its own global sign and checks it
-    against an independently computed permutation sign; a wrong sign on
-    any row makes it disagree with the Dyson value.  What the sweeps no
-    longer run per row is this expansion in the row's own order, and
-    with it the engine on unsorted orders; the engine tests
-    (tests/test_mpoly.py) and the differential tests in
-    tests/test_identities.py cover those.
+    The ``zeilberger`` sweep calls it once per multiset of the a-vector
+    and derives every other row of that multiset under the row's own
+    sign (see ``_dyson_rows``).
     """
     avec = _check_avec(avec)
     nv = len(avec)
@@ -473,3 +452,132 @@ def leading_coefficient_check(n: int, s: int, b: int, m: int,
         agree=leading == expected,
     )
 
+
+# ----------------------------------------------------------------------
+# Sweeps: both routes of one identity over a grid of its parameters
+# ----------------------------------------------------------------------
+
+def sweep(scope: str, **config) -> list:
+    """The rows of ``sumsetlab identities SCOPE`` as its report prints
+    them, one dict with an "agree" field per grid point.  ``config``
+    holds the scope's options by their CLI names (``n`` for lemma22's
+    ``--fix-n``), whose ranges the CLI checks.  Each scope computes a
+    value that a symmetry of the product repeats once, for the reason
+    its rows state, so the rows are those of computing every point.
+
+    >>> sweep("dyson", max_vars=2, max_entry=1)[-1]
+    {'avec': [1, 1], 'constant_term': 2, 'closed_form': 2, 'agree': True}
+    """
+    if scope not in _SWEEPS:
+        raise ParameterOutOfRange(f"unknown identity scope {scope!r}")
+    return _SWEEPS[scope](**config)
+
+
+def _dyson_rows(max_vars, max_entry, zeilberger=False):
+    # A permuted a-vector relabels the Dyson product's variables, so
+    # the Dyson values belong to its multiset: one expansion each, on
+    # the sorted order, which is also the first row to meet it.  So is
+    # the raw Zeilberger coefficient (its global sign taken off), and a
+    # row avec gets zeilberger_sign(avec) * relabel_sign(avec) times it,
+    # which is zeilberger_coefficient(avec).  Every row so still applies
+    # its own global sign and checks it against an independently
+    # computed permutation sign; a wrong sign on any row disagrees with
+    # the Dyson value.  The engine on unsorted orders is left to the
+    # tests of tests/test_mpoly.py and tests/test_identities.py.
+    rows = []
+    by_multiset = {}
+    for nv in range(2, max_vars + 1):
+        for avec in itertools.product(range(max_entry + 1), repeat=nv):
+            key = tuple(sorted(avec))
+            if key not in by_multiset:
+                by_multiset[key] = (
+                    dyson_constant_term(key), dyson_closed_form(key),
+                    zeilberger_sign(key) * zeilberger_coefficient(key)
+                    if zeilberger else None)
+            ct, closed, raw = by_multiset[key]
+            row = {"avec": list(avec), "constant_term": ct, "closed_form": closed}
+            if zeilberger:
+                coeff = zeilberger_sign(avec) * relabel_sign(avec) * raw
+                row["coefficient_form"] = coeff
+                row["agree"] = ct == closed == coeff
+            else:
+                row["agree"] = ct == closed
+            rows.append(row)
+    return rows
+
+
+def _aomoto_rows(max_n, max_a, max_b, max_m, chi_side):
+    other = "b" if chi_side == "a" else "a"
+    # Inverting every variable swaps the (l, 0) and (0, l) blocks and
+    # maps the m-block onto itself, so side "b" of (n, s, a, b, m) is
+    # side "a" of (n, s, b, a, m): both routes run once per parameter
+    # tuple, the swapped tuple computed on demand when it is off the grid.
+    # With s = n every a exponent carries the shift, so (n, n, a, b, m)
+    # is (n, 0, a + 1, b, m) on both routes, and is computed as that.
+    side_a = {}
+
+    def routes(params):
+        if params.s == params.n:
+            params = params._replace(s=0, a=params.a + 1)
+        if params not in side_a:
+            side_a[params] = (aomoto_constant_term(params), aomoto_closed_form(params))
+        return side_a[params]
+
+    rows = []
+    for n in range(1, max_n + 1):
+        for s, a, b, m in itertools.product(
+                range(n + 1), range(max_a + 1), range(max_b + 1), range(max_m + 1)):
+            params = AomotoParams(n=n, s=s, a=a, b=b, m=m)
+            ct_a, closed = routes(params)
+            ct_b, inverted = routes(params._replace(a=b, b=a))
+            ct = {"a": ct_a, "b": ct_b}
+            rows.append({"n": n, "s": s, "a": a, "b": b, "m": m, "ct_chi_a": ct_a,
+                         "ct_chi_b": ct_b, "closed_form": closed, "inverted_form": inverted,
+                         "agree": closed == ct[chi_side] and inverted == ct[other]})
+    return rows
+
+
+def _lemma22_rows(n, max_b, max_s, max_m, slack):
+    rows = []
+    for b, s, m in itertools.product(
+            range(max_b + 1), range(min(max_s, n) + 1), range(max_m + 1)):
+        base = {"n": n, "s": s, "b": b, "m": m}
+        try:
+            rep = leading_coefficient_check(n, s, b, m, slack)
+        except InterpolationMismatch as exc:
+            rows.append({**base, "agree": False, "error": str(exc)})
+            continue
+        scale = factorial(rep.degree)
+        rows.append({**base, "degree": rep.degree,
+                     "leading_coefficient": ratio_text(rep.leading_coefficient, scale),
+                     "expected_leading": ratio_text(rep.expected_leading, scale),
+                     "agree": rep.agree})
+    return rows
+
+
+def _prop21_rows(min_n, max_n, max_m, k_span):
+    # The sizes (k+1,)*n of s = n are those of k + 1, s = 0, so each
+    # expansion is keyed by its sizes and m (sizes repeat across m).
+    expansions = {}
+    rows = []
+    for n in range(min_n, max_n + 1):
+        for m in range(1, max_m + 1):
+            low = m * (n - 1) + 1
+            for k, s in itertools.product(range(low, low + k_span), range(n + 1)):
+                closed = key_coefficient_closed_form(n, m, k, s)
+                sizes = (k + 1,) * s + (k,) * (n - s)
+                if (sizes, m) not in expansions:
+                    expansions[sizes, m] = key_coefficient(sizes, m)
+                brute = expansions[sizes, m]
+                rows.append({"n": n, "m": m, "k": k, "s": s, "closed_form": closed,
+                             "expansion": brute, "agree": closed == brute and closed > 0})
+    return rows
+
+
+_SWEEPS = {
+    "dyson": _dyson_rows,
+    "zeilberger": partial(_dyson_rows, zeilberger=True),
+    "aomoto": _aomoto_rows,
+    "lemma22": _lemma22_rows,
+    "prop21": _prop21_rows,
+}

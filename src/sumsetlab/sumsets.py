@@ -570,10 +570,10 @@ def coverage_sweep(p: int, m: int, mode: str = "exhaustive", count: int = 50,
     """Run :func:`coverage_check` over many subsets A of a fixed size.
 
     The default size is the coverage threshold and the default S is
-    {0, ..., m-1}; m > p is refused before S is read, and S must hold
-    residues in [0, p).  Exhaustive mode walks all C(p, size) subsets
-    (budget permitting); sample mode draws ``count`` subsets from the
-    seeded generator (repeats possible).
+    {0, ..., m-1}; m > p and m < 1 are refused before S is read, and S
+    must hold residues in [0, p).  Exhaustive mode walks all C(p, size)
+    subsets (budget permitting); sample mode draws ``count`` subsets from
+    the seeded generator (repeats possible).
     Either mode refuses more than ``budget`` subsets, before any is drawn.
     Every subset's check walks at most C(size + n - 1, n) nondecreasing
     tuples, n = floor((size - 1 + m) / (2m)), but the budget still counts
@@ -606,13 +606,14 @@ def coverage_sweep(p: int, m: int, mode: str = "exhaustive", count: int = 50,
     field = PrimeField(p)
     if m > p:
         raise ParameterOutOfRange(f"m={m} exceeds p={p}: S holds at most p residues")
+    threshold = coverage_threshold(p, m)  # refuses m < 1
     S = _canonical(range(m) if s_set is None else s_set, p, "S",
                    ParameterOutOfRange, merge=True)
     if len(S) != m:
         raise ParameterOutOfRange(f"S={S} does not have size m={m}")
-    threshold = coverage_threshold(p, m)
-    if size is None:
-        size = threshold
+    if size is None and threshold > p:
+        raise ParameterOutOfRange(f"coverage threshold {threshold} exceeds p={p}")
+    size = threshold if size is None else size
     if not 1 <= size <= p:
         raise ParameterOutOfRange(f"subset size {size} not in [1, {p}]")
     if mode == "exhaustive":

@@ -13,17 +13,14 @@ from sumsetlab import (
     DEFAULT_BUDGET,
     AomotoParams,
     BudgetExceeded,
-    InterpolationMismatch,
     NonIntegerResult,
     ParameterOutOfRange,
     SplitMix64,
     SumsetInstance,
-    aomoto_closed_form,
     aomoto_constant_term,
     dyson_closed_form,
     dyson_constant_term,
     instance_to_dict,
-    key_coefficient,
     uniform_forbidden,
     zeilberger_coefficient,
 )
@@ -93,19 +90,6 @@ def test_identities_zeilberger(capsys):
     assert all(r["constant_term"] == r["coefficient_form"] for r in rep["rows"])
 
 
-def counting(monkeypatch, name, delegate):
-    """Replace sumsetlab.cli.<name> by ``delegate``; returns the list of
-    arguments (a-vectors or parameter tuples) it is called with, as lists."""
-    calls = []
-
-    def wrapper(arg):
-        calls.append(list(arg))
-        return delegate(arg)
-
-    monkeypatch.setattr(sumsetlab.cli, name, wrapper)
-    return calls
-
-
 @pytest.mark.parametrize("scope", ["dyson", "zeilberger"])
 def test_identities_dyson_rows_equal_their_direct_values(capsys, scope):
     argv = ["identities", scope, "--max-vars", "4", "--max-entry", "3"]
@@ -116,23 +100,6 @@ def test_identities_dyson_rows_equal_their_direct_values(capsys, scope):
         assert row["closed_form"] == dyson_closed_form(row["avec"])
 
 
-@pytest.mark.parametrize("scope", ["dyson", "zeilberger"])
-def test_identities_expand_dyson_once_per_multiset(capsys, monkeypatch, scope):
-    dyson = counting(monkeypatch, "dyson_constant_term", dyson_constant_term)
-    closed = counting(monkeypatch, "dyson_closed_form", dyson_closed_form)
-    zeil = counting(monkeypatch, "zeilberger_coefficient",
-                    sumsetlab.cli.zeilberger_coefficient)
-    argv = ["identities", scope, "--max-vars", "4", "--max-entry", "3"]
-    code, rep, _ = run_doc(capsys, argv)
-    assert code == 0 and len(rep["rows"]) == 336
-    # 10 + 20 + 35 multisets of 2, 3 and 4 entries from {0, 1, 2, 3}
-    assert len(dyson) == 65 and all(avec == sorted(avec) for avec in dyson)
-    assert closed == dyson
-    # the Zeilberger coefficient is expanded on the same sorted keys; each
-    # row derives its own from it under its own sign
-    assert zeil == (dyson if scope == "zeilberger" else [])
-
-
 def test_identities_zeilberger_rows_equal_the_direct_expansion(capsys):
     argv = ["identities", "zeilberger", "--max-vars", "4", "--max-entry", "3"]
     code, rep, _ = run_doc(capsys, argv)
@@ -141,69 +108,11 @@ def test_identities_zeilberger_rows_equal_the_direct_expansion(capsys):
         assert row["coefficient_form"] == zeilberger_coefficient(row["avec"]), row
 
 
-def test_identities_zeilberger_wrong_row_sign_disagrees(capsys, monkeypatch):
-    # a relabelling sign that ignores the permutation breaks the unsorted rows
-    monkeypatch.setattr(sumsetlab.cli, "relabel_sign", lambda avec: 1)
-    code, rep, _ = run_doc(capsys, ["identities", "zeilberger", "--max-vars", "3"])
-    assert code == 2 and rep["all_agree"] is False
-    assert rep["first_failure"]["avec"] == [1, 0]
-
-
-def test_identities_dyson_top_of_range_expands_one_row_per_multiset(capsys, monkeypatch):
-    calls = counting(monkeypatch, "dyson_constant_term", dyson_closed_form)
-    argv = ["identities", "dyson", "--max-vars", "6", "--max-entry", "4"]
-    code, rep, _ = run_doc(capsys, argv)
-    assert code == 0 and rep["all_agree"] is True
-    assert len(rep["rows"]) == 19525 and len(calls) == 456
-
-
-def test_identities_zeilberger_top_of_range_expands_one_row_per_multiset(capsys,
-                                                                         monkeypatch):
-    # on a sorted key both expansions equal the closed form, which is fast
-    dyson = counting(monkeypatch, "dyson_constant_term", dyson_closed_form)
-    zeil = counting(monkeypatch, "zeilberger_coefficient", dyson_closed_form)
-    argv = ["identities", "zeilberger", "--max-vars", "6", "--max-entry", "4"]
-    code, rep, _ = run_doc(capsys, argv)
-    assert code == 0 and rep["all_agree"] is True
-    assert len(rep["rows"]) == 19525 and len(zeil) == 456 and zeil == dyson
-
-
 def test_identities_aomoto_correct_orientation(capsys):
     code, rep, _ = run_doc(capsys, ["identities", "aomoto", "--max-n", "2"])
     assert code == 0
     assert rep["orientation"]["closed_form_paired_with"] == "ct_chi_a"
     assert rep["orientation"]["inverted_form_paired_with"] == "ct_chi_b"
-
-
-def test_identities_aomoto_expands_side_a_once_per_params(capsys, monkeypatch):
-    # each row reads its own tuple and the swapped one, so both routes run
-    # once per tuple, and (n, n, a, b, m) runs as (n, 0, a + 1, b, m): the
-    # 192 grid tuples with s < n and the 24 of a = 4 that s = n, a = 3
-    # reaches, not one per row and orientation (576)
-    expanded = counting(monkeypatch, "aomoto_constant_term", aomoto_constant_term)
-    closed = counting(monkeypatch, "aomoto_closed_form", aomoto_closed_form)
-    argv = ["identities", "aomoto", "--max-n", "3", "--max-a", "3", "--max-b", "3"]
-    code, rep, _ = run_doc(capsys, argv)
-    assert code == 0 and len(rep["rows"]) == 288
-    for calls in (expanded, closed):
-        assert len(calls) == 216 and len(set(map(tuple, calls))) == 216
-        assert all(s < n for n, s, *_ in calls)
-        assert sum(a == 4 for _, _, a, _, _ in calls) == 24
-
-
-def test_identities_prop21_expands_each_size_tuple_once(capsys, monkeypatch):
-    # the sizes (k+1,)*n of s = n are those of k + 1, s = 0: for each of
-    # the 6 (n, m), 3 of the 4 k share them, so 96 rows need 78 expansions
-    calls = []
-
-    def counted(sizes, m):
-        calls.append((tuple(sizes), m))
-        return key_coefficient(sizes, m)
-
-    monkeypatch.setattr(sumsetlab.cli, "key_coefficient", counted)
-    code, rep, _ = run_doc(capsys, ["identities", "prop21", "--max-n", "4"])
-    assert code == 0 and len(rep["rows"]) == 96
-    assert len(calls) == len(set(calls)) == 78
 
 
 @pytest.mark.parametrize("chi_side, expected_code", [("a", 0), ("b", 2)])
@@ -235,19 +144,6 @@ def test_identities_lemma22(capsys):
     code, rep, _ = run_doc(capsys, ["identities", "lemma22"])
     assert code == 0
     assert all(row["agree"] for row in rep["rows"])
-
-
-def test_identities_lemma22_interpolation_mismatch_is_a_failed_row(capsys, monkeypatch):
-    def mismatch(n, s, b, m, slack):
-        raise InterpolationMismatch(f"sample off the fit at n={n}, s={s}, b={b}, m={m}")
-
-    monkeypatch.setattr(sumsetlab.cli, "leading_coefficient_check", mismatch)
-    code, rep, _ = run_doc(capsys, ["identities", "lemma22", "--max-b", "0",
-                                    "--max-s", "0", "--max-m", "0"])
-    assert code == 2
-    assert rep["rows"] == [{"n": 2, "s": 0, "b": 0, "m": 0, "agree": False,
-                            "error": "sample off the fit at n=2, s=0, b=0, m=0"}]
-    assert rep["first_failure"] == rep["rows"][0]
 
 
 def test_identities_prop21(capsys):
@@ -567,6 +463,27 @@ def test_thm4_m_above_p_is_refused_first(capsys, argv):
     assert code == 1 and out == ""
     m = argv[argv.index("--m") + 1]
     assert err == f"sumsetlab: error: m={m} exceeds p=3: S holds at most p residues\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["thm4", "--p", "5", "--m", "-1"],
+    ["thm4", "--p", "5", "--m", "0", "--forbidden", "1"],
+])
+def test_thm4_m_below_one_is_refused_first(capsys, argv):
+    # m < 1 has no coverage threshold; it is refused before S is read
+    code, out, err = run(capsys, argv)
+    assert code == 1 and out == ""
+    m = argv[argv.index("--m") + 1]
+    assert err == f"sumsetlab: error: m must be >= 1, got {m}\n"
+
+
+def test_thm4_threshold_above_p_is_named(capsys):
+    # without --size the subset size is the threshold, and the error says so
+    code, out, err = run(capsys, ["thm4", "--p", "2", "--m", "2"])
+    assert code == 1 and out == ""
+    assert err == "sumsetlab: error: coverage threshold 3 exceeds p=2\n"
+    code, _, err = run(capsys, ["thm4", "--p", "2", "--m", "2", "--size", "3"])
+    assert code == 1 and err == "sumsetlab: error: subset size 3 not in [1, 2]\n"
 
 
 def test_package_runs_as_a_module():
@@ -899,7 +816,7 @@ def test_internal_check_failure_exits_2(capsys, monkeypatch):
     def broken(avec):
         raise NonIntegerResult("expected an integer, got 1/2")
 
-    monkeypatch.setattr(sumsetlab.cli, "dyson_closed_form", broken)
+    monkeypatch.setattr(sumsetlab.identities, "dyson_closed_form", broken)
     code, out, err = run(capsys, ["identities", "dyson"])
     assert code == 2 and out == ""
     assert err == "sumsetlab: internal check failed: expected an integer, got 1/2\n"

@@ -20,8 +20,9 @@ def test_docstring_examples(name):
 
 
 def test_the_examples_are_found():
-    # identities 9 (ratio_text 4, aomoto_constant_term 2, relabel_sign 2,
-    # zeilberger_sign 1), mpoly.difference_coeff 4, sumsets.coverage_check 2
-    # and ffield.PrimeField 1: an example that stops being found fails here
+    # identities 10 (ratio_text 4, aomoto_constant_term 2, relabel_sign 2,
+    # zeilberger_sign 1, sweep 1), mpoly.difference_coeff 4,
+    # sumsets.coverage_check 2 and ffield.PrimeField 1: an example that
+    # stops being found fails here
     found = sum(doctest.testmod(importlib.import_module(name)).attempted for name in MODULES)
-    assert found == 16
+    assert found == 17

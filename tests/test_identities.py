@@ -5,6 +5,7 @@ from math import factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import sumsetlab.identities as identities_module
 from sumsetlab import (
     AomotoParams,
     DegreeInfeasible,
@@ -28,6 +29,7 @@ from sumsetlab.identities import (
     _newton_fit,
     ratio_text,
     relabel_sign,
+    sweep,
     zeilberger_sign,
 )
 from oracles import (
@@ -483,3 +485,150 @@ def test_newton_fit_matches_lagrange(ys, slack, nudge):
                 f"^sample at a={len(samples) - 1} is {samples[-1]}, "
                 f"but the degree-{degree} interpolant gives {int(later[-1])}$")):
             _newton_fit(samples, degree)
+
+
+# ----------------------------------------------------------------------
+# Sweeps and their symmetry quotients
+# ----------------------------------------------------------------------
+
+def counting(monkeypatch, name, delegate):
+    """Replace sumsetlab.identities.<name> by ``delegate``; returns the list
+    of arguments (a-vectors or parameter tuples) it is called with, as lists."""
+    calls = []
+
+    def wrapper(arg):
+        calls.append(list(arg))
+        return delegate(arg)
+
+    monkeypatch.setattr(identities_module, name, wrapper)
+    return calls
+
+
+def first_failure(rows):
+    return next((row for row in rows if not row["agree"]), None)
+
+
+@pytest.mark.parametrize("scope", ["dyson", "zeilberger"])
+def test_sweep_expands_dyson_once_per_multiset(monkeypatch, scope):
+    dyson = counting(monkeypatch, "dyson_constant_term", dyson_constant_term)
+    closed = counting(monkeypatch, "dyson_closed_form", dyson_closed_form)
+    zeil = counting(monkeypatch, "zeilberger_coefficient", zeilberger_coefficient)
+    rows = sweep(scope, max_vars=4, max_entry=3)
+    assert first_failure(rows) is None and len(rows) == 336
+    # 10 + 20 + 35 multisets of 2, 3 and 4 entries from {0, 1, 2, 3}
+    assert len(dyson) == 65 and all(avec == sorted(avec) for avec in dyson)
+    assert closed == dyson
+    # the Zeilberger coefficient is expanded on the same sorted keys; each
+    # row derives its own from it under its own sign
+    assert zeil == (dyson if scope == "zeilberger" else [])
+
+
+def test_sweep_zeilberger_wrong_row_sign_disagrees(monkeypatch):
+    # a relabelling sign that ignores the permutation breaks the unsorted rows
+    monkeypatch.setattr(identities_module, "relabel_sign", lambda avec: 1)
+    rows = sweep("zeilberger", max_vars=3, max_entry=2)
+    assert first_failure(rows)["avec"] == [1, 0]
+
+
+def test_sweep_dyson_top_of_range_expands_one_row_per_multiset(monkeypatch):
+    calls = counting(monkeypatch, "dyson_constant_term", dyson_closed_form)
+    rows = sweep("dyson", max_vars=6, max_entry=4)
+    assert first_failure(rows) is None
+    assert len(rows) == 19525 and len(calls) == 456
+
+
+def test_sweep_zeilberger_top_of_range_expands_one_row_per_multiset(monkeypatch):
+    # on a sorted key both expansions equal the closed form, which is fast
+    dyson = counting(monkeypatch, "dyson_constant_term", dyson_closed_form)
+    zeil = counting(monkeypatch, "zeilberger_coefficient", dyson_closed_form)
+    rows = sweep("zeilberger", max_vars=6, max_entry=4)
+    assert first_failure(rows) is None
+    assert len(rows) == 19525 and len(zeil) == 456 and zeil == dyson
+
+
+def test_sweep_aomoto_expands_side_a_once_per_params(monkeypatch):
+    # each row reads its own tuple and the swapped one, so both routes run
+    # once per tuple, and (n, n, a, b, m) runs as (n, 0, a + 1, b, m): the
+    # 192 grid tuples with s < n and the 24 of a = 4 that s = n, a = 3
+    # reaches, not one per row and orientation (576)
+    expanded = counting(monkeypatch, "aomoto_constant_term", aomoto_constant_term)
+    closed = counting(monkeypatch, "aomoto_closed_form", aomoto_closed_form)
+    rows = sweep("aomoto", max_n=3, max_a=3, max_b=3, max_m=1, chi_side="a")
+    assert first_failure(rows) is None and len(rows) == 288
+    for calls in (expanded, closed):
+        assert len(calls) == 216 and len(set(map(tuple, calls))) == 216
+        assert all(s < n for n, s, *_ in calls)
+        assert sum(a == 4 for _, _, a, _, _ in calls) == 24
+
+
+def test_sweep_prop21_expands_each_size_tuple_once(monkeypatch):
+    # the sizes (k+1,)*n of s = n are those of k + 1, s = 0: for each of
+    # the 6 (n, m), 3 of the 4 k share them, so 96 rows need 78 expansions
+    calls = []
+
+    def counted(sizes, m):
+        calls.append((tuple(sizes), m))
+        return key_coefficient(sizes, m)
+
+    monkeypatch.setattr(identities_module, "key_coefficient", counted)
+    rows = sweep("prop21", min_n=2, max_n=4, max_m=2, k_span=4)
+    assert first_failure(rows) is None and len(rows) == 96
+    assert len(calls) == len(set(calls)) == 78
+
+
+def test_sweep_lemma22_interpolation_mismatch_is_a_failed_row(monkeypatch):
+    def mismatch(n, s, b, m, slack):
+        raise InterpolationMismatch(f"sample off the fit at n={n}, s={s}, b={b}, m={m}")
+
+    monkeypatch.setattr(identities_module, "leading_coefficient_check", mismatch)
+    rows = sweep("lemma22", n=2, max_b=0, max_s=0, max_m=0, slack=2)
+    assert rows == [{"n": 2, "s": 0, "b": 0, "m": 0, "agree": False,
+                     "error": "sample off the fit at n=2, s=0, b=0, m=0"}]
+    assert first_failure(rows) == rows[0]
+
+
+def test_sweep_refuses_an_unknown_scope():
+    with pytest.raises(ParameterOutOfRange, match="unknown identity scope 'dysen'"):
+        sweep("dysen", max_vars=2, max_entry=1)
+
+
+def direct_values(scope, row):
+    """The values of a ``sweep(scope, ...)`` row, each computed on the
+    row's own parameters, without the sweep's quotient."""
+    if scope in ("dyson", "zeilberger"):
+        avec = row["avec"]
+        out = {"constant_term": dyson_constant_term(avec),
+               "closed_form": dyson_closed_form(avec)}
+        if scope == "zeilberger":
+            out["coefficient_form"] = zeilberger_coefficient(avec)
+        return out
+    if scope == "aomoto":
+        params = AomotoParams(*(row[k] for k in "nsabm"))
+        swapped = params._replace(a=params.b, b=params.a)
+        return {"ct_chi_a": aomoto_constant_term(params),
+                "closed_form": aomoto_closed_form(params),
+                "ct_chi_b": aomoto_constant_term(swapped),
+                "inverted_form": aomoto_closed_form(swapped)}
+    n, k, s = row["n"], row["k"], row["s"]
+    return {"expansion": key_coefficient((k + 1,) * s + (k,) * (n - s), row["m"])}
+
+
+SWEEP_CONFIGS = st.one_of(
+    st.tuples(st.sampled_from(["dyson", "zeilberger"]), st.fixed_dictionaries({
+        "max_vars": st.integers(2, 4), "max_entry": st.integers(0, 3)})),
+    st.tuples(st.just("aomoto"), st.fixed_dictionaries({
+        "max_n": st.integers(1, 3), "max_a": st.integers(0, 3), "max_b": st.integers(0, 3),
+        "max_m": st.integers(0, 2), "chi_side": st.sampled_from("ab")})),
+    st.tuples(st.just("prop21"), st.fixed_dictionaries({
+        "min_n": st.integers(1, 2), "max_n": st.integers(2, 4), "max_m": st.integers(1, 3),
+        "k_span": st.integers(1, 4)})),
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(SWEEP_CONFIGS)
+def test_sweep_rows_equal_the_direct_routes(case):
+    scope, config = case
+    for row in sweep(scope, **config):
+        expected = direct_values(scope, row)
+        assert {key: row[key] for key in expected} == expected, row
