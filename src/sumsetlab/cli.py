@@ -12,11 +12,12 @@ Exit codes:
   3  budget exceeded
 """
 
-import argparse
 import functools
 import itertools
 import os
+import re
 import sys
+import types
 from json.encoder import encode_basestring_ascii as _encode_str
 
 from .ffield import NotPrime, OutOfRange
@@ -97,93 +98,300 @@ def _option_help(dest):
 
 
 class _UsageError(Exception):
-    pass
+    """A usage error, exit 1, printed as ``{usage}{prog}: error: {message}``.
+    An error in argv carries the usage line and prog of its command."""
+
+    def __init__(self, message, prog="sumsetlab", usage=""):
+        super().__init__(message)
+        self.prog = prog
+        self.usage = usage
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        sys.stderr.write(f"{self.prog}: error: {message}\n")
-        raise SystemExit(EXIT_USAGE)
+class _Help(Exception):
+    """-h/--help was given; the help text is the exception's message."""
 
 
 def _int_list(text):
     try:
         values = [int(part) for part in text.split(",") if part.strip() != ""]
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
+        raise _UsageError(f"expected comma-separated integers, got {text!r}")
     if not values:
-        raise argparse.ArgumentTypeError("expected at least one integer")
+        raise _UsageError("expected at least one integer")
     return values
 
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The CLI parser, built on first use and shared by every main() call."""
-    parser = _Parser(
-        prog="sumsetlab",
-        description="Exact verification of restricted-sumset bounds over Z/pZ "
-                    "and the constant-term identities behind them.",
-    )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("table", "doc"), default="table",
-                        help="human table or structured JSON document (default: table)")
-    common.add_argument("--out", metavar="PATH", default=None,
-                        help="write the report to PATH instead of stdout")
-    common.add_argument("--budget", type=int, default=None, metavar="N",
-                        help=f"enumeration budget (default: ${BUDGET_ENV_VAR} "
-                             f"or {DEFAULT_BUDGET})")
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+# The command line, as tables.  A flag is dest: (kind, default, metavar,
+# help), where kind is the converter of its value or the tuple of its
+# choices, and the default _REQUIRED makes the flag required.  A
+# positional is (dest, name, kind, help).  The parser, the usage lines
+# and the help text all read these tables.
+_REQUIRED = object()
+_COMMON_FLAGS = {
+    "format": (("table", "doc"), "table", None,
+               "human table or structured JSON document (default: table)"),
+    "out": (str, None, "PATH", "write the report to PATH instead of stdout"),
+    "budget": (int, None, "N", f"enumeration budget (default: ${BUDGET_ENV_VAR} "
+                               f"or {DEFAULT_BUDGET})"),
+}
+_HELP_OPTIONS = {"-h": "help", "--help": "help"}
 
-    p_id = sub.add_parser(
-        "identities", parents=[common],
-        help="brute-force vs closed-form sweeps of the constant-term identities",
-    )
-    p_id.add_argument("scope", choices=("dyson", "zeilberger", "aomoto", "lemma22", "prop21"),
-                      help="which identity family to sweep")
-    for dest in _ID_OPTIONS:
-        kind = ({"choices": _SCOPE_LIMITS["aomoto"]["chi_side"][1:]} if dest == "chi_side"
-                else {"type": int, "metavar": "N"})
-        p_id.add_argument(_flag(dest), default=None, help=_option_help(dest), **kind)
 
-    p_sum = sub.add_parser(
-        "sumset", parents=[common],
-        help="enumerate one instance file and report bounds and certificate",
-    )
-    p_sum.add_argument("instance", metavar="FILE",
-                       help="JSON instance document (fields p, sets, forbidden)")
+def _command(help_text, positionals, **flags):
+    """A command's entry: its help, positionals and flags, and the map of
+    its option strings to their dests, in argparse's order."""
+    flags = {**_COMMON_FLAGS, **flags}
+    options = {**_HELP_OPTIONS, **{_flag(dest): dest for dest in flags}}
+    return help_text, positionals, flags, options
 
-    p_t4 = sub.add_parser(
-        "thm4", parents=[common],
-        help="coverage sweep: do restricted n-fold sums of threshold-size sets "
-             "hit every residue",
-    )
-    p_t4.add_argument("--p", type=int, required=True, help="prime modulus")
-    p_t4.add_argument("--m", type=int, required=True, help="forbidden-set size")
-    p_t4.add_argument("--mode", choices=("exhaustive", "sample"), default="exhaustive")
-    p_t4.add_argument("--count", type=int, default=50,
-                      help="sample mode: number of seeded subsets (default 50)")
-    p_t4.add_argument("--seed", type=int, default=0, help="sample mode seed")
-    p_t4.add_argument("--size", type=int, default=None,
-                      help="subset size to test (default: the coverage threshold)")
-    p_t4.add_argument("--forbidden", type=_int_list, default=None, metavar="LIST",
-                      help="comma-separated forbidden differences "
-                           "(default: 0,..,m-1)")
 
-    p_exp = sub.add_parser(
-        "experiment", parents=[common],
-        help="seeded random soundness sweep over instances",
-    )
-    p_exp.add_argument("--seed", type=int, default=0)
-    p_exp.add_argument("--trials", type=int, default=100)
-    p_exp.add_argument("--p-set", type=_int_list, default=[5, 7, 11, 13], metavar="LIST")
-    p_exp.add_argument("--n-set", type=_int_list, default=[2, 3], metavar="LIST")
-    p_exp.add_argument("--m-set", type=_int_list, default=[0, 1], metavar="LIST")
-    p_exp.add_argument("--k-max", type=int, default=6)
-    p_exp.add_argument("--enforce", choices=HYPOTHESIS_CHOICES, default="none",
-                       help="resample parameter tuples until this bound's "
-                            "hypothesis holds")
-    return parser
+_COMMANDS = {
+    "identities": _command(
+        "brute-force vs closed-form sweeps of the constant-term identities",
+        [("scope", "scope", tuple(_SCOPE_LIMITS), "which identity family to sweep")],
+        **{dest: (_SCOPE_LIMITS["aomoto"]["chi_side"][1:], None, None, _option_help(dest))
+           if dest == "chi_side" else (int, None, "N", _option_help(dest))
+           for dest in _ID_OPTIONS},
+    ),
+    "sumset": _command(
+        "enumerate one instance file and report bounds and certificate",
+        [("instance", "FILE", str, "JSON instance document (fields p, sets, forbidden)")],
+    ),
+    "thm4": _command(
+        "coverage sweep: do restricted n-fold sums of threshold-size sets "
+        "hit every residue",
+        [],
+        p=(int, _REQUIRED, "P", "prime modulus"),
+        m=(int, _REQUIRED, "M", "forbidden-set size"),
+        mode=(("exhaustive", "sample"), "exhaustive", None,
+              "every subset of the size, or --count seeded ones (default: exhaustive)"),
+        count=(int, 50, "COUNT", "sample mode: number of seeded subsets (default 50)"),
+        seed=(int, 0, "SEED", "sample mode seed (default 0)"),
+        size=(int, None, "SIZE", "subset size to test (default: the coverage threshold)"),
+        forbidden=(_int_list, None, "LIST",
+                   "comma-separated forbidden differences (default: 0,..,m-1)"),
+    ),
+    "experiment": _command(
+        "seeded random soundness sweep over instances",
+        [],
+        seed=(int, 0, "SEED", "seed of the draws (default 0)"),
+        trials=(int, 100, "TRIALS", "number of instances (default 100)"),
+        p_set=(_int_list, [5, 7, 11, 13], "LIST",
+               "the primes p is drawn from (default 5,7,11,13)"),
+        n_set=(_int_list, [2, 3], "LIST", "the set counts n is drawn from (default 2,3)"),
+        m_set=(_int_list, [0, 1], "LIST",
+               "the forbidden-set sizes m is drawn from (default 0,1)"),
+        k_max=(int, 6, "K_MAX", "largest set size k (default 6)"),
+        enforce=(HYPOTHESIS_CHOICES, "none", None,
+                 "resample parameter tuples until this bound's hypothesis holds"),
+    ),
+}
+
+
+def _metavar(kind, metavar):
+    return "{" + ",".join(kind) + "}" if type(kind) is tuple else metavar
+
+
+def _usage(command):
+    """The usage line of ``command``, "" for the top level, wrapped at 78
+    columns as argparse wraps it: the flags, then the positionals on lines
+    of their own."""
+    head = f"usage: sumsetlab {command}".rstrip()
+    if command:
+        _, positionals, flags, _ = _COMMANDS[command]
+        groups = [["[-h]"], [_metavar(kind, name) for _, name, kind, _ in positionals]]
+        for dest, (kind, default, metavar, _) in flags.items():
+            part = f"{_flag(dest)} {_metavar(kind, metavar)}"
+            groups[0].append(part if default is _REQUIRED else f"[{part}]")
+    else:
+        groups = [["[-h]"], [_metavar(tuple(_COMMANDS), None), "..."]]
+    if len(head) + sum(len(part) + 1 for group in groups for part in group) <= 78:
+        groups = [groups[0] + groups[1]]
+    lines = []
+    for group in groups:
+        line = head if not lines else " " * len(head)
+        for part in group:
+            if len(line) + 1 + len(part) > 78 and len(line) > len(head):
+                lines.append(line)
+                line = " " * len(head)
+            line += " " + part
+        if group:
+            lines.append(line)
+    return "\n".join(lines) + "\n"
+
+
+def _help_text(command):
+    """The -h/--help text of ``command``, "" for the top level."""
+    import textwrap  # only a help run pays for it
+
+    fill = functools.partial(textwrap.fill, width=78, subsequent_indent=" " * 24,
+                             break_long_words=False, break_on_hyphens=False)
+
+    def entry(invocation, text):
+        if len(invocation) > 20:
+            return f"  {invocation}\n" + fill(text, initial_indent=" " * 24)
+        return fill(text, initial_indent=f"  {invocation:<20}  ")
+
+    options = [entry("-h, --help", "show this help message and exit")]
+    if command:
+        description, positionals, flags, _ = _COMMANDS[command]
+        sections = [("positional arguments", [
+            entry(_metavar(kind, name), text) for _, name, kind, text in positionals])]
+        options += [entry(f"{_flag(dest)} {_metavar(kind, metavar)}", text)
+                    for dest, (kind, _, metavar, text) in flags.items()]
+    else:
+        description = ("Exact verification of restricted-sumset bounds over Z/pZ "
+                       "and the constant-term identities behind them.")
+        sections = [("commands", [entry(name, spec[0]) for name, spec in _COMMANDS.items()])]
+    sections.append(("options", options))
+    return _usage(command) + f"\n{textwrap.fill(description, 78)}\n" + "".join(
+        f"\n{title}:\n" + "\n".join(lines) + "\n" for title, lines in sections if lines)
+
+
+def _argv_error(command, message):
+    """The usage error ``message`` in the argv of ``command``, "" for the
+    top level, with its usage line and prog as argparse printed them."""
+    return _UsageError(message, f"sumsetlab {command}".rstrip(), _usage(command))
+
+
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
+
+
+def _read_option(token, options, command):
+    """What argparse makes of ``token`` in the argv of ``command``, whose
+    option strings map to their dests in ``options``: None for a
+    positional, else (dest, option string, attached value or None), with
+    dest None for an option the command does not have.  A unique prefix
+    of a long option is that option; a negative number, or a token with a
+    space, is a positional."""
+    if not token.startswith("-"):
+        return None
+    if token in options:
+        return options[token], token, None
+    if len(token) == 1:
+        return None
+    head, equals, value = token.partition("=")
+    if equals and head in options:
+        return options[head], head, value
+    if token[1] == "-":
+        matches = [string for string in options if string.startswith(head)]
+        attached = value if equals else None
+    else:  # a short option with its value attached, as in -hx
+        matches = [string for string in options if string == token[:2]]
+        attached = token[2:]
+    if len(matches) > 1:
+        raise _argv_error(command, f"ambiguous option: {token} could match "
+                                   + ", ".join(matches))
+    if matches:
+        return options[matches[0]], matches[0], attached
+    if _NEGATIVE_NUMBER.match(token) or " " in token:
+        return None
+    return None, token, None
+
+
+def _take_help(string, attached, command):
+    """-h/--help as ``string`` with value ``attached``: raises _Help, or
+    refuses the value; -hh.. is -h given again."""
+    if attached is None or (string == "-h" and attached and not attached.strip("h")):
+        raise _Help(_help_text(command))
+    if string == "-h":
+        attached = attached.lstrip("h")
+    raise _argv_error(command, f"argument -h/--help: ignored explicit argument {attached!r}")
+
+
+def _convert(kind, text, name, command):
+    """``text`` as the value of argument ``name``: one of the choices when
+    ``kind`` is a tuple, else ``kind(text)``."""
+    if type(kind) is tuple:
+        if text in kind:
+            return text
+        message = f"invalid choice: {text!r} (choose from {', '.join(map(repr, kind))})"
+    else:
+        try:
+            return kind(text)
+        except _UsageError as exc:  # _int_list's own message
+            message = str(exc)
+        except ValueError:
+            message = f"invalid {kind.__name__} value: {text!r}"
+    raise _argv_error(command, f"argument {name}: {message}")
+
+
+def _parse_command(command, tokens, extras):
+    """The values of ``command``'s arguments in ``tokens``; a token it does
+    not know goes to ``extras``."""
+    _, positionals, flags, options = _COMMANDS[command]
+    # every token is read before any is taken, so an ambiguous prefix is
+    # refused even after -h; the first "--" makes every later token positional
+    found = []
+    for token in tokens:
+        if token == "--":
+            found += ["--"] + [None] * (len(tokens) - len(found) - 1)
+            break
+        found.append(_read_option(token, options, command))
+    values = {dest: spec[1] for dest, spec in flags.items()}
+    pending = list(positionals)
+    index = 0
+    while index < len(tokens):
+        item = found[index]
+        if type(item) is tuple:
+            dest, string, attached = item
+            if dest is None:
+                extras.append(tokens[index])
+            elif dest == "help":
+                _take_help(string, attached, command)
+            else:
+                if attached is None:
+                    if index + 1 == len(tokens) or found[index + 1] is not None:
+                        raise _argv_error(command, f"argument {string}: expected one argument")
+                    index += 1
+                    attached = tokens[index]
+                values[dest] = _convert(flags[dest][0], attached, string, command)
+        elif pending and (item is None or index + 1 < len(tokens)):
+            # a positional takes the "--" just before or after it
+            if item == "--":
+                index += 1
+            dest, name, kind, _ = pending.pop(0)
+            values[dest] = _convert(kind, tokens[index], name, command)
+            if index + 1 < len(tokens) and found[index + 1] == "--":
+                index += 1
+        else:
+            extras.append(tokens[index])
+        index += 1
+    missing = [_flag(dest) for dest, value in values.items() if value is _REQUIRED]
+    missing += [name for _, name, _, _ in pending]
+    if missing:
+        raise _argv_error(command, "the following arguments are required: "
+                                   + ", ".join(missing))
+    return types.SimpleNamespace(command=command, **values)
+
+
+def parse_args(argv):
+    """The command named in ``argv`` and the values of its arguments, read
+    as argparse read them: ``--flag value`` or ``--flag=value``, a unique
+    prefix for a long flag, the last of a repeated flag, positionals
+    anywhere and after ``--``, and a negative number as a value.  Raises
+    _Help for -h/--help, and _UsageError with argparse's texts for a
+    usage error."""
+    extras = []
+    for index, token in enumerate(argv):
+        if token == "--":  # the command's name, unless no token follows it
+            found = None if index + 1 < len(argv) else (None, token, None)
+        else:
+            found = _read_option(token, _HELP_OPTIONS, "")
+        if found is None:
+            break
+        dest, string, attached = found
+        if dest is None:
+            extras.append(token)
+        else:
+            _take_help(string, attached, "")
+    else:
+        raise _argv_error("", "the following arguments are required: command")
+    command = _convert(tuple(_COMMANDS), argv[index], "command", "")
+    args = _parse_command(command, argv[index + 1:], extras)
+    if extras:
+        raise _argv_error("", "unrecognized arguments: " + " ".join(extras))
+    return args
 
 
 def _require(condition, message):
@@ -617,17 +825,16 @@ def _resolve_budget(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:  # argparse help exits 0; usage errors exit 1
-        return int(exc.code or 0)
-    try:
+        args = parse_args(sys.argv[1:] if argv is None else argv)
         budget = _resolve_budget(args)
         code, report = _HANDLERS[args.command](args, budget)
         _emit(report, args)
+    except _Help as exc:
+        sys.stdout.write(str(exc))
+        return EXIT_OK
     except _UsageError as exc:
-        sys.stderr.write(f"sumsetlab: error: {exc}\n")
+        sys.stderr.write(f"{exc.usage}{exc.prog}: error: {exc}\n")
         return EXIT_USAGE
     except BudgetExceeded as exc:
         sys.stderr.write(f"sumsetlab: budget exceeded: {exc}\n")

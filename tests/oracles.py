@@ -22,10 +22,14 @@ and ``eval_poly`` are the Fraction fit that the forward differences of
 the closed forms evaluated factor by factor in Fractions, the reference
 for their integer numerator-over-denominator versions.  ``whole_table``
 is the CLI table made as one string, the reference for the table that
-the CLI writes a batch of rows at a time.
+the CLI writes a batch of rows at a time.  ``build_parser`` is the
+argparse parser the CLI had before it read argv from its own tables, the
+reference for ``sumsetlab.cli.parse_args``.
 """
 
+import argparse
 import itertools
+import sys
 from fractions import Fraction
 from functools import cache, reduce
 from math import factorial, prod
@@ -43,6 +47,8 @@ from sumsetlab import (
     key_coefficient,
     uniform_forbidden,
 )
+from sumsetlab.cli import EXIT_USAGE, _ID_OPTIONS, _SCOPE_LIMITS, _flag, _option_help
+from sumsetlab.sumsets import BUDGET_ENV_VAR, HYPOTHESIS_CHOICES
 
 
 class LengthMismatch(ValueError):
@@ -769,3 +775,89 @@ def whole_table(headers, rows):
         if idx == 0:
             lines.append("  ".join("-" * w for w in widths))
     return "\n".join(lines)
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        sys.stderr.write(f"{self.prog}: error: {message}\n")
+        raise SystemExit(EXIT_USAGE)
+
+
+def _int_list(text):
+    try:
+        values = [int(part) for part in text.split(",") if part.strip() != ""]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
+    if not values:
+        raise argparse.ArgumentTypeError("expected at least one integer")
+    return values
+
+
+@cache
+def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built on first use and shared by every main() call."""
+    parser = _Parser(
+        prog="sumsetlab",
+        description="Exact verification of restricted-sumset bounds over Z/pZ "
+                    "and the constant-term identities behind them.",
+    )
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--format", choices=("table", "doc"), default="table",
+                        help="human table or structured JSON document (default: table)")
+    common.add_argument("--out", metavar="PATH", default=None,
+                        help="write the report to PATH instead of stdout")
+    common.add_argument("--budget", type=int, default=None, metavar="N",
+                        help=f"enumeration budget (default: ${BUDGET_ENV_VAR} "
+                             f"or {DEFAULT_BUDGET})")
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+
+    p_id = sub.add_parser(
+        "identities", parents=[common],
+        help="brute-force vs closed-form sweeps of the constant-term identities",
+    )
+    p_id.add_argument("scope", choices=("dyson", "zeilberger", "aomoto", "lemma22", "prop21"),
+                      help="which identity family to sweep")
+    for dest in _ID_OPTIONS:
+        kind = ({"choices": _SCOPE_LIMITS["aomoto"]["chi_side"][1:]} if dest == "chi_side"
+                else {"type": int, "metavar": "N"})
+        p_id.add_argument(_flag(dest), default=None, help=_option_help(dest), **kind)
+
+    p_sum = sub.add_parser(
+        "sumset", parents=[common],
+        help="enumerate one instance file and report bounds and certificate",
+    )
+    p_sum.add_argument("instance", metavar="FILE",
+                       help="JSON instance document (fields p, sets, forbidden)")
+
+    p_t4 = sub.add_parser(
+        "thm4", parents=[common],
+        help="coverage sweep: do restricted n-fold sums of threshold-size sets "
+             "hit every residue",
+    )
+    p_t4.add_argument("--p", type=int, required=True, help="prime modulus")
+    p_t4.add_argument("--m", type=int, required=True, help="forbidden-set size")
+    p_t4.add_argument("--mode", choices=("exhaustive", "sample"), default="exhaustive")
+    p_t4.add_argument("--count", type=int, default=50,
+                      help="sample mode: number of seeded subsets (default 50)")
+    p_t4.add_argument("--seed", type=int, default=0, help="sample mode seed")
+    p_t4.add_argument("--size", type=int, default=None,
+                      help="subset size to test (default: the coverage threshold)")
+    p_t4.add_argument("--forbidden", type=_int_list, default=None, metavar="LIST",
+                      help="comma-separated forbidden differences "
+                           "(default: 0,..,m-1)")
+
+    p_exp = sub.add_parser(
+        "experiment", parents=[common],
+        help="seeded random soundness sweep over instances",
+    )
+    p_exp.add_argument("--seed", type=int, default=0)
+    p_exp.add_argument("--trials", type=int, default=100)
+    p_exp.add_argument("--p-set", type=_int_list, default=[5, 7, 11, 13], metavar="LIST")
+    p_exp.add_argument("--n-set", type=_int_list, default=[2, 3], metavar="LIST")
+    p_exp.add_argument("--m-set", type=_int_list, default=[0, 1], metavar="LIST")
+    p_exp.add_argument("--k-max", type=int, default=6)
+    p_exp.add_argument("--enforce", choices=HYPOTHESIS_CHOICES, default="none",
+                       help="resample parameter tuples until this bound's "
+                            "hypothesis holds")
+    return parser

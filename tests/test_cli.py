@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -8,7 +10,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import sumsetlab
-from oracles import aomoto_laurent_factors, naive_laurent_constant_term, whole_table
+from oracles import (
+    aomoto_laurent_factors,
+    build_parser,
+    naive_laurent_constant_term,
+    whole_table,
+)
 from sumsetlab import (
     DEFAULT_BUDGET,
     AomotoParams,
@@ -25,14 +32,22 @@ from sumsetlab import (
     zeilberger_coefficient,
 )
 from sumsetlab.cli import (
+    _COMMANDS,
     _HANDLERS,
+    _ID_OPTIONS,
+    _REQUIRED,
     _ROW_BATCH,
+    _SCOPE_LIMITS,
+    _Help,
     _Rows,
+    _UsageError,
     _doc_pieces,
     _doc_text,
+    _flag,
+    _int_list,
     _table_pieces,
-    build_parser,
     main,
+    parse_args,
 )
 
 
@@ -615,7 +630,7 @@ def test_doc_writer_matches_json_dumps(doc):
 
 
 def _report(argv):
-    args = build_parser().parse_args(argv)
+    args = parse_args(argv)
     return _HANDLERS[args.command](args, DEFAULT_BUDGET)[1]
 
 
@@ -810,6 +825,136 @@ def test_unknown_scope_is_usage_error(capsys):
 
 def test_help_exits_zero(capsys):
     assert run(capsys, ["--help"])[0] == 0
+
+
+@pytest.mark.parametrize("command", list(_COMMANDS))
+def test_help_of_each_command_exits_zero(capsys, command):
+    code, out, err = run(capsys, [command, "--help"])
+    assert code == 0 and err == ""
+    assert out.startswith(f"usage: sumsetlab {command} [-h] ")
+
+
+def test_identities_help_lists_each_scopes_default_and_range(capsys):
+    code, out, _ = run(capsys, ["identities", "--help"])
+    assert code == 0
+    entries = {}  # flag -> its help text, the wrapped lines joined
+    for line in out.split("\noptions:\n")[1].splitlines():
+        words = line.split()
+        if line.startswith("  -"):
+            flag = words[0].rstrip(",")
+            entries[flag] = " ".join(words[2:])
+        else:
+            entries[flag] += " " + " ".join(words)
+    assert set(map(_flag, _ID_OPTIONS)) <= set(entries)
+    for scope, limits in _SCOPE_LIMITS.items():
+        for dest, (default, low, high) in limits.items():
+            span = f"in [{low}, {high}]" if high is not None else f">= {low}"
+            parts = entries[_flag(dest)].split("; ")[1:]
+            assert any(scope in part.split(":")[0].split("/")
+                       and part.endswith(f": default {default}, {span}")
+                       for part in parts), (scope, dest)
+
+
+def test_a_run_loads_no_argparse_gettext_or_locale(eh_file):
+    # a fresh interpreter, as a user's run has; each command, a usage
+    # error and a help text run through main
+    argvs = [["identities", "lemma22", "--fix-n", "1"], ["sumset", eh_file],
+             ["thm4", "--p", "5", "--m", "1"], ["experiment", "--trials", "1"],
+             ["thm4", "--p", "x"], ["identities", "--help"]]
+    script = ("import os, sys\n"
+              "import sumsetlab.cli\n"
+              f"for argv in {argvs!r}:\n"
+              "    sumsetlab.cli.main(argv + ['--out', os.devnull])\n"
+              "print(sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)))\n")
+    src = os.path.dirname(os.path.dirname(sumsetlab.__file__))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+    assert "sumsetlab thm4: error: argument --p: invalid int value: 'x'" in proc.stderr
+
+
+# The draws of the parser's differential test: values and junk tokens
+# that look like options, numbers or separators.  The draws leave out
+# what argparse itself may read differently from one Python version to
+# the next: a value attached to -h (3.13 reads -hx as -h), and a "--"
+# first or last, which only the examples give.
+_VALUES = ["7", "0", "-5", "-0", "-1.5", "-.5", "-5.", "-1,1", "-x", "-", "", " ", "5 6",
+           "x", "1,2", ",,", "1,,2", "+5", " 7 ", "\u0663", "f.json", "-x.json"]
+_JUNK = ["--", "---", "--=x", "--x", "-p", "--bogus=1", "--p 7", "-1 2", "--help=x",
+         "-h", "--help", "--he", "bogus", *_COMMANDS]
+
+
+def _values_of(kind, clean):
+    if type(kind) is tuple:
+        valid = st.sampled_from(kind)
+    elif kind is _int_list:
+        valid = st.lists(st.integers(-3, 20), min_size=1, max_size=3).map(
+            lambda values: ",".join(map(str, values)))
+    elif kind is int:
+        valid = st.integers(-10, 10).map(str)
+    else:
+        valid = st.sampled_from(["f.json", "-", "-5", "a b"])
+    return valid if clean else valid | st.sampled_from(_VALUES)
+
+
+@st.composite
+def _argvs(draw):
+    """An argv of one command from the table: each flag none, one or two
+    times, in full, as a prefix or with its value after "=", and the
+    positionals among them.  A clean argv has valid values and unique
+    prefixes only; any other may also have a flag without its value,
+    values and prefixes of every kind, and junk tokens anywhere."""
+    clean = draw(st.booleans())
+    command = draw(st.sampled_from(list(_COMMANDS)))
+    _, positionals, flags, options = _COMMANDS[command]
+    words = [[draw(_values_of(kind, clean))] for _, _, kind, _ in positionals]
+    for dest, (kind, default, _, _) in flags.items():
+        string = _flag(dest)
+        unique = min(n for n in range(3, len(string) + 1) if string[:n] == string
+                     or [o for o in options if o.startswith(string[:n])] == [string])
+        for _ in range(draw(st.integers(default is _REQUIRED, 1 if clean else 2))):
+            prefix = string[:draw(st.just(len(string)) | st.integers(
+                unique if clean else 3, len(string)))]
+            value = draw(_values_of(kind, clean))
+            forms = [[prefix, value], [f"{prefix}={value}"]] + ([] if clean else [[prefix]])
+            words.append(draw(st.sampled_from(forms)))
+    argv = [command] + [token for word in draw(st.permutations(words)) for token in word]
+    for _ in range(0 if clean else draw(st.integers(0, 3))):
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(_JUNK + _VALUES)))
+    return argv
+
+
+def _parse_outcome(argv):
+    try:
+        return "accepted", vars(parse_args(argv))
+    except _Help:
+        return "help", None
+    except _UsageError:
+        return "refused", None
+
+
+def _argparse_outcome(argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return "accepted", vars(build_parser().parse_args(argv))
+        except SystemExit as exc:
+            return {0: "help", 1: "refused"}[exc.code], None
+
+
+@settings(max_examples=400, deadline=None)
+@given(_argvs().filter(lambda argv: "--" not in (argv[0], argv[-1])))
+@example(["experiment", "--m-set=-1,1"])
+@example(["experiment", "--m-set", "-1,1"])
+@example(["thm4", "--seed", "-5", "--p", "7", "--m=1", "--p", "11"])
+@example(["sumset", "--", "-x.json"])
+@example(["sumset", "f.json", "--"])
+@example(["--he", "thm4"])
+@example(["thm4", "-h", "--s", "1"])
+def test_parser_agrees_with_argparse(argv):
+    # the same values, or both refuse, or both print help; nothing else
+    # escapes the parser
+    assert _parse_outcome(argv) == _argparse_outcome(argv)
 
 
 def test_internal_check_failure_exits_2(capsys, monkeypatch):
