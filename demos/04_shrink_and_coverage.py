@@ -9,6 +9,8 @@ is a sum of n elements of A with pairwise differences outside S.
 Run:  python demos/04_shrink_and_coverage.py
 """
 
+from itertools import islice
+
 from sumsetlab import (
     SumsetInstance,
     coverage_sweep,
@@ -52,6 +54,6 @@ print("=" * 64)
 
 sweep = coverage_sweep(7, 1, mode="exhaustive")
 print(f"threshold {sweep.threshold}; testing all 21 subsets of that size")
-for row in sweep.rows[:5]:
+for row in islice(sweep.rows, 5):
     print(f"  A = {row.subset}: n = {row.n}, covered = {row.covered}")
 print(f"  ... {len(sweep.rows)} subsets total, failures: {len(sweep.failures())}")

@@ -792,7 +792,7 @@ def _doc_pieces(report):
 
 def _emit(report, args):
     pieces = (_doc_pieces if args.format == "doc" else _render)(report)
-    if args.out:
+    if args.out is not None:  # --out= names no file, and fails to open
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.writelines(pieces)
     else:

@@ -19,7 +19,7 @@ import bisect
 import itertools
 import json
 from collections import namedtuple
-from math import isqrt, prod
+from math import comb, isqrt, prod
 
 from .ffield import PrimeField
 from .identities import (
@@ -555,13 +555,103 @@ def coverage_check(p, s_set, a_set, budget: int = DEFAULT_BUDGET) -> CoverageRep
 class CoverageSweepResult(namedtuple(
         "CoverageSweepResult", "p m s_set subset_size threshold mode rows")):
     """Outcome of :func:`coverage_sweep`: one :class:`CoverageReport` per
-    subset in ``rows``."""
+    subset in ``rows``, a tuple in sample mode and an :class:`OrbitRows`
+    in exhaustive mode."""
 
     __slots__ = ()
 
     def failures(self):
         """Rows that would falsify the implementation: hypothesis met, not covered."""
-        return [row for row in self.rows if row.hypothesis_met and not row.covered]
+        def failing(row):
+            return row.hypothesis_met and not row.covered
+        # every row of an orbit shares its orbit's verdict
+        if type(self.rows) is OrbitRows and not any(map(failing, self.rows.orbits)):
+            return []
+        return [row for row in self.rows if failing(row)]
+
+
+class OrbitRows:
+    """The rows of an exhaustive sweep, made as they are read.
+
+    ``orbits`` holds the report of each orbit's least subset, and
+    ``codes[r]`` names the orbit of the subset of lexicographic rank r
+    and a map x -> eps*x + t that carries the orbit's least subset onto
+    it, as 1 + (2*orbit + [eps = -1])*p + t.  Iterating walks the subsets
+    again, in step with ``codes``, and derives each row through its map:
+    missing(eps*A + t) = eps*missing(A) + n*t.  The rows are made anew on
+    every pass, so only the codes and the orbits' reports stay alive.
+    """
+
+    __slots__ = ("p", "size", "orbits", "codes")
+
+    def __init__(self, p, size, orbits, codes):
+        self.p, self.size, self.orbits, self.codes = p, size, orbits, codes
+
+    def __len__(self):
+        return len(self.codes)
+
+    def __iter__(self):
+        p, orbits = self.p, self.orbits
+        for code, B in zip(self.codes, itertools.combinations(range(p), self.size)):
+            q, t = divmod(code - 1, p)
+            base = orbits[q >> 1]
+            missing = base.missing
+            if missing:
+                eps, shift = -1 if q & 1 else 1, base.n * t
+                missing = tuple(sorted([(eps * y + shift) % p for y in missing]))
+            yield CoverageReport(B, base.n, base.threshold, base.hypothesis_met,
+                                 base.covered, missing)
+
+
+def _check_listed(listed: int, budget: int) -> None:
+    """Refuse a sweep whose rows list more missing residues than the budget."""
+    if listed > budget:
+        raise BudgetExceeded(
+            f"more than {budget} missing residues over the rows exceed the budget"
+        )
+
+
+def _orbit_table(field, S, size: int, count: int, budget: int) -> OrbitRows:
+    """The exhaustive sweep's rows, as an :class:`OrbitRows`: one
+    coverage_check per orbit, the least subset of each, and the code of
+    every subset's orbit and map.  Raises BudgetExceeded once the missing
+    residues that the rows will list exceed the budget."""
+    p = field.p
+    # 8 zeroed bytes per subset, read as int64 codes; a memoryview, since
+    # the array module would be one more import on every run
+    codes = memoryview(bytearray(8 * count)).cast("q")
+    top = count - 1
+    # A sorted subset B has rank top - sum_i C(p-1-B[i], size-i), and
+    # B[i] lies in [i, p-size+i]; tabs[i][B[i] - i] holds that term.
+    tabs = [[comb(p - 1 - x, size - i) for x in range(i, p - size + i + 1)]
+            for i in range(size)]
+    orbits = []
+    listed = 0  # missing residues over the rows of the orbits so far
+    for rank, A in enumerate(itertools.combinations(range(p), size)):
+        if codes[rank]:
+            continue
+        row = coverage_check(field, S, A, budget)
+        code = 1 + 2 * len(orbits) * p
+        orbits.append(row)
+        rows = 0
+        for image in (A, tuple(sorted(-a % p for a in A))):
+            # image + u, sorted, is image[cut:] + u - p then image[:cut] + u,
+            # cut being the count of elements below p - u, so its element
+            # at position i reads tabs[i] at rot[cut + i] + u + cut
+            rot = [x - i - p for i, x in enumerate(image)]
+            rot += [x - i - size for i, x in enumerate(image)]
+            for u in range(p):
+                cut = bisect.bisect_left(image, p - u)
+                w = u + cut
+                r = top - sum(map(list.__getitem__, tabs,
+                                  [d + w for d in rot[cut:cut + size]]))
+                if not codes[r]:
+                    codes[r] = code + u
+                    rows += 1
+            code += p
+        listed += rows * len(row.missing)
+        _check_listed(listed, budget)
+    return OrbitRows(p, size, orbits, codes)
 
 
 def coverage_sweep(p: int, m: int, mode: str = "exhaustive", count: int = 50,
@@ -587,21 +677,22 @@ def coverage_sweep(p: int, m: int, mode: str = "exhaustive", count: int = 50,
     onto itself and translation leaves alone.  Hence
     C(eps*A + t) = eps*C(A) + n*t, the missing residues move the same
     way, and n, the threshold and the hypothesis depend only on |A|.
-    The walk runs in lexicographic order, so a subset that no earlier
-    orbit holds is the least of its own orbit: it is checked, and its
-    report is its row.  Its other images eps*A + t then wait in a dict,
-    each with that report and its (eps, t), and every later subset of
-    the orbit is a lookup whose row is derived through that map.  Under
-    a stabilizer several (eps, t) give one image, and any of them gives
-    the same row.  The dict holds only subsets the walk has still to
-    reach, so it never outgrows the subset count that the budget caps.
-    Rows keep the order of the subsets, so the output is the same as
-    checking each one.  Sample mode checks every drawn subset: a sweep
-    that draws one orbit twice checks it twice, and at a large p it
-    could not hold the 2p images of each orbit.
+    The walk runs in lexicographic order and marks every image of each
+    orbit it checks, so a subset that is still unmarked is the least of
+    a new orbit: it is checked, and its 2p images eps*A + t are marked,
+    each at its lexicographic rank, with the orbit and its (eps, t).
+    Under a stabilizer several (eps, t) give one image; the first is
+    kept, and any of them gives the same row.  The sweep keeps one
+    report per orbit and one 8-byte code per subset, and the rows, an
+    :class:`OrbitRows`, are derived from them as they are read, in the
+    order of the subsets, so the output is the same as checking each
+    one.  Sample mode checks every drawn subset and keeps its rows: a
+    sweep that draws one orbit twice checks it twice, and at a large p
+    it could not hold the 2p images of each orbit.
 
     Raises BudgetExceeded once the missing residues listed over all
-    rows exceed the budget.
+    rows exceed the budget; in exhaustive mode each orbit's rows count
+    when it is checked, so every refusal comes before a row is read.
     """
     field = PrimeField(p)
     if m > p:
@@ -622,7 +713,6 @@ def coverage_sweep(p: int, m: int, mode: str = "exhaustive", count: int = 50,
             raise BudgetExceeded(
                 f"more than {budget} subsets of size {size} exceed the budget"
             )
-        subsets = itertools.combinations(range(p), size)
     elif mode == "sample":
         if count < 0:
             raise ParameterOutOfRange(f"count must be >= 0, got {count}")
@@ -630,42 +720,24 @@ def coverage_sweep(p: int, m: int, mode: str = "exhaustive", count: int = 50,
             raise BudgetExceeded(
                 f"{_count_text(count)} subsets of size {size} exceed the budget of {budget}"
             )
-        n_subsets, rng = count, SplitMix64(seed)
-        subsets = (rng.sample(p, size) for _ in range(count))
+        n_subsets = count
     else:
         raise ParameterOutOfRange(f"mode must be 'exhaustive' or 'sample', got {mode!r}")
     if n_subsets:
         _check_sum_budget(size, (size - 1 + m) // (2 * m), budget)
-    pending = {}  # exhaustive mode: a later subset -> (its orbit's report, eps, t)
-    listed = 0    # missing residues in the rows so far
-    rows = []
-    for A in subsets:
-        hit = pending.pop(A, None)
-        if hit is None:
-            row = coverage_check(field, S, A, budget)
-            if mode == "exhaustive":
-                # e*A + u, sorted: the elements of e*A that wrap past p
-                # come first.  A itself is reached now, not later.
-                for e, image in ((1, A), (-1, tuple(sorted(-a % p for a in A)))):
-                    for u in range(p):
-                        cut = bisect.bisect_left(image, p - u)
-                        pending.setdefault(
-                            tuple([x + u - p for x in image[cut:]]
-                                  + [x + u for x in image[:cut]]),
-                            (row, e, u))
-                del pending[A]
-        else:
-            base, eps, t = hit
-            missing = tuple(sorted((eps * y + base.n * t) % p for y in base.missing))
-            row = CoverageReport(A, base.n, threshold, base.hypothesis_met,
-                                 base.covered, missing)
-        listed += len(row.missing)
-        if listed > budget:
-            raise BudgetExceeded(
-                f"more than {budget} missing residues over the rows exceed the budget"
-            )
-        rows.append(row)
-    return CoverageSweepResult(p, m, S, size, threshold, mode, tuple(rows))
+    if mode == "exhaustive":
+        rows = _orbit_table(field, S, size, n_subsets, budget)
+    else:
+        rng = SplitMix64(seed)
+        listed = 0  # missing residues in the rows so far
+        rows = []
+        for _ in range(count):
+            row = coverage_check(field, S, rng.sample(p, size), budget)
+            listed += len(row.missing)
+            _check_listed(listed, budget)
+            rows.append(row)
+        rows = tuple(rows)
+    return CoverageSweepResult(p, m, S, size, threshold, mode, rows)
 
 
 # ----------------------------------------------------------------------

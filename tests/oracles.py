@@ -15,7 +15,8 @@ coefficient always expanded by ``key_coefficient``, the reference for the
 closed-form route of ``certificate_check``.  ``brute_sumset``,
 ``two_orientation_sumset`` and ``walked_coverage_sumset`` are the
 references for the sumset walks, ``coverage_sweep_rows`` for the sweep's
-orbit quotient and ``orbit_key`` for its orbits.  ``lagrange_interpolate``
+orbit quotient, ``pending_sweep_rows`` for the rows it derives from its
+orbit table and ``orbit_key`` for its orbits.  ``lagrange_interpolate``
 and ``eval_poly`` are the Fraction fit that the forward differences of
 ``leading_coefficient_check`` replaced.  ``fraction_dyson_closed_form``,
 ``fraction_aomoto_closed_form`` and ``fraction_key_closed_form`` are
@@ -28,6 +29,7 @@ reference for ``sumsetlab.cli.parse_args``.
 """
 
 import argparse
+import bisect
 import itertools
 import sys
 from fractions import Fraction
@@ -38,6 +40,7 @@ from operator import add
 from sumsetlab import (
     DEFAULT_BUDGET,
     CertificateReport,
+    CoverageReport,
     DegreeInfeasible,
     SplitMix64,
     SumsetInstance,
@@ -728,6 +731,40 @@ def coverage_sweep_rows(p, m, mode="exhaustive", count=50, seed=0, size=None,
         rng = SplitMix64(seed)
         subsets = (rng.sample(p, size) for _ in range(count))
     return tuple(coverage_check(p, S, A, budget) for A in subsets)
+
+
+def pending_sweep_rows(p, s_set, size, budget=DEFAULT_BUDGET):
+    """The rows of an exhaustive coverage_sweep by the walk the sweep made
+    before it kept an orbit table: in itertools.combinations order, a
+    subset that no earlier orbit holds is checked, and its other images
+    eps*A + t wait in a dict, each with that report and its (eps, t),
+    until the walk reaches them and derives their rows.  The reference
+    for the rows that coverage_sweep derives from its orbit table."""
+    S = tuple(sorted(set(s_set)))
+    threshold = coverage_threshold(p, len(S))
+    pending = {}  # a later subset -> (its orbit's report, eps, t)
+    rows = []
+    for A in itertools.combinations(range(p), size):
+        hit = pending.pop(A, None)
+        if hit is None:
+            row = coverage_check(p, S, A, budget)
+            # e*A + u, sorted: the elements of e*A that wrap past p come
+            # first.  A itself is reached now, not later.
+            for e, image in ((1, A), (-1, tuple(sorted(-a % p for a in A)))):
+                for u in range(p):
+                    cut = bisect.bisect_left(image, p - u)
+                    pending.setdefault(
+                        tuple([x + u - p for x in image[cut:]]
+                              + [x + u for x in image[:cut]]),
+                        (row, e, u))
+            del pending[A]
+        else:
+            base, eps, t = hit
+            missing = tuple(sorted((eps * y + base.n * t) % p for y in base.missing))
+            row = CoverageReport(A, base.n, threshold, base.hypothesis_met,
+                                 base.covered, missing)
+        rows.append(row)
+    return tuple(rows)
 
 
 def orbit_key(A, p):

@@ -346,6 +346,14 @@ def test_out_file(tmp_path, capsys, eh_file):
     assert json.loads(target.read_text())["cardinality"] == 5
 
 
+def test_out_file_with_an_empty_path_is_an_error(capsys):
+    # --out= names no file: it fails to open like any unusable path, and
+    # nothing is written to stdout
+    code, out, err = run(capsys, ["thm4", "--p", "5", "--m", "1", "--out="])
+    assert code == 1 and out == ""
+    assert err.startswith("sumsetlab: error: ") and "Traceback" not in err
+
+
 # ----------------------------------------------------------------------
 # thm4
 # ----------------------------------------------------------------------
@@ -454,6 +462,18 @@ def test_thm4_missing_residues_over_all_rows_are_budget_exit(capsys):
     assert code == 0 and sum(len(row["missing"]) for row in rep["rows"]) == 10100
     code, out, err = run(capsys, argv + ["10099"])
     assert code == 3 and out == "" and "missing residues over the rows" in err
+
+
+def test_thm4_budget_exit_leaves_no_out_file(capsys, tmp_path):
+    # the sweep's budget checks all run before --out is opened, although
+    # its rows are made only as they are written: a refused sweep leaves
+    # no file, not a partial one
+    path = tmp_path / "report.txt"
+    argv = ["thm4", "--p", "101", "--m", "1", "--size", "1", "--budget", "10099",
+            "--out", str(path)]
+    code, out, err = run(capsys, argv)
+    assert code == 3 and out == "" and "missing residues over the rows" in err
+    assert not path.exists()
 
 
 def test_thm4_bad_size(capsys):
@@ -743,7 +763,7 @@ def test_doc_output_file_peak_memory_is_below_three_copies(capsys, tmp_path):
     # The 1716 thm4 rows go to the file a batch at a time, so no string
     # holds their whole text.  Made as one string and copied again to add
     # the final newline, the text and the report peaked at 4.0 times the
-    # file; streamed they peak at 1.4 times.
+    # file; streamed they peak at 0.20 times (see the next test).
     argv = ["thm4", "--p", "13", "--m", "1", "--format", "doc"]
     code, out, _ = run(capsys, argv)
     path = tmp_path / "report.json"
@@ -762,12 +782,14 @@ def test_doc_output_file_peak_memory_is_below_three_copies(capsys, tmp_path):
 
 @pytest.mark.parametrize("fmt, copies", [("doc", 1.0), ("table", 3.0)])
 def test_thm4_output_file_peak_memory_is_the_sweeps_own(capsys, tmp_path, fmt, copies):
-    # The report keeps the sweep's 1716 records and makes the row dicts,
-    # cells and lines of one batch at a time, so the peak is that of the
-    # sweep itself: 0.76 times the doc file and 2.93 times the smaller
-    # table file.  With a dict per row alive until the write ended, the
-    # doc peaked at 1.41 times its file; with every cell, padded line and
-    # their join alive at once, the table peaked at 14.1 times.
+    # The sweep keeps the reports of its 76 orbits and an 8-byte code per
+    # row, and the report derives the 1716 rows, their dicts, cells and
+    # lines one batch at a time: the peak is 0.20 times the doc file and
+    # 0.73 times the smaller table file.  With the 1716 records and a dict
+    # of orbit images held by the sweep, it was 0.76 and 2.94 times; with
+    # a dict per row alive until the write ended, the doc peaked at 1.41
+    # times its file; with every cell, padded line and their join alive
+    # at once, the table peaked at 14.1 times.
     argv = ["thm4", "--p", "13", "--m", "1", "--format", fmt]
     code, out, _ = run(capsys, argv)
     path = tmp_path / "report.txt"
