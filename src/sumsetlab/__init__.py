@@ -8,6 +8,8 @@ cross-checks the Dyson/Aomoto-style constant-term identities against
 their factorial closed forms — all in exact integer arithmetic.
 """
 
+from types import ModuleType as _ModuleType
+
 from .ffield import (
     NotPrime,
     OutOfRange,
@@ -69,57 +71,6 @@ from .sumsets import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AomotoParams",
-    "BUDGET_ENV_VAR",
-    "BoundEntry",
-    "BoundReport",
-    "BudgetExceeded",
-    "CannotSatisfyHypothesis",
-    "CertificateReport",
-    "CoverageReport",
-    "CoverageSweepResult",
-    "DEFAULT_BUDGET",
-    "DegreeInfeasible",
-    "ExperimentTrial",
-    "HypothesisViolated",
-    "InstanceAnalysis",
-    "InstanceFormatError",
-    "InterpolationMismatch",
-    "LeadingCoefficientReport",
-    "NonIntegerResult",
-    "NotInShrinkRegime",
-    "NotPrime",
-    "OutOfRange",
-    "ParameterOutOfRange",
-    "PrimeField",
-    "SplitMix64",
-    "SumsetInstance",
-    "TooFewVariables",
-    "analyze",
-    "aomoto_closed_form",
-    "aomoto_constant_term",
-    "certificate_check",
-    "chi",
-    "compute_bounds",
-    "coverage_check",
-    "coverage_sweep",
-    "coverage_threshold",
-    "difference_coeff",
-    "dyson_closed_form",
-    "dyson_constant_term",
-    "enumerate_restricted_sumset",
-    "instance_from_dict",
-    "instance_to_dict",
-    "is_prime",
-    "key_coefficient",
-    "key_coefficient_closed_form",
-    "leading_coefficient_check",
-    "load_instance",
-    "parameter_hypothesis_met",
-    "random_instance",
-    "run_experiment",
-    "shrink_sizes",
-    "uniform_forbidden",
-    "zeilberger_coefficient",
-]
+# every public name imported above, the submodules aside
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))

@@ -1,31 +1,38 @@
-"""Reference routes used to check the coefficient engine.
+"""Independent references for the package's engines, used only by the tests.
 
-Nothing here calls ``sumsetlab.difference_coeff``.  ``SparsePoly`` is a
-plain sparse polynomial ring over the integers, with Laurent exponents
-allowed.  ``targeted_coeff`` is the engine as it was before
-``difference_coeff``: it expands any list of SparsePoly factors, pruning
-from above and below and contracting the variable-sum power.
-``pruned_coeff`` is the older expansion that prunes only from above and
-multiplies every power of the variable sum through term by term.
-``naive_coeff`` expands in full and reads the coefficient off at the
-end; Laurent products stay Laurent, with no clearing of denominators.
-``kp_coeff`` reaches the key coefficient by exact evaluation, with no
-expansion at all.  ``expanded_certificate`` is the certificate with its
-coefficient always expanded by ``key_coefficient``, the reference for the
-closed-form route of ``certificate_check``.  ``brute_sumset``,
-``two_orientation_sumset`` and ``walked_coverage_sumset`` are the
-references for the sumset walks, ``coverage_sweep_rows`` for the sweep's
-orbit quotient, ``pending_sweep_rows`` for the rows it derives from its
-orbit table and ``orbit_key`` for its orbits.  ``lagrange_interpolate``
-and ``eval_poly`` are the Fraction fit that the forward differences of
-``leading_coefficient_check`` replaced.  ``fraction_dyson_closed_form``,
-``fraction_aomoto_closed_form`` and ``fraction_key_closed_form`` are
-the closed forms evaluated factor by factor in Fractions, the reference
-for their integer numerator-over-denominator versions.  ``whole_table``
-is the CLI table made as one string, the reference for the table that
-the CLI writes a batch of rows at a time.  ``build_parser`` is the
-argparse parser the CLI had before it read argv from its own tables, the
-reference for ``sumsetlab.cli.parse_args``.
+Each engine has one reference here that shares none of its code, and the
+tests check the engine against it.
+
+- ``difference_coeff``: ``naive_coeff`` expands the product of
+  ``SparsePoly`` factors in full and reads the coefficient off at the
+  end.  ``SparsePoly`` is a plain sparse polynomial ring over the
+  integers with Laurent exponents allowed, so Laurent products stay
+  Laurent, with no clearing of denominators.  ``kp_coeff`` reaches the
+  key coefficient by exact evaluation (the Lasoń / Karasev-Petrov
+  formula), with no expansion at all.  ``naive_laurent_constant_term``
+  reads the constant terms of the identities off their Laurent factor
+  lists (``aomoto_laurent_factors``, ``lemma22_laurent_factors``).
+- The certificates: ``literal_certificate`` expands the literal
+  constraint polynomial, and ``expanded_certificate`` always expands the
+  key coefficient, the reference for the closed-form route of
+  ``certificate_check``.
+- The sumset walks: ``brute_sumset`` tries every tuple, and
+  ``walked_coverage_sumset`` is the general walk that ``coverage_check``
+  replaced.  ``coverage_sweep_rows`` checks every subset, the reference
+  for the sweep's orbit quotient; ``pending_sweep_rows`` is the sweep's
+  earlier walk, for the rows it derives from its orbit table; and
+  ``orbit_key`` names an orbit by brute force.
+- The closed forms: ``lagrange_interpolate`` and ``eval_poly`` are the
+  Fraction fit that the forward differences of
+  ``leading_coefficient_check`` replaced, and
+  ``fraction_dyson_closed_form``, ``fraction_aomoto_closed_form`` and
+  ``fraction_key_closed_form`` evaluate the closed forms factor by factor
+  in Fractions, for their integer numerator-over-denominator versions.
+- The CLI: ``whole_table`` makes the table as one string, for the table
+  written a batch of rows at a time, and ``build_parser`` is the argparse
+  parser, for ``sumsetlab.cli.parse_args``.
+- ``trial_division_is_prime`` is the reference for ``is_prime``, and
+  ``list_sample`` for the dict-backed ``SplitMix64.sample``.
 """
 
 import argparse
@@ -35,7 +42,6 @@ import sys
 from fractions import Fraction
 from functools import cache, reduce
 from math import factorial, prod
-from operator import add
 
 from sumsetlab import (
     DEFAULT_BUDGET,
@@ -56,10 +62,6 @@ from sumsetlab.sumsets import BUDGET_ENV_VAR, HYPOTHESIS_CHOICES
 
 class LengthMismatch(ValueError):
     """An exponent vector's length differs from the ambient variable count."""
-
-
-class NegativeExponentInput(ValueError):
-    """A Laurent term reached a polynomial-only code path."""
 
 
 class SparsePoly:
@@ -251,158 +253,6 @@ def sum_of_variables(nvars: int) -> SparsePoly:
     )
 
 
-@cache
-def _variable_sum(nvars: int) -> SparsePoly:
-    """``sum_of_variables(nvars)``, built once per variable count for
-    :func:`targeted_coeff` to compare every factor with; shared, so it
-    is never handed out."""
-    return sum_of_variables(nvars)
-
-
-def _factor_pairs(factors, nvars):
-    """The (poly, repetitions) pairs of a factor list of SparsePoly or
-    (SparsePoly, repetitions) items, validated, without the factors
-    repeated 0 times (each is the empty product 1)."""
-    flist = []
-    for item in factors:
-        if isinstance(item, SparsePoly):
-            poly, rep = item, 1
-        else:
-            poly, rep = item
-            rep = int(rep)
-        if not isinstance(poly, SparsePoly):
-            raise TypeError(f"factor {poly!r} is not a SparsePoly")
-        if rep < 0:
-            raise ValueError(f"repetition exponent must be >= 0, got {rep}")
-        if poly.nvars != nvars:
-            raise LengthMismatch(
-                f"factor on {poly.nvars} variables in a {nvars}-variable product"
-            )
-        if any(v < 0 for e in poly.terms for v in e):
-            raise NegativeExponentInput(
-                "factors must have nonnegative exponents; clear denominators first"
-            )
-        if rep:
-            flist.append((poly, rep))
-    return flist
-
-
-def _bounded_product(acc, items, touched, floor, ceiling):
-    """The product of the term maps ``acc`` and ``items`` (a list of
-    (exponents, coefficient) pairs), keeping only the terms e with
-    floor[v] <= e[v] <= ceiling[v] at every variable v in ``touched``."""
-    out = {}
-    for e1, c1 in acc.items():
-        for e2, c2 in items:
-            e = tuple(map(add, e1, e2))
-            for v in touched:
-                if not floor[v] <= e[v] <= ceiling[v]:
-                    break
-            else:
-                c = out.get(e, 0) + c1 * c2
-                if c:
-                    out[e] = c
-                elif e in out:
-                    del out[e]
-    return out
-
-
-def targeted_coeff(factors, target) -> int:
-    """Coefficient of the ``target`` monomial in the product of ``factors``.
-
-    ``factors`` is a sequence of SparsePoly (optionally paired with a
-    repetition exponent); all must have nonnegative exponents.
-
-    Factors equal to ``sum_of_variables(nvars)`` are set aside and their
-    repetitions summed into one power E.  The others are expanded into V
-    by the rules below, and the result is the contraction
-
-        [x^t] V (x_0 + ... + x_{n-1})^E = sum_e [x^e]V * E! / prod_i (t_i - e_i)!
-
-    over the surviving terms e with sum(t - e) = E.  This is exact: the
-    multinomial theorem gives E!/prod d_i! as the coefficient of x^d in
-    the power for every d >= 0 with sum(d) = E and 0 for every other d,
-    and every surviving e has t - e >= 0.
-
-    The expansion keeps only terms that can still reach the target.  For
-    a partial product A and the product B of everything not yet
-    multiplied in (the power of the variable sum included),
-
-        [x^t] A B = sum_e [x^e]A * [x^(t - e)]B,
-
-    and [x^d]B = 0 unless 0 <= d_v <= r_v at every variable v: B has no
-    negative exponents, and r_v, the sum of the top exponents of x_v over
-    the factors of B, bounds the exponent of x_v in B.  So a term e of A
-    with e_v > t_v (the ceiling) or e_v + r_v < t_v (the floor) adds
-    nothing to the coefficient and is dropped; both are exact integer
-    comparisons.  The identity holds however the product is split, so
-    the order is free and is chosen to prune: the factors are
-    multiplied in a stable sort by the lowest variable each one touches.
-    Once the last factor touching x_v is in, r_v = E, and with E = 0
-    (the Dyson, Zeilberger and Aomoto products) the exponent of x_v is
-    pinned to t_v from then on.  A factor repeated ``rep`` times is first
-    raised to its power, dropping terms above the ceiling as the power is
-    built (they stay above it in every product), and then multiplied in
-    as one step; for a binomial x_i - x_j the power has rep + 1 terms.
-    A step changes e_v and r_v only at the variables its factor touches,
-    so only those are tested.
-
-    >>> x0, x1 = SparsePoly.variable(2, 0), SparsePoly.variable(2, 1)
-    >>> targeted_coeff([(x0 + x1, 4)], (2, 2))
-    6
-    """
-    target = tuple(int(t) for t in target)
-    nvars = len(target)
-    variable_sum = _variable_sum(nvars) if nvars else None
-    flist = []
-    power = 0
-    for poly, rep in _factor_pairs(factors, nvars):
-        if poly == variable_sum:
-            power += rep
-        else:
-            flist.append((poly, rep))
-    if any(t < 0 for t in target):
-        return 0
-    reach = power + sum(rep * poly.total_degree() for poly, rep in flist)
-    if reach < sum(target):
-        return 0  # degree-infeasible: the product cannot climb to the target
-    steps = []  # (lowest variable touched, poly, rep, top exponents, touched)
-    for poly, rep in flist:
-        tops = [max((e[v] for e in poly.terms), default=0) for v in range(nvars)]
-        touched = [v for v in range(nvars) if tops[v]]
-        steps.append((touched[0] if touched else -1, poly, rep, tops, touched))
-    steps.sort(key=lambda step: step[0])
-    room = [power] * nvars  # r_v: the most the factors still to come add to x_v
-    for _, _, rep, tops, touched in steps:
-        for v in touched:
-            room[v] += rep * tops[v]
-    if any(r < t for r, t in zip(room, target)):
-        return 0
-    one = (0,) * nvars
-    zeros = [0] * nvars
-    acc = {one: 1}
-    for _, poly, rep, tops, touched in steps:
-        items = list(poly.terms.items())
-        power_terms = {one: 1}
-        for _ in range(rep):
-            power_terms = _bounded_product(power_terms, items, touched, zeros, target)
-        for v in touched:
-            room[v] -= rep * tops[v]
-        floor = [t - r for t, r in zip(target, room)]
-        acc = _bounded_product(acc, list(power_terms.items()), touched, floor, target)
-        if not acc:
-            return 0
-    if not power:
-        return acc.get(target, 0)
-    numerator = factorial(power)
-    coefficient = 0
-    for e, c in acc.items():
-        rest = [t - v for v, t in zip(e, target)]
-        if sum(rest) == power:
-            coefficient += c * (numerator // prod(factorial(r) for r in rest))
-    return coefficient
-
-
 def expand_factors(factors):
     """Full product of a factor list (polys or (poly, repetition) pairs)."""
     polys = []
@@ -425,50 +275,15 @@ def difference_factors(nvars, mults, target):
     """The SparsePoly factor list of difference_coeff(nvars, mults, target):
     one x_i - x_j per ordered entry, as given (no merging of reverse
     pairs), and the variable sum to the power E = sum(target) - sum(e).
-    A negative E is passed on as is, for the oracle to refuse."""
+    E < 0 raises ValueError, as expand_factors would read it as E = 0."""
+    power = sum(target) - sum(e for _, e in mults)
+    if power < 0:
+        raise ValueError(f"the balancing exponent must be >= 0, got {power}")
     units = [SparsePoly.variable(nvars, v) for v in range(nvars)]
     factors = [SparsePoly.one(nvars)]  # keeps the product nonempty
     factors += [(units[i] - units[j], e) for (i, j), e in mults]
-    factors.append((sum_of_variables(nvars), sum(target) - sum(e for _, e in mults)))
+    factors.append((sum_of_variables(nvars), power))
     return factors
-
-
-def pruned_coeff(factors, target) -> int:
-    """The expansion as it was before the variable-sum contraction: every
-    factor, powers of the variable sum included, is multiplied through one
-    repetition at a time, dropping partial terms above the target."""
-    target = tuple(int(t) for t in target)
-    nvars = len(target)
-    flist = _factor_pairs(factors, nvars)
-    if any(t < 0 for t in target):
-        return 0
-    reach = sum(rep * poly.total_degree() for poly, rep in flist)
-    if reach < sum(target):
-        return 0  # degree-infeasible: the product cannot climb to the target
-    acc = {(0,) * nvars: 1}
-    for poly, rep in flist:
-        items = list(poly.terms.items())
-        for _ in range(rep):
-            nxt = {}
-            for e1, c1 in acc.items():
-                for e2, c2 in items:
-                    e = tuple(a + b for a, b in zip(e1, e2))
-                    oversized = False
-                    for v, t in zip(e, target):
-                        if v > t:
-                            oversized = True
-                            break
-                    if oversized:
-                        continue
-                    c = nxt.get(e, 0) + c1 * c2
-                    if c:
-                        nxt[e] = c
-                    elif e in nxt:
-                        del nxt[e]
-            acc = nxt
-            if not acc:
-                return 0
-    return acc.get(target, 0)
 
 
 def kp_coeff(sizes, mults):
@@ -673,39 +488,6 @@ def brute_sumset(inst):
         for tup in itertools.product(*inst.sets)
         if all((tup[i] - tup[j]) % p not in inst.forbidden[i, j] for i, j in pairs)
     }
-
-
-def two_orientation_sumset(inst):
-    """The restricted sumset by a depth-first walk that tests each earlier
-    coordinate a_i against a new one a twice, (a_i - a) mod p in S_id and
-    then (a - a_i) mod p in S_di, recursing once per leaf and stopping
-    once C = Z/pZ: the walk enumerate_restricted_sumset made before it
-    tested each unordered pair once, against S_id u -S_di."""
-    p, n, sets = inst.p, inst.n, inst.sets
-    earlier = [
-        [(i, inst.forbidden[i, d], inst.forbidden[d, i]) for i in range(d)]
-        for d in range(n)
-    ]
-    out = set()
-    chosen = [0] * n
-
-    def walk(d, acc):
-        if d == n:
-            out.add(acc % p)
-            return len(out) == p
-        for a in sets[d]:
-            for i, forb_id, forb_di in earlier[d]:
-                ai = chosen[i]
-                if (ai - a) % p in forb_id or (a - ai) % p in forb_di:
-                    break
-            else:
-                chosen[d] = a
-                if walk(d + 1, acc + a):
-                    return True
-        return False
-
-    walk(0, 0)
-    return out
 
 
 def walked_coverage_sumset(p, s_set, a_set, n):

@@ -759,27 +759,6 @@ def test_doc_writer_peak_memory_is_one_copy_per_level():
     assert peak < 2.5 * len(text)
 
 
-def test_doc_output_file_peak_memory_is_below_three_copies(capsys, tmp_path):
-    # The 1716 thm4 rows go to the file a batch at a time, so no string
-    # holds their whole text.  Made as one string and copied again to add
-    # the final newline, the text and the report peaked at 4.0 times the
-    # file; streamed they peak at 0.20 times (see the next test).
-    argv = ["thm4", "--p", "13", "--m", "1", "--format", "doc"]
-    code, out, _ = run(capsys, argv)
-    path = tmp_path / "report.json"
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        assert main(argv + ["--out", str(path)]) == code == 0
-        peak = tracemalloc.get_traced_memory()[1] - before
-    finally:
-        tracemalloc.stop()
-    data = path.read_bytes()
-    assert data == out.encode()
-    assert peak < 3 * len(data)
-
-
 @pytest.mark.parametrize("fmt, copies", [("doc", 1.0), ("table", 3.0)])
 def test_thm4_output_file_peak_memory_is_the_sweeps_own(capsys, tmp_path, fmt, copies):
     # The sweep keeps the reports of its 76 orbits and an 8-byte code per
