@@ -10,6 +10,13 @@ their factorial closed forms — all in exact integer arithmetic.
 
 from types import ModuleType as _ModuleType
 
+from .contract import (
+    BUDGET_ENV_VAR,
+    DEFAULT_BUDGET,
+    BudgetExceeded,
+    CannotSatisfyHypothesis,
+    InstanceFormatError,
+)
 from .ffield import (
     NotPrime,
     OutOfRange,
@@ -36,41 +43,34 @@ from .identities import (
     leading_coefficient_check,
     zeilberger_coefficient,
 )
-from .sumsets import (
-    BUDGET_ENV_VAR,
-    BoundEntry,
-    BoundReport,
-    BudgetExceeded,
-    CannotSatisfyHypothesis,
-    CertificateReport,
-    CoverageReport,
-    CoverageSweepResult,
-    DEFAULT_BUDGET,
-    ExperimentTrial,
-    InstanceAnalysis,
-    InstanceFormatError,
-    NotInShrinkRegime,
-    SplitMix64,
-    SumsetInstance,
-    analyze,
-    certificate_check,
-    compute_bounds,
-    coverage_check,
-    coverage_sweep,
-    coverage_threshold,
-    enumerate_restricted_sumset,
-    instance_from_dict,
-    instance_to_dict,
-    load_instance,
-    parameter_hypothesis_met,
-    random_instance,
-    run_experiment,
-    shrink_sizes,
-    uniform_forbidden,
-)
+
+# The names sumsets defines, looked up there on first use (PEP 562), so
+# that importing the package, or a run that never enumerates, does not
+# load it.
+_SUMSETS_NAMES = frozenset((
+    "BoundEntry", "BoundReport", "CertificateReport", "CoverageReport",
+    "CoverageSweepResult", "ExperimentTrial", "InstanceAnalysis", "NotInShrinkRegime",
+    "SplitMix64", "SumsetInstance", "analyze", "certificate_check", "compute_bounds",
+    "coverage_check", "coverage_sweep", "coverage_threshold",
+    "enumerate_restricted_sumset", "instance_from_dict", "instance_to_dict",
+    "load_instance", "parameter_hypothesis_met", "random_instance", "run_experiment",
+    "shrink_sizes", "uniform_forbidden",
+))
 
 __version__ = "0.1.0"
 
-# every public name imported above, the submodules aside
-__all__ = sorted(name for name, value in globals().items()
-                 if not name.startswith("_") and not isinstance(value, _ModuleType))
+# every public name bound above, the submodules aside, and sumsets' names
+__all__ = sorted(_SUMSETS_NAMES.union(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)))
+
+
+def __getattr__(name):
+    if name in _SUMSETS_NAMES:
+        from . import sumsets
+        return getattr(sumsets, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()).union(__all__))

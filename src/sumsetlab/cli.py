@@ -10,6 +10,7 @@ Exit codes:
   2  mathematical disagreement, soundness violation or a failed
      internal consistency check (an ArithmeticError)
   3  budget exceeded
+Every exit but 0 writes a line on stderr.
 """
 
 import functools
@@ -20,21 +21,18 @@ import sys
 import types
 from json.encoder import encode_basestring_ascii as _encode_str
 
-from .ffield import NotPrime, OutOfRange
-from .identities import ParameterOutOfRange, sweep
-from .sumsets import (
+# the sumset, thm4 and experiment handlers import sumsets themselves, so
+# that an identities run does not load it
+from .contract import (
     BUDGET_ENV_VAR,
-    BudgetExceeded,
-    CannotSatisfyHypothesis,
     DEFAULT_BUDGET,
     HYPOTHESIS_CHOICES,
+    BudgetExceeded,
+    CannotSatisfyHypothesis,
     InstanceFormatError,
-    analyze,
-    coverage_sweep,
-    instance_to_dict,
-    load_instance,
-    run_experiment,
 )
+from .ffield import NotPrime, OutOfRange
+from .identities import ParameterOutOfRange, sweep
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -495,6 +493,8 @@ def _analysis_dict(result, skip_prefix=""):
 
 
 def _cmd_sumset(args, budget):
+    from .sumsets import analyze, instance_to_dict, load_instance
+
     inst = load_instance(args.instance)
     result = analyze(inst, budget)
     report = {
@@ -520,6 +520,8 @@ def _coverage_row(row):
 
 
 def _cmd_thm4(args, budget):
+    from .sumsets import coverage_sweep
+
     sweep = coverage_sweep(
         args.p, args.m, mode=args.mode, count=args.count, seed=args.seed,
         size=args.size, s_set=args.forbidden, budget=budget,
@@ -550,6 +552,8 @@ def _trial_row(trial):
 
 
 def _cmd_experiment(args, budget):
+    from .sumsets import run_experiment
+
     trials = run_experiment(
         args.seed, args.trials, args.p_set, args.n_set, args.m_set,
         args.k_max, enforce=args.enforce, budget=budget,
@@ -846,6 +850,8 @@ def main(argv=None) -> int:
     except ArithmeticError as exc:  # NonIntegerResult and the consistency checks
         sys.stderr.write(f"sumsetlab: internal check failed: {exc}\n")
         return EXIT_DISAGREEMENT
+    if code != EXIT_OK:  # the report holds the disagreement; stderr says so
+        sys.stderr.write(f"sumsetlab: {args.command}: disagreement, see the report\n")
     return code
 
 

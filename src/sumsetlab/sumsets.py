@@ -21,6 +21,14 @@ import json
 from collections import namedtuple
 from math import comb, isqrt, prod
 
+from .contract import (
+    BUDGET_ENV_VAR,
+    DEFAULT_BUDGET,
+    HYPOTHESIS_CHOICES,
+    BudgetExceeded,
+    CannotSatisfyHypothesis,
+    InstanceFormatError,
+)
 from .ffield import PrimeField
 from .identities import (
     DegreeInfeasible,
@@ -31,26 +39,9 @@ from .identities import (
 )
 from .mpoly import _checked_ints
 
-DEFAULT_BUDGET = 10 ** 7
-BUDGET_ENV_VAR = "SUMSETLAB_BUDGET"
-
-HYPOTHESIS_CHOICES = ("none", "thm1", "thm2", "thm3")
-
-
-class BudgetExceeded(RuntimeError):
-    """The requested computation is larger than the configured budget."""
-
 
 class NotInShrinkRegime(ValueError):
     """Shrinking only applies when p <= n(k-1) - mn(n-1) and p > mn."""
-
-
-class CannotSatisfyHypothesis(ValueError):
-    """No instance with these parameters can satisfy the requested hypothesis."""
-
-
-class InstanceFormatError(ValueError):
-    """Malformed instance document."""
 
 
 def _canonical(values, p: int, name: str, error=InstanceFormatError,

@@ -5,9 +5,10 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import event, example, given, settings, strategies as st
 
 import sumsetlab
 from oracles import (
@@ -144,10 +145,11 @@ def test_identities_aomoto_off_grid_swap(capsys, chi_side, expected_code):
 
 
 def test_identities_aomoto_wrong_orientation(capsys):
-    code, rep, _ = run_doc(
+    code, rep, err = run_doc(
         capsys, ["identities", "aomoto", "--max-n", "2", "--chi-side", "b"]
     )
     assert code == 2
+    assert err == "sumsetlab: identities: disagreement, see the report\n"
     assert rep["all_agree"] is False
     first = rep["first_failure"]
     assert first is not None
@@ -858,20 +860,25 @@ def test_identities_help_lists_each_scopes_default_and_range(capsys):
 
 def test_a_run_loads_no_argparse_gettext_or_locale(eh_file):
     # a fresh interpreter, as a user's run has; each command, a usage
-    # error and a help text run through main
-    argvs = [["identities", "lemma22", "--fix-n", "1"], ["sumset", eh_file],
-             ["thm4", "--p", "5", "--m", "1"], ["experiment", "--trials", "1"],
-             ["thm4", "--p", "x"], ["identities", "--help"]]
+    # error and a help text run through main.  The identities run, a help
+    # text and a usage error come first and leave sumsets unloaded; the
+    # sumset run loads it.
+    argvs = [["identities", "lemma22", "--fix-n", "1"], ["identities", "--help"],
+             ["thm4", "--p", "x"], ["sumset", eh_file],
+             ["thm4", "--p", "5", "--m", "1"], ["experiment", "--trials", "1"]]
     script = ("import os, sys\n"
               "import sumsetlab.cli\n"
+              "loaded = []\n"
               f"for argv in {argvs!r}:\n"
               "    sumsetlab.cli.main(argv + ['--out', os.devnull])\n"
+              "    loaded.append('sumsetlab.sumsets' in sys.modules)\n"
+              "print(loaded)\n"
               "print(sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)))\n")
     src = os.path.dirname(os.path.dirname(sumsetlab.__file__))
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src})
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[]"
+    assert proc.stdout.splitlines()[-2:] == [str([False] * 3 + [True] * 3), "[]"]
     assert "sumsetlab thm4: error: argument --p: invalid int value: 'x'" in proc.stderr
 
 
@@ -956,6 +963,93 @@ def test_parser_agrees_with_argparse(argv):
     # the same values, or both refuse, or both print help; nothing else
     # escapes the parser
     assert _parse_outcome(argv) == _argparse_outcome(argv)
+
+
+# The draws of the exit-contract fuzz, small so that a run is short: p
+# and the primes of --p-set up to 31, --budget up to 10^4, a few trials
+# and subsets, and identity options from the highest floor to the lowest
+# default over the scopes that read them.  An int's (low, high): a clean
+# draw stays in it, any other may also go one below low.
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
+_SMALL_INTS = {"m": (1, 3), "budget": (1, 10 ** 4), "count": (0, 5), "seed": (0, 2 ** 70),
+               "size": (1, 6), "trials": (0, 3), "k_max": (1, 10), "n_set": (1, 4),
+               "m_set": (0, 2), "forbidden": (0, 4)}
+
+
+def _small_ints(dest, clean):
+    if dest in ("p", "p_set"):
+        primes = st.sampled_from(_SMALL_PRIMES)
+        return primes if clean else primes | st.integers(-1, 31)
+    if dest in _ID_OPTIONS:
+        limits = [scope[dest] for scope in _SCOPE_LIMITS.values() if dest in scope]
+        low, high = max(low for _, low, _ in limits), min(d for d, _, _ in limits)
+    else:
+        low, high = _SMALL_INTS[dest]
+    return st.integers(low if clean else low - 1, high)
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    """Per path argument, the paths a clean draw takes and those only any
+    other draw takes.  FILE: a valid instance; a broken one, a missing
+    file and a directory.  --out: the file it writes and os.devnull; two
+    it cannot open.  So a run writes nowhere else."""
+    root = tmp_path_factory.mktemp("fuzz")
+    inst = SumsetInstance(7, [(0, 1, 2), (0, 1, 3)], uniform_forbidden(2, {1}))
+    (root / "valid.json").write_text(json.dumps(instance_to_dict(inst)))
+    (root / "broken.json").write_text('{"p": 7, "sets": [[0, 1], [0, 7]], "forbidden": {"1,2"')
+    return {"instance": ([str(root / "valid.json")],
+                         [str(root / "broken.json"), str(root / "missing.json"), str(root)]),
+            "out": ([str(root / "out.txt"), os.devnull], [str(root / "absent" / "x"), ""])}
+
+
+def _small_values(dest, kind, files, clean):
+    """A value of flag or positional ``dest``: a small one of its kind; not
+    ``clean``, also a bad path or a junk value."""
+    if dest in files:
+        good, bad = files[dest]
+        return st.sampled_from(good if clean else good + bad)
+    if type(kind) is tuple:
+        valid = st.sampled_from(kind)
+    elif kind is _int_list:
+        valid = st.lists(_small_ints(dest, clean), min_size=1, max_size=3).map(
+            lambda values: ",".join(map(str, values)))
+    else:
+        valid = _small_ints(dest, clean).map(str)
+    return valid if clean else valid | st.sampled_from(_VALUES)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_exit_contract_holds_for_small_argvs(fuzz_files, data):
+    # every run ends in 0, 1, 2 or 3 with no exception, a refusal says why
+    # on stderr, and a refused run leaves no --out file behind.  A clean
+    # argv gives an identities scope only the options it reads.  Without
+    # --budget the budget comes from $SUMSETLAB_BUDGET, drawn as small, so
+    # that no run has the default budget of 10^7.
+    clean = data.draw(st.booleans())
+    command = data.draw(st.sampled_from(list(_COMMANDS)))
+    _, positionals, flags, _ = _COMMANDS[command]
+    argv = [command] + [data.draw(_small_values(dest, kind, fuzz_files, clean))
+                        for dest, _, kind, _ in positionals]
+    for dest, (kind, default, _, _) in flags.items():
+        unread = clean and dest in _ID_OPTIONS and dest not in _SCOPE_LIMITS[argv[1]]
+        if default is _REQUIRED or not unread and data.draw(st.booleans()):
+            argv.append(f"{_flag(dest)}={data.draw(_small_values(dest, kind, fuzz_files, clean))}")
+    budget = data.draw(_small_ints("budget", clean).map(str))
+    out_file = fuzz_files["out"][0][0]
+    if os.path.exists(out_file):
+        os.unlink(out_file)
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ, SUMSETLAB_BUDGET=budget), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2, 3), argv
+    event(f"exit {code}")
+    if code:
+        assert err.getvalue().endswith("\n") and err.getvalue().strip(), argv
+    if code in (1, 3):
+        assert not os.path.exists(out_file), argv
 
 
 def test_internal_check_failure_exits_2(capsys, monkeypatch):

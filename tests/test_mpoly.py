@@ -267,7 +267,7 @@ def test_difference_coeff_matches_full_expansion(data):
 @given(st.integers(1, 4).flatmap(lambda n: st.tuples(
     st.just(n), mult_lists(n, max_entries=6),
     st.lists(st.integers(-1, 5), min_size=n, max_size=n))))
-def test_difference_coeff_matches_pruned_oracles(data):
+def test_difference_coeff_matches_full_expansion_at_any_target(data):
     # any target, negative entries and E < 0 included, against the full
     # expansion; four variables and entries up to 5 keep it cheap
     nvars, mults, target = data
