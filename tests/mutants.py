@@ -6,7 +6,8 @@
         --out /tmp/mpoly-kills.json
 
 Each mutant changes one operator or constant of one named top-level
-function (every top-level function when ``--functions`` is left out):
+function or method, a method named ``Class.method`` (every one of them
+when ``--functions`` is left out):
 
 - a comparison is negated (``<`` and ``>=``, ``>`` and ``<=``, ``==``
   and ``!=``, ``in`` and ``not in``, ``is`` and ``is not``);
@@ -21,9 +22,13 @@ never edited, and no Hypothesis example database carries over from one
 mutant to the next.  The unmutated module, rewritten the same way, runs
 first and must pass.  A mutant is killed when pytest fails or runs ten
 times as long as that, and survives when every test passes.  The
-result, ``{mutant id: "killed" | "survived"}``, is written as JSON to
-``--out``; a mutant id is ``module.function:line:column:change``, with
-the line and column of the original source.
+mutants run ``os.cpu_count()`` at a time.  The result, ``{mutant id:
+"killed" | "survived"}``, is written as JSON to ``--out`` in the order
+the mutants are made, whatever order they finish in; a mutant id is
+``module.function:line:column:change`` (``module.Class.method:...`` for
+a method), with the line and column of the original source.  Nested
+operations that start at one place, as in ``a + b + c``, share that
+place, so the inner ones add ``#2``, ``#3``, ... from the outside in.
 
 Only the standard library is used, and nothing needs the network.  A
 mutant takes a few seconds; a whole module takes minutes.
@@ -38,6 +43,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -71,23 +77,36 @@ def _edits(node):
                    lambda n, d=d: setattr(n, "value", n.value + d))
 
 
+def _functions(tree):
+    """Yield (name, function) for each top-level function of ``tree`` and,
+    named ``Class.method``, each method of its top-level classes."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield node.name, node
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    yield f"{node.name}.{item.name}", item
+
+
 def mutants(source, module, functions=None):
     """Yield (mutant id, mutated source of the whole module) for every
-    edit in the top-level functions of ``source`` named in ``functions``
-    (all of them when it is None)."""
-    tree = ast.parse(source)
-    for index, func in enumerate(tree.body):
-        if not isinstance(func, ast.FunctionDef):
+    edit in the top-level functions and methods of ``source`` named in
+    ``functions`` (all of them when it is None)."""
+    seen = {}
+    for index, (name, func) in enumerate(_functions(ast.parse(source))):
+        if functions is not None and name not in functions:
             continue
-        if functions is not None and func.name not in functions:
-            continue
-        # ast.walk visits in a fixed order, so the pos-th node of a fresh
-        # parse of the same source is the same node
+        # ast.walk visits in a fixed order, outer nodes first, so the
+        # pos-th node of a fresh parse of the same source is the same node
         for pos, node in enumerate(ast.walk(func)):
             for label, edit in _edits(node):
                 copy = ast.parse(source)
-                edit(list(ast.walk(copy.body[index]))[pos])
-                yield f"{module}.{func.name}:{node.lineno}:{node.col_offset}:{label}", ast.unparse(copy)
+                _, target = list(_functions(copy))[index]
+                edit(list(ast.walk(target))[pos])
+                ident = f"{module}.{name}:{node.lineno}:{node.col_offset}:{label}"
+                seen[ident] = seen.get(ident, 0) + 1
+                yield ident + (f"#{seen[ident]}" if seen[ident] > 1 else ""), ast.unparse(copy)
 
 
 def _passes(relpath, source, tests, timeout=None):
@@ -112,7 +131,8 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("module", help="the module's path from the repository root")
     parser.add_argument("--functions", nargs="+", default=None,
-                        help="top-level functions to mutate (default: all)")
+                        help="top-level functions and Class.method names to mutate"
+                             " (default: all)")
     parser.add_argument("--tests", nargs="+", required=True,
                         help="test files, from the repository root")
     parser.add_argument("--out", required=True, help="JSON file to write the results to")
@@ -125,11 +145,17 @@ def main():
         sys.exit("the unmutated module fails these tests; no mutant was run")
     # a mutant that runs ten times as long as the unmutated module loops
     timeout = 10 * (time.monotonic() - start)
+    made = list(mutants(source, relpath.stem, args.functions))
+
+    def run(mutant):
+        return "survived" if _passes(relpath, mutant[1], args.tests, timeout) else "killed"
+
     results = {}
-    for ident, mutated in mutants(source, relpath.stem, args.functions):
-        passed = _passes(relpath, mutated, args.tests, timeout)
-        results[ident] = "survived" if passed else "killed"
-        print(ident, results[ident], flush=True)
+    with ThreadPoolExecutor(os.cpu_count()) as pool:
+        # map yields in the order of ``made``, so the file does too
+        for (ident, _), result in zip(made, pool.map(run, made)):
+            results[ident] = result
+            print(ident, result, flush=True)
     Path(args.out).write_text(json.dumps(results, indent=2) + "\n")
     killed = sum(r == "killed" for r in results.values())
     print(f"{killed}/{len(results)} killed")

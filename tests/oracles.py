@@ -16,18 +16,15 @@ tests check the engine against it.
   constraint polynomial, and ``expanded_certificate`` always expands the
   key coefficient, the reference for the closed-form route of
   ``certificate_check``.
-- The sumset walks: ``brute_sumset`` tries every tuple, and
-  ``walked_coverage_sumset`` is the general walk that ``coverage_check``
-  replaced.  ``coverage_sweep_rows`` checks every subset, the reference
-  for the sweep's orbit quotient; ``pending_sweep_rows`` is the sweep's
-  earlier walk, for the rows it derives from its orbit table; and
-  ``orbit_key`` names an orbit by brute force.
+- The sumset walks: ``brute_sumset`` tries every tuple, the reference
+  for ``enumerate_restricted_sumset`` and ``coverage_check``.
+  ``coverage_sweep_rows`` checks every subset, the reference for the
+  sweep's orbit quotient and the rows it derives from its orbit table;
+  and ``orbit_key`` names an orbit by brute force.
 - The closed forms: ``lagrange_interpolate`` and ``eval_poly`` are the
   Fraction fit that the forward differences of
-  ``leading_coefficient_check`` replaced, and
-  ``fraction_dyson_closed_form``, ``fraction_aomoto_closed_form`` and
-  ``fraction_key_closed_form`` evaluate the closed forms factor by factor
-  in Fractions, for their integer numerator-over-denominator versions.
+  ``leading_coefficient_check`` replaced.  The integer closed forms are
+  checked against the constant terms and expansions they evaluate.
 - The CLI: ``whole_table`` makes the table as one string, for the table
   written a batch of rows at a time, and ``build_parser`` is the argparse
   parser, for ``sumsetlab.cli.parse_args``.
@@ -36,7 +33,6 @@ tests check the engine against it.
 """
 
 import argparse
-import bisect
 import itertools
 import sys
 from fractions import Fraction
@@ -46,15 +42,11 @@ from math import factorial, prod
 from sumsetlab import (
     DEFAULT_BUDGET,
     CertificateReport,
-    CoverageReport,
     DegreeInfeasible,
     SplitMix64,
-    SumsetInstance,
     coverage_check,
     coverage_threshold,
-    enumerate_restricted_sumset,
     key_coefficient,
-    uniform_forbidden,
 )
 from sumsetlab.cli import EXIT_USAGE, _ID_OPTIONS, _SCOPE_LIMITS, _flag, _option_help
 from sumsetlab.sumsets import BUDGET_ENV_VAR, HYPOTHESIS_CHOICES
@@ -353,40 +345,6 @@ def eval_poly(coeffs, x):
     return acc
 
 
-def fraction_dyson_closed_form(avec):
-    """(sum a_j)! / prod a_j!, one Fraction division per entry."""
-    val = Fraction(factorial(sum(avec)))
-    for a in avec:
-        val /= factorial(a)
-    return val
-
-
-def fraction_aomoto_closed_form(params):
-    """The Aomoto factorial product, one Fraction factor per l."""
-    n, s, a, b, m = params.n, params.s, params.a, params.b, params.m
-    val = Fraction(1)
-    for l in range(n):
-        c = 1 if l >= n - s else 0
-        val *= Fraction(
-            factorial(a + b + m * l + c) * factorial(m * l + m),
-            factorial(a + m * l + c) * factorial(m * l + b) * factorial(m),
-        )
-    return val
-
-
-def fraction_key_closed_form(n, m, k, s):
-    """The closed form of the key coefficient for k > m(n-1), factor by
-    factor in Fractions, the 1/(k - jm) factors first."""
-    val = Fraction(1)
-    for j in range(s):
-        val /= k - j * m
-    val *= factorial(n * k + s - m * n * n + m * n - n)
-    val /= factorial(m) ** n
-    for j in range(1, n + 1):
-        val *= Fraction(factorial(j * m), factorial(k - 1 - j * m + m))
-    return val
-
-
 def naive_laurent_constant_term(factors):
     product = expand_factors(factors)
     return product.coeff((0,) * product.nvars)
@@ -490,15 +448,6 @@ def brute_sumset(inst):
     }
 
 
-def walked_coverage_sumset(p, s_set, a_set, n):
-    """C for n copies of A with S_ij = S on every ordered pair, by the
-    general walk over ordered tuples: the route coverage_check took
-    before its walk over nondecreasing index tuples."""
-    if n == 0:
-        return {0}  # the empty sum
-    return enumerate_restricted_sumset(SumsetInstance(p, [a_set] * n, uniform_forbidden(n, s_set)))
-
-
 def coverage_sweep_rows(p, m, mode="exhaustive", count=50, seed=0, size=None,
                         s_set=None, budget=DEFAULT_BUDGET):
     """The rows of coverage_sweep with one coverage_check per subset, in
@@ -513,40 +462,6 @@ def coverage_sweep_rows(p, m, mode="exhaustive", count=50, seed=0, size=None,
         rng = SplitMix64(seed)
         subsets = (rng.sample(p, size) for _ in range(count))
     return tuple(coverage_check(p, S, A, budget) for A in subsets)
-
-
-def pending_sweep_rows(p, s_set, size, budget=DEFAULT_BUDGET):
-    """The rows of an exhaustive coverage_sweep by the walk the sweep made
-    before it kept an orbit table: in itertools.combinations order, a
-    subset that no earlier orbit holds is checked, and its other images
-    eps*A + t wait in a dict, each with that report and its (eps, t),
-    until the walk reaches them and derives their rows.  The reference
-    for the rows that coverage_sweep derives from its orbit table."""
-    S = tuple(sorted(set(s_set)))
-    threshold = coverage_threshold(p, len(S))
-    pending = {}  # a later subset -> (its orbit's report, eps, t)
-    rows = []
-    for A in itertools.combinations(range(p), size):
-        hit = pending.pop(A, None)
-        if hit is None:
-            row = coverage_check(p, S, A, budget)
-            # e*A + u, sorted: the elements of e*A that wrap past p come
-            # first.  A itself is reached now, not later.
-            for e, image in ((1, A), (-1, tuple(sorted(-a % p for a in A)))):
-                for u in range(p):
-                    cut = bisect.bisect_left(image, p - u)
-                    pending.setdefault(
-                        tuple([x + u - p for x in image[cut:]]
-                              + [x + u for x in image[:cut]]),
-                        (row, e, u))
-            del pending[A]
-        else:
-            base, eps, t = hit
-            missing = tuple(sorted((eps * y + base.n * t) % p for y in base.missing))
-            row = CoverageReport(A, base.n, threshold, base.hypothesis_met,
-                                 base.covered, missing)
-        rows.append(row)
-    return tuple(rows)
 
 
 def orbit_key(A, p):

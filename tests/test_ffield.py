@@ -15,6 +15,7 @@ def test_prime_moduli_accepted():
     assert PrimeField(7).p == 7
     assert PrimeField(2).p == 2
     assert PrimeField(999983).p == 999983
+    assert PrimeField(7) == PrimeField(7) != PrimeField(11)
 
 
 @pytest.mark.parametrize("p", [4, 6, 9, 15, 1000000])

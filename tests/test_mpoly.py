@@ -281,25 +281,6 @@ def test_difference_coeff_matches_full_expansion_at_any_target(data):
         assert expected == 0
 
 
-def key_shapes():
-    """Sizes and per-pair multiplicities {(i, j): m_ij} with E >= 0, the
-    shape of a key coefficient with non-uniform forbidden sets."""
-    def shape(n):
-        pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
-        mults = st.dictionaries(st.sampled_from(pairs), st.integers(0, 2), max_size=4)
-        return st.tuples(st.lists(st.integers(1, 4), min_size=n, max_size=n), mults)
-    return st.integers(2, 3).flatmap(shape).filter(
-        lambda sm: sum(sm[0]) - len(sm[0]) >= sum(sm[1].values()))
-
-
-@settings(max_examples=80, deadline=None)
-@given(key_shapes())
-def test_difference_coeff_matches_kp_formula(shape):
-    sizes, mults = shape
-    target = tuple(sz - 1 for sz in sizes)
-    assert difference_coeff(len(sizes), sorted(mults.items()), target) == kp_coeff(sizes, mults)
-
-
 def sparse_shapes():
     """Five or six variables, two to four pairs with multiplicities 1..2
     (so some variables are in no pair) and targets of 0..3 with E >= 1:

@@ -17,6 +17,13 @@ def clip(x, lo=0):
 
 def other(y):
     return y + 1
+
+
+class Box:
+    SIZE = 5  # a class attribute: never mutated
+
+    def grow(self, by):
+        return self.size + by + 1
 '''
 
 
@@ -31,7 +38,7 @@ def test_each_mutant_compiles_and_changes_one_named_function():
         body = ast.parse(text).body
         compile(text, ident, "exec")
         changed = [ast.dump(old) != ast.dump(new) for old, new in zip(original, body)]
-        assert changed == [False, True, False], ident
+        assert changed == [False, True, False, False], ident
     labels = {ident.split(":", 3)[3] for ident, _ in found}
     assert {"Lt->GtE@0", "In->NotIn@0", "Add->Sub", "LShift->RShift", "BitAnd->BitOr",
             "BitOr->BitAnd", "Sub->Add", "0->-1", "4->5"} <= labels
@@ -39,4 +46,16 @@ def test_each_mutant_compiles_and_changes_one_named_function():
 
 def test_every_function_is_mutated_when_none_is_named():
     names = {ident.split(":")[0] for ident, _ in mutants(SOURCE, "demo")}
-    assert names == {"demo.clip", "demo.other"}
+    assert names == {"demo.clip", "demo.other", "demo.Box.grow"}
+
+
+def test_a_method_is_named_by_its_class():
+    found = dict(mutants(SOURCE, "demo", ["Box.grow"]))
+    # both additions start at self.size: the inner one is told apart by #2
+    assert list(found) == ["demo.Box.grow:20:15:Add->Sub", "demo.Box.grow:20:15:Add->Sub#2",
+                           "demo.Box.grow:20:32:1->2", "demo.Box.grow:20:32:1->0"]
+    for ident, body in [("demo.Box.grow:20:15:Add->Sub", "return self.size + by - 1"),
+                        ("demo.Box.grow:20:15:Add->Sub#2", "return self.size - by + 1")]:
+        box = ast.parse(found[ident]).body[3]
+        assert ast.unparse(box.body[0]) == "SIZE = 5"
+        assert ast.unparse(box.body[1].body[0]) == body

@@ -14,8 +14,6 @@ from oracles import (
     list_sample,
     literal_certificate,
     orbit_key,
-    pending_sweep_rows,
-    walked_coverage_sumset,
 )
 from sumsetlab import (
     BudgetExceeded,
@@ -72,18 +70,20 @@ def test_instance_missing_pairs_default_empty():
 
 
 def test_instance_validation():
-    with pytest.raises(InstanceFormatError):
+    # a set is named 1-based, as documents number them
+    with pytest.raises(InstanceFormatError, match="^set 2 is empty$"):
         SumsetInstance(7, [[0, 1], []])
-    with pytest.raises(InstanceFormatError):
+    with pytest.raises(InstanceFormatError, match=r"^set 1 has elements outside \[0, 7\)$"):
         SumsetInstance(7, [[0, 7]])
-    with pytest.raises(InstanceFormatError):
-        SumsetInstance(7, [[0, 0, 1]])
+    with pytest.raises(InstanceFormatError, match="^set 2 has repeated elements$"):
+        SumsetInstance(7, [[1], [0, 0, 1]])
     with pytest.raises(InstanceFormatError):
         SumsetInstance(7, [[0, 1]], {(0, 0): [1]})
     for key in ((0, 1, 2), 0):
         with pytest.raises(InstanceFormatError):
             SumsetInstance(7, [[0, 1], [2, 3]], {key: [1]})
-    with pytest.raises(InstanceFormatError):
+    with pytest.raises(InstanceFormatError,
+                       match=r"^forbidden set 1,2 has elements outside \[0, 7\)$"):
         SumsetInstance(7, [[0, 1], [2, 3]], {(0, 1): [9]})
     with pytest.raises(NotPrime):
         SumsetInstance(6, [[0, 1]])
@@ -281,6 +281,23 @@ def test_improvement_over_floor_bound():
     assert hits > 0
 
 
+def test_bounds_reasons_state_each_hypothesis():
+    # n = 2, k = 5, m = 1: n(k-1) - mn(n-1) = 6 and mn = 2, so p = 7 lies
+    # past both and p = 5 in the shrink regime
+    expected = {
+        5: ("p=5 <= max(n(k-1)-mn(n-1), mn)=6", "p=5 <= max(mn, sum(|A_j|-1)-mn(n-1))=6",
+            "p=5 > mn=2", "p > mn and p <= n(k-1)-mn(n-1)"),
+        7: ("p=7 > max(n(k-1)-mn(n-1), mn)=6", "p=7 > max(mn, sum(|A_j|-1)-mn(n-1))=6",
+            "p=7 > mn=2", "needs p > mn=2 and p <= n(k-1)-mn(n-1)=6"),
+    }
+    for p, reasons in expected.items():
+        rep = compute_bounds(SumsetInstance(p, [range(5)] * 2, uniform_forbidden(2, {0})))
+        assert tuple(entry.reason for entry in rep.entries()) == reasons
+        assert [entry.hypothesis_met for entry in rep.entries()] == [p == 7, p == 7, True, p == 5]
+    # n = 1 divides p - 1: the old bound is p itself
+    assert compute_bounds(SumsetInstance(5, [range(3)])).old.value == 5
+
+
 # ----------------------------------------------------------------------
 # certificates
 # ----------------------------------------------------------------------
@@ -458,6 +475,22 @@ def test_analyze_degree_infeasible():
     assert result.violations == ()
 
 
+def test_analyze_names_each_violated_bound(monkeypatch):
+    # the bounds are theorems, so each is raised by one to make it fail
+    bounds = sumsets_module.compute_bounds
+
+    def raised(inst):
+        report = bounds(inst)
+        return type(report)(*(
+            entry if entry.value is None else entry._replace(value=entry.value + 1)
+            for entry in report.entries()))
+
+    monkeypatch.setattr(sumsets_module, "compute_bounds", raised)
+    # |C| = 5 meets thm1, thm2 and thm3 (5 each) but not the hypothesis of old
+    assert analyze(eh_instance()).violations == tuple(
+        f"cardinality 5 < {name} bound 6" for name in ("thm1", "thm2", "thm3"))
+
+
 def test_analyze_budget():
     with pytest.raises(BudgetExceeded):
         analyze(eh_instance(), budget=3)
@@ -471,6 +504,7 @@ def test_shrink_examples():
     assert shrink_sizes(7, 3, 0, 4) == (3, 3, 3)
     assert shrink_sizes(11, 3, 0, 6) == (5, 4, 4)
     assert shrink_sizes(7, 2, 1, 6) == (5, 5)
+    assert shrink_sizes(5, 1, 0, 7) == (5,)  # n = 1
 
 
 def test_shrink_regime_errors():
@@ -478,6 +512,12 @@ def test_shrink_regime_errors():
         shrink_sizes(13, 2, 1, 5)  # p too large for the regime
     with pytest.raises(NotInShrinkRegime):
         shrink_sizes(2, 2, 1, 5)  # p <= mn
+    with pytest.raises(NotInShrinkRegime):
+        shrink_sizes(5, 1, 0, 1)  # k = 1: no sum reaches p
+    # p < 2, n < 1, m < 0 and k < 1, each just past its bound
+    for args in ((1, 2, 1, 5), (13, 0, 1, 5), (13, 2, -1, 5), (13, 2, 1, 0)):
+        with pytest.raises(ParameterOutOfRange, match="^bad parameters"):
+            shrink_sizes(*args)
 
 
 def test_shrink_invariants():
@@ -519,8 +559,8 @@ def test_threshold_values():
 
 
 def test_threshold_is_least_size():
-    for p in (7, 11, 13, 17):
-        for m in (1, 2, 3):
+    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23):
+        for m in range(1, 7):
             t = coverage_threshold(p, m)
             q = 4 * m * p + 4 * m * (m - 3) + 2
             assert (t + m - 1) ** 2 >= q
@@ -598,11 +638,11 @@ def test_coverage_check_matches_the_walk_and_brute_oracles(case):
     p, S, A = case
     report = coverage_check(p, S, A)
     n = report.n
-    oracles = [walked_coverage_sumset(p, S, A, n)]
     if n:
-        oracles.append(brute_sumset(SumsetInstance(p, [A] * n, uniform_forbidden(n, S))))
-    for sumset in oracles:
-        assert report.missing == tuple(r for r in range(p) if r not in sumset)
+        sumset = brute_sumset(SumsetInstance(p, [A] * n, uniform_forbidden(n, S)))
+    else:
+        sumset = {0}  # the empty sum
+    assert report.missing == tuple(r for r in range(p) if r not in sumset)
 
 
 def test_coverage_check_refuses_a_missing_list_over_the_budget(monkeypatch):
@@ -628,6 +668,9 @@ def test_budget_message_prints_a_huge_count_as_a_power_of_two():
     with pytest.raises(BudgetExceeded) as info:
         enumerate_restricted_sumset(inst, budget=10)
     assert str(info.value) == "more than 2^112 tuples exceed the enumeration budget of 10"
+    # in full up to 64 bits, as a power of two from 65
+    assert sumsets_module._count_text(2 ** 64 - 1) == "18446744073709551615"
+    assert sumsets_module._count_text(2 ** 64) == "more than 2^64"
 
 
 def test_capped_comb_matches_comb():
@@ -653,6 +696,10 @@ def test_coverage_sample_deterministic():
     a = coverage_sweep(11, 1, mode="sample", count=10, seed=3)
     b = coverage_sweep(11, 1, mode="sample", count=10, seed=3)
     assert a.rows == b.rows
+    # the defaults draw 50 subsets from seed 0
+    assert coverage_sweep(11, 1, mode="sample").rows == \
+        coverage_sweep(11, 1, mode="sample", count=50, seed=0).rows != \
+        coverage_sweep(11, 1, mode="sample", count=50, seed=1).rows
 
 
 def test_coverage_sample_count_is_held_to_the_budget():
@@ -670,11 +717,18 @@ def test_coverage_sweep_holds_the_listed_residues_to_the_budget():
     assert len(rows) == 101 and sum(len(row.missing) for row in rows) == 10100
     with pytest.raises(BudgetExceeded, match="missing residues over the rows"):
         coverage_sweep(101, 1, size=1, budget=10099)
+    # and so in sample mode: 3 rows of 12 missing residues each
+    assert len(coverage_sweep(13, 1, mode="sample", count=3, size=1, budget=36).rows) == 3
+    with pytest.raises(BudgetExceeded, match="missing residues over the rows"):
+        coverage_sweep(13, 1, mode="sample", count=3, size=1, budget=35)
 
 
 def test_coverage_sweep_validation():
-    with pytest.raises(ParameterOutOfRange):
-        coverage_sweep(7, 1, size=8)
+    for size in (0, 8):
+        with pytest.raises(ParameterOutOfRange, match=rf"^subset size {size} not in \[1, 7\]$"):
+            coverage_sweep(7, 1, size=size)
+    with pytest.raises(ParameterOutOfRange, match="^count must be >= 0, got -1$"):
+        coverage_sweep(7, 1, mode="sample", count=-1)
     with pytest.raises(ParameterOutOfRange):
         coverage_sweep(7, 1, mode="nope")
     with pytest.raises(BudgetExceeded):
@@ -697,6 +751,9 @@ def test_coverage_residues_are_checked_whatever_n_is():
             coverage_check(7, s_set, a_set)
     with pytest.raises(ParameterOutOfRange):
         coverage_sweep(13, 1, s_set=[False], size=1)
+    for s_set, a_set, text in (([], [1], "S"), ([0], [], "A")):
+        with pytest.raises(ParameterOutOfRange, match=f"^{text} must be nonempty$"):
+            coverage_check(7, s_set, a_set)
 
 
 @st.composite
@@ -730,32 +787,6 @@ def test_coverage_sweep_matches_per_subset_oracle(args):
     assert tuple(coverage_sweep(p, m, **kwargs).rows) == coverage_sweep_rows(p, m, **kwargs)
 
 
-@st.composite
-def exhaustive_arguments(draw):
-    """Exhaustive coverage_sweep arguments over primes p <= 17 and m <= 3,
-    with sizes from 1 (n = 0) up to two past the threshold, at most 2500
-    subsets."""
-    p = draw(st.sampled_from([2, 3, 5, 7, 11, 13, 17]))
-    m = draw(st.integers(1, min(3, p)))
-    s_set = tuple(draw(st.sets(st.integers(0, p - 1), min_size=m, max_size=m)))
-    top = min(p, coverage_threshold(p, m) + 2)
-    size = draw(st.sampled_from([k for k in range(1, top + 1) if comb(p, k) <= 2500]))
-    return p, m, s_set, size
-
-
-@settings(max_examples=60, deadline=None)
-@given(exhaustive_arguments())
-@example((13, 1, (3,), 5))  # 1274 of 1287 rows uncovered
-@example((17, 3, (0, 5, 9), 3))  # a reflection fixes each isosceles 3-subset
-def test_exhaustive_rows_match_the_pending_walk(args):
-    p, m, s_set, size = args
-    sweep = coverage_sweep(p, m, size=size, s_set=s_set)
-    assert len(sweep.rows) == comb(p, size)
-    assert tuple(sweep.rows) == pending_sweep_rows(p, s_set, size)
-    # the rows are made anew on each pass
-    assert tuple(sweep.rows) == tuple(sweep.rows)
-
-
 def test_exhaustive_sweep_keeps_its_orbits_not_its_rows():
     # 24310 rows in 750 orbits: the sweep keeps an 8-byte code per row and
     # a report per orbit, about 14 bytes a row; it kept 213 when it held
@@ -783,6 +814,16 @@ def count_checks(monkeypatch):
 
     monkeypatch.setattr(sumsets_module, "coverage_check", counted_check)
     return checked
+
+
+def test_a_sweep_over_the_tuple_budget_is_refused_before_any_check(monkeypatch):
+    checked = count_checks(monkeypatch)
+    # 5 subsets of size 4, each with 4^2 = 16 tuples of n = 2 summands
+    with pytest.raises(BudgetExceeded, match=(
+            "^sums of 2 elements of a 4-subset exceed the enumeration budget of 15 tuples$")):
+        coverage_sweep(5, 1, size=4, budget=15)
+    assert checked == []
+    assert len(coverage_sweep(5, 1, size=4, budget=16).rows) == 5
 
 
 def test_exhaustive_sweep_checks_one_subset_per_orbit(monkeypatch):
@@ -836,8 +877,11 @@ def test_splitmix_sample():
     assert SplitMix64(42).sample(10, 4) == SplitMix64(42).sample(10, 4)
     assert SplitMix64(7).sample(5, 5) == (0, 1, 2, 3, 4)
     assert SplitMix64(7).sample(5, 0) == ()
-    with pytest.raises(ValueError):
-        SplitMix64(7).sample(3, 4)
+    for count in (4, -1):
+        with pytest.raises(ValueError, match=f"^cannot sample {count} from a population of 3$"):
+            SplitMix64(7).sample(3, count)
+    with pytest.raises(ValueError, match="^bound must be >= 1, got 0$"):
+        SplitMix64(7).below(0)
 
 
 @settings(max_examples=200, deadline=None)
@@ -882,10 +926,14 @@ def test_random_instance_unsatisfiable_hypothesis():
 
 
 def test_random_instance_validation():
-    with pytest.raises(ParameterOutOfRange):
-        random_instance(1, 7, 2, 9, 1)  # k > p
+    for k in (8, 0):
+        with pytest.raises(ParameterOutOfRange, match=rf"^k must lie in \[1, 7\], got {k}$"):
+            random_instance(1, 7, 2, k, 1)
+    with pytest.raises(ParameterOutOfRange, match=r"^m must lie in \[0, 7\], got -1$"):
+        random_instance(1, 7, 2, 3, -1)
     with pytest.raises(ParameterOutOfRange):
         random_instance(1, 7, 0, 3, 1)
+    assert random_instance(1, 7, 1, 3, 0).sizes == (3,)  # n = 1
 
 
 def test_parameter_hypothesis():
@@ -896,7 +944,8 @@ def test_parameter_hypothesis():
     assert not parameter_hypothesis_met("thm1", 7, 2, 6, 1)
     with pytest.raises(ValueError):
         parameter_hypothesis_met("thm9", 7, 2, 4, 1)
-    with pytest.raises(ParameterOutOfRange):
+    assert parameter_hypothesis_met("thm1", 7, 1, 4, 0)  # n = 1: 7 > 3
+    with pytest.raises(ParameterOutOfRange, match="^n must be >= 1, got 0$"):
         parameter_hypothesis_met("thm1", 7, 0, 4, 1)
 
 
@@ -928,6 +977,7 @@ def test_experiment_soundness_small():
     for row in rows:
         assert row.sound
         assert row.analysis.violations == ()
+    assert [row.n for row in run_experiment(1, 3, (5,), (1,), (0,), 3)] == [1, 1, 1]
 
 
 def test_experiment_deterministic():
@@ -939,6 +989,8 @@ def test_experiment_deterministic():
 
 def test_experiment_zero_trials():
     assert run_experiment(1, 0, (5,), (2,), (0,), 3) == []
+    with pytest.raises(ParameterOutOfRange, match="^trials must be >= 0, got -1$"):
+        run_experiment(1, -1, (5,), (2,), (0,), 3)
 
 
 @pytest.mark.parametrize("args", [
@@ -999,6 +1051,15 @@ def test_document_canonical_shape():
 def test_document_validation(doc):
     with pytest.raises(InstanceFormatError):
         instance_from_dict(doc)
+
+
+def test_document_forbidden_keys_name_sets_one_based():
+    for key in ("0,1", "1,0", "1,3", "1,1"):
+        with pytest.raises(InstanceFormatError, match=(
+                rf"^forbidden key '{key}' must name two distinct sets in 1\.\.2$")):
+            instance_from_dict({"p": 7, "sets": [[0], [1]], "forbidden": {key: [0]}})
+    with pytest.raises(InstanceFormatError, match="^set 2 must be a list of integers$"):
+        instance_from_dict({"p": 7, "sets": [[0], 1]})
 
 
 def test_document_composite_modulus():
