@@ -406,13 +406,7 @@ def shrink_sizes(p: int, n: int, m: int, k: int) -> tuple:
         raise NotInShrinkRegime(old.reason)
     kp = (p - 1) // n + m * (n - 1) + 1
     r = (p - 1) % n
-    sizes = (kp + 1,) * r + (kp,) * (n - r)
-    # arithmetic identities, rechecked because downstream soundness rests on them
-    if sum(sizes) - n - m * n * (n - 1) != p - 1:
-        raise ArithmeticError(f"shrink sizes {sizes} miss the target sum for p={p}")
-    if max(sizes) > k:
-        raise ArithmeticError(f"shrink sizes {sizes} exceed k={k}")
-    return sizes
+    return (kp + 1,) * r + (kp,) * (n - r)
 
 
 # ----------------------------------------------------------------------
@@ -431,7 +425,7 @@ def coverage_threshold(p: int, m: int) -> int:
         raise ParameterOutOfRange(f"p must be >= 2, got {p}")
     q = 4 * m * p + 4 * m * (m - 3) + 2
     u = isqrt(q - 1) + 1  # least u with u*u >= q (q >= 2 here)
-    return max(1, u - m + 1)
+    return u - m + 1  # >= m + 1, since q > (2m - 1)^2 gives u >= 2m
 
 
 class CoverageReport(namedtuple(
@@ -488,16 +482,11 @@ def coverage_check(p, s_set, a_set, budget: int = DEFAULT_BUDGET) -> CoverageRep
     """Test whether sums of n elements of A (pairwise differences outside
     S) cover all of Z/pZ, with n = floor((|A| - 1 + m) / (2m)).
 
-    The arithmetic identities behind the threshold are recomputed on
-    every call and raise if violated:
-      - r = (|A| - 1 + m) - 2mn lies in [0, 2m - 1],
-      - (|A| - 1 + m)^2 = r^2 (mod 4m),
-      - when |A| meets the threshold, n(|A|-1) - mn(n-1) + 1 >= p.
-
     S and A must hold non-bool ints in [0, p), repeats merged
-    (ParameterOutOfRange otherwise), whatever n is.  Raises BudgetExceeded, before any tuple is visited,
-    when the |A|^n tuples exceed the budget, and after the walk when the
-    residues missing from C exceed it, before they are listed.
+    (ParameterOutOfRange otherwise), whatever n is.  Raises
+    BudgetExceeded, before any tuple is visited, when the |A|^n tuples
+    exceed the budget, and after the walk when the residues missing from
+    C exceed it, before they are listed.
 
     With S = {0}, sums of n = 2 distinct elements of {0, ..., 4} reach
     every residue mod 7:
@@ -517,30 +506,14 @@ def coverage_check(p, s_set, a_set, budget: int = DEFAULT_BUDGET) -> CoverageRep
     size = len(A)
     n = (size - 1 + m) // (2 * m)  # n >= 1 needs size >= m + 1 >= 2
     _check_sum_budget(size, n, budget)
-
-    r = (size - 1 + m) - 2 * m * n
-    if not 0 <= r <= 2 * m - 1:
-        raise ArithmeticError(f"remainder r={r} outside [0, {2 * m - 1}]")
-    if ((size - 1 + m) ** 2 - r * r) % (4 * m) != 0:
-        raise ArithmeticError(
-            f"(|A|-1+m)^2 = {(size - 1 + m) ** 2} is not r^2 = {r * r} mod {4 * m}"
-        )
-
     threshold = coverage_threshold(p, m)
-    hypothesis_met = size >= threshold
-    if hypothesis_met and n * (size - 1) - m * n * (n - 1) + 1 < p:
-        raise ArithmeticError(
-            f"threshold met but n(|A|-1)-mn(n-1)+1 = "
-            f"{n * (size - 1) - m * n * (n - 1) + 1} < p = {p}"
-        )
-
     sumset = _uniform_sums(p, S, A, n)
     if p - len(sumset) > budget:
         raise BudgetExceeded(
             f"{_count_text(p - len(sumset))} missing residues exceed the budget of {budget}"
         )
     missing = tuple(r for r in range(p) if r not in sumset)
-    return CoverageReport(A, n, threshold, hypothesis_met, not missing, missing)
+    return CoverageReport(A, n, threshold, size >= threshold, not missing, missing)
 
 
 class CoverageSweepResult(namedtuple(

@@ -154,9 +154,9 @@ def criterion_7_improvement_over_floor_bound():
 
 def criterion_8_coverage_theorem():
     """Threshold-size subsets cover all residues; exhaustive at p=7, m=1,
-    sampled at p in {11,13}, m in {1,2}.  The proof arithmetic (remainder
-    range, congruence mod 4m, derived inequality) re-asserts inside every
-    coverage_check call."""
+    sampled at p in {11,13}, m in {1,2}.  The proof arithmetic from the
+    threshold to n(|A|-1) - mn(n-1) + 1 >= p is asserted over a grid by
+    test_sumsets.py::test_threshold_is_least_size."""
     exhaustive = coverage_sweep(7, 1, mode="exhaustive")
     assert len(exhaustive.rows) == 21
     for row in exhaustive.rows:

@@ -1,3 +1,4 @@
+import itertools
 import json
 import re
 import tracemalloc
@@ -35,6 +36,7 @@ from sumsetlab import (
     enumerate_restricted_sumset,
     instance_from_dict,
     instance_to_dict,
+    is_prime,
     key_coefficient_closed_form,
     load_instance,
     parameter_hypothesis_met,
@@ -521,18 +523,19 @@ def test_shrink_regime_errors():
 
 
 def test_shrink_invariants():
-    for p in (5, 7, 11, 13, 17):
-        for n in (2, 3, 4):
-            for m in (0, 1, 2):
-                for k in range(2, 12):
-                    if not (p > m * n and p <= n * (k - 1) - m * n * (n - 1)):
-                        continue
-                    sizes = shrink_sizes(p, n, m, k)
-                    kp = (p - 1) // n + m * (n - 1) + 1
-                    assert sum(sz - 1 for sz in sizes) - m * n * (n - 1) == p - 1
-                    assert all(sz in (kp, kp + 1) for sz in sizes)
-                    assert max(sizes) <= k
-                    assert sum(1 for sz in sizes if sz == kp + 1) == (p - 1) % n
+    # inside the old bound's regime p > mn, p <= n(k-1) - mn(n-1) the sizes
+    # sum to p - 1 + n + mn(n-1) and none exceeds k: the arithmetic that
+    # shrink_sizes relies on without checking it
+    for p in filter(is_prime, range(200)):
+        for n, m, k in itertools.product(range(1, 7), range(4), range(1, 60)):
+            if not m * n < p <= n * (k - 1) - m * n * (n - 1):
+                continue
+            sizes = shrink_sizes(p, n, m, k)
+            kp = (p - 1) // n + m * (n - 1) + 1
+            assert sum(sizes) == p - 1 + n + m * n * (n - 1)
+            assert all(sz in (kp, kp + 1) for sz in sizes)
+            assert max(sizes) <= k
+            assert sum(1 for sz in sizes if sz == kp + 1) == (p - 1) % n
 
 
 def test_shrunk_instance_meets_bound():
@@ -559,13 +562,19 @@ def test_threshold_values():
 
 
 def test_threshold_is_least_size():
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23):
-        for m in range(1, 7):
+    # the threshold is the least |A| >= 2 with (|A| + m - 1)^2 >= q, and from
+    # it on n(|A|-1) - mn(n-1) + 1 >= p with coverage_check's n: the step
+    # from the threshold to the paper's bound, which coverage_check relies
+    # on without checking it
+    for p in filter(is_prime, range(500)):
+        for m in range(1, 9):
             t = coverage_threshold(p, m)
             q = 4 * m * p + 4 * m * (m - 3) + 2
-            assert (t + m - 1) ** 2 >= q
-            if t > 1:
-                assert (t - 1 + m - 1) ** 2 < q
+            assert t >= 2
+            assert (t + m - 1) ** 2 >= q > (t - 1 + m - 1) ** 2
+            for size in range(t, p + 1):
+                n = (size - 1 + m) // (2 * m)
+                assert n * (size - 1) - m * n * (n - 1) + 1 >= p
 
 
 def test_threshold_validation():
@@ -634,10 +643,12 @@ def coverage_inputs(draw):
 @example((7, {0}, {0, 1, 2}))                # n = 1
 @example((2, {0}, {0, 1}))                   # p = 2
 @example((2, {1}, {0, 1}))                   # p = 2, 0 outside S u -S
-def test_coverage_check_matches_the_walk_and_brute_oracles(case):
+def test_coverage_check_matches_the_brute_oracle(case):
     p, S, A = case
     report = coverage_check(p, S, A)
     n = report.n
+    # n = floor((|A| - 1 + m) / 2m), the summand count of the paper's bound
+    assert 2 * len(S) * n <= len(A) - 1 + len(S) < 2 * len(S) * (n + 1)
     if n:
         sumset = brute_sumset(SumsetInstance(p, [A] * n, uniform_forbidden(n, S)))
     else:
@@ -933,6 +944,10 @@ def test_random_instance_validation():
         random_instance(1, 7, 2, 3, -1)
     with pytest.raises(ParameterOutOfRange):
         random_instance(1, 7, 0, 3, 1)
+    # n is checked first, so n = 0 is named whatever else is wrong
+    for args, enforce in (((0, 11, 0, 0, 1), "none"), ((0, 11, 0, 3, 1), "bogus")):
+        with pytest.raises(ParameterOutOfRange, match="^n must be >= 1, got 0$"):
+            random_instance(*args, enforce=enforce)
     assert random_instance(1, 7, 1, 3, 0).sizes == (3,)  # n = 1
 
 
