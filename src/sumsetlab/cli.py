@@ -192,30 +192,24 @@ def _metavar(kind, metavar):
 
 def _usage(command):
     """The usage line of ``command``, "" for the top level, wrapped at 78
-    columns as argparse wraps it: the flags, then the positionals on lines
-    of their own."""
+    columns as argparse wraps it."""
     head = f"usage: sumsetlab {command}".rstrip()
+    parts = ["[-h]"]
     if command:
         _, positionals, flags, _ = _COMMANDS[command]
-        groups = [["[-h]"], [_metavar(kind, name) for _, name, kind, _ in positionals]]
         for dest, (kind, default, metavar, _) in flags.items():
             part = f"{_flag(dest)} {_metavar(kind, metavar)}"
-            groups[0].append(part if default is _REQUIRED else f"[{part}]")
+            parts.append(part if default is _REQUIRED else f"[{part}]")
+        parts += [_metavar(kind, name) for _, name, kind, _ in positionals]
     else:
-        groups = [["[-h]"], [_metavar(tuple(_COMMANDS), None), "..."]]
-    if len(head) + sum(len(part) + 1 for group in groups for part in group) <= 78:
-        groups = [groups[0] + groups[1]]
-    lines = []
-    for group in groups:
-        line = head if not lines else " " * len(head)
-        for part in group:
-            if len(line) + 1 + len(part) > 78 and len(line) > len(head):
-                lines.append(line)
-                line = " " * len(head)
-            line += " " + part
-        if group:
+        parts += [_metavar(tuple(_COMMANDS), None), "..."]
+    lines, line = [], head
+    for part in parts:
+        if len(line) + 1 + len(part) > 78 and len(line) > len(head):
             lines.append(line)
-    return "\n".join(lines) + "\n"
+            line = " " * len(head)
+        line += " " + part
+    return "\n".join(lines + [line]) + "\n"
 
 
 def _help_text(command):
@@ -800,7 +794,13 @@ def _emit(report, args):
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.writelines(pieces)
     else:
-        sys.stdout.writelines(pieces)
+        try:
+            sys.stdout.writelines(pieces)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # the reader closed the pipe: keep the exit code, and send what
+            # is still buffered to devnull, so the flush at exit cannot fail
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 _HANDLERS = {

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -57,21 +58,23 @@ def run(capsys, argv):
     return code, out.out, out.err
 
 
-def run_process(argv, max_bytes=None):
-    """Run the CLI in a fresh interpreter; returns (exit code, stderr).
-    ``max_bytes`` caps the child's address space, so that a run that
-    would exhaust memory fails with a MemoryError instead."""
-    src = os.path.dirname(os.path.dirname(sumsetlab.__file__))
-    env = {**os.environ, "PYTHONPATH": src}
+def child_env():
+    """The environment of a fresh interpreter that imports this package."""
+    return {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(sumsetlab.__file__))}
 
+
+def run_process(argv, max_bytes=None):
+    """Run the CLI in a fresh interpreter; returns (exit code, stdout,
+    stderr).  ``max_bytes`` caps the child's address space, so that a run
+    that would exhaust memory fails with a MemoryError instead."""
     def cap():
         import resource
         resource.setrlimit(resource.RLIMIT_AS, (max_bytes, max_bytes))
 
     proc = subprocess.run([sys.executable, "-m", "sumsetlab.cli"] + argv,
-                          capture_output=True, text=True, env=env,
+                          capture_output=True, text=True, env=child_env(),
                           preexec_fn=cap if max_bytes else None)
-    return proc.returncode, proc.stderr
+    return proc.returncode, proc.stdout, proc.stderr
 
 
 def run_doc(capsys, argv):
@@ -79,11 +82,14 @@ def run_doc(capsys, argv):
     return code, (json.loads(out) if out else None), err
 
 
+_EH = json.dumps(instance_to_dict(SumsetInstance(7, [(0, 1, 2, 3)] * 2,
+                                                   uniform_forbidden(2, {0}))))
+
+
 @pytest.fixture
 def eh_file(tmp_path):
-    inst = SumsetInstance(7, [(0, 1, 2, 3)] * 2, uniform_forbidden(2, {0}))
     path = tmp_path / "eh.json"
-    path.write_text(json.dumps(instance_to_dict(inst)))
+    path.write_text(_EH)
     return str(path)
 
 
@@ -123,13 +129,6 @@ def test_identities_zeilberger_rows_equal_the_direct_expansion(capsys):
         assert row["coefficient_form"] == zeilberger_coefficient(row["avec"]), row
 
 
-def test_identities_aomoto_correct_orientation(capsys):
-    code, rep, _ = run_doc(capsys, ["identities", "aomoto", "--max-n", "2"])
-    assert code == 0
-    assert rep["orientation"]["closed_form_paired_with"] == "ct_chi_a"
-    assert rep["orientation"]["inverted_form_paired_with"] == "ct_chi_b"
-
-
 @pytest.mark.parametrize("chi_side, expected_code", [("a", 0), ("b", 2)])
 def test_identities_aomoto_off_grid_swap(capsys, chi_side, expected_code):
     # with b up to 3 and a up to 1, the swapped tuple of a row with b > 1
@@ -150,48 +149,13 @@ def test_identities_aomoto_wrong_orientation(capsys):
     assert code == 2
     assert err == "sumsetlab: identities: disagreement, see the report\n"
     assert rep["all_agree"] is False
+    orientation = rep["orientation"]
+    assert orientation["closed_form_paired_with"] == "ct_chi_b"
+    assert orientation["inverted_form_paired_with"] == "ct_chi_a"
     first = rep["first_failure"]
     assert first is not None
     # the pairing can only break where the shift is active and asymmetric
     assert first["s"] >= 1 and first["a"] != first["b"]
-
-
-def test_identities_lemma22(capsys):
-    code, rep, _ = run_doc(capsys, ["identities", "lemma22"])
-    assert code == 0
-    assert all(row["agree"] for row in rep["rows"])
-
-
-def test_identities_prop21(capsys):
-    code, rep, _ = run_doc(capsys, ["identities", "prop21"])
-    assert code == 0
-    pinned = {(r["n"], r["m"], r["k"], r["s"]): r["closed_form"] for r in rep["rows"]}
-    assert pinned[(2, 1, 3, 0)] == 2
-    assert pinned[(2, 1, 3, 2)] == 4
-
-
-def test_identities_range_cap_is_usage_error(capsys):
-    code, _, err = run(capsys, ["identities", "dyson", "--max-vars", "9"])
-    assert code == 1
-    assert "max-vars" in err
-
-
-@pytest.mark.parametrize("argv", [
-    ["dyson", "--max-a", "3"],
-    ["zeilberger", "--slack", "1"],
-    ["prop21", "--chi-side", "a"],
-    ["lemma22", "--max-n", "2"],
-    ["aomoto", "--fix-n", "2"],
-])
-def test_identities_unread_option_is_usage_error(capsys, argv):
-    code, out, err = run(capsys, ["identities"] + argv)
-    assert code == 1 and out == ""
-    assert err.startswith("sumsetlab: error: ") and argv[1] in err
-
-
-def test_identities_prop21_min_above_max(capsys):
-    code, _, err = run(capsys, ["identities", "prop21", "--min-n", "3", "--max-n", "2"])
-    assert code == 1 and "--min-n" in err
 
 
 def test_identities_table_format(capsys):
@@ -218,18 +182,6 @@ def test_identities_table_format(capsys):
 # ----------------------------------------------------------------------
 # sumset
 # ----------------------------------------------------------------------
-
-def test_sumset_report(capsys, eh_file):
-    code, rep, _ = run_doc(capsys, ["sumset", eh_file])
-    assert code == 0
-    assert rep["sumset"] == [1, 2, 3, 4, 5]
-    assert rep["cardinality"] == 5
-    assert rep["bounds"]["thm2"]["value"] == 5
-    assert rep["bounds"]["thm2"]["hypothesis_met"] is True
-    assert rep["certificate"]["valid"] is True
-    assert rep["certificate"]["coefficient"] == 4
-    assert rep["violations"] == []
-
 
 def test_sumset_table(capsys, eh_file):
     code, out, _ = run(capsys, ["sumset", eh_file])
@@ -261,97 +213,11 @@ def test_sumset_table_names_a_skipped_certificate(capsys, tmp_path):
                                     "sum(sizes_j - 1) = 5 < m*n*(n-1) = 6)")
 
 
-def test_sumset_literal_certificate(capsys, tmp_path):
-    path = tmp_path / "asym.json"
-    path.write_text(json.dumps(
-        {"p": 5, "sets": [[0, 1], [0, 1, 2]], "forbidden": {"1,2": [0]}}
-    ))
-    code, rep, _ = run_doc(capsys, ["sumset", str(path)])
-    assert code == 0
-    assert rep["certificate"]["method"] == "literal-product"
-    assert rep["certificate"]["claimed_bound"] == 3
-    assert rep["cardinality"] == 3
-
-
-def test_sumset_no_hypothesis_still_reports(capsys, tmp_path):
-    # sizes too spread for any bound; enumeration must still be reported
-    path = tmp_path / "spread.json"
-    path.write_text(json.dumps({"p": 7, "sets": [[0], [0, 1, 2, 3]]}))
-    code, rep, _ = run_doc(capsys, ["sumset", str(path)])
-    assert code == 0
-    assert rep["cardinality"] == 4
-    assert rep["bounds"]["thm2"]["value"] is None
-
-
-def test_sumset_malformed_file(capsys, tmp_path):
-    path = tmp_path / "bad.json"
-    path.write_text("{nope")
-    code, _, err = run(capsys, ["sumset", str(path)])
-    assert code == 1 and "JSON" in err
-
-
-def test_sumset_composite_modulus(capsys, tmp_path):
-    path = tmp_path / "composite.json"
-    path.write_text(json.dumps({"p": 6, "sets": [[0, 1]]}))
-    code, _, err = run(capsys, ["sumset", str(path)])
-    assert code == 1 and "composite" in err
-
-
-def test_sumset_non_utf8_file(tmp_path):
-    path = tmp_path / "latin1.json"
-    path.write_bytes(b'{"p": 7, "sets": [[0]], "note": "caf\xe9"}')
-    code, err = run_process(["sumset", str(path)])
-    assert code == 1
-    assert err.startswith("sumsetlab: error: ") and "Traceback" not in err
-
-
-@pytest.mark.parametrize("forbidden", [
-    {"\u00b2,1": [0]},              # a non-ASCII digit passes str.isdigit
-    {"1,2": [0], "01,2": [1]},     # two spellings of one pair
-])
-def test_sumset_bad_forbidden_keys(tmp_path, forbidden):
-    path = tmp_path / "keys.json"
-    path.write_text(json.dumps({"p": 7, "sets": [[0, 1], [0, 2]], "forbidden": forbidden}))
-    code, err = run_process(["sumset", str(path)])
-    assert code == 1
-    assert err.startswith("sumsetlab: error: ") and "Traceback" not in err
-
-
-def test_sumset_repeated_json_key(tmp_path):
-    path = tmp_path / "twice.json"
-    path.write_text('{"p": 7, "sets": [[0, 1], [0, 2]], "forbidden": {"1,2": [0], "1,2": [1]}}')
-    code, err = run_process(["sumset", str(path)])
-    assert code == 1
-    assert err.startswith("sumsetlab: error: ") and "Traceback" not in err
-
-
-@pytest.mark.parametrize("text", [
-    "[" * 200_000 + "]" * 200_000,                   # deeper than the parser recurses
-    '{"p": ' + "7" * 5_000 + ', "sets": [[0]]}',     # past the int digit limit
-], ids=["deep-array", "long-int-literal"])
-def test_sumset_unparseable_json_is_a_format_error(tmp_path, text):
-    path = tmp_path / "unparseable.json"
-    path.write_text(text)
-    code, err = run_process(["sumset", str(path)])
-    assert code == 1
-    assert err.startswith("sumsetlab: error: not valid JSON: ") and "Traceback" not in err
-
-
 def test_sumset_large_prime(capsys, tmp_path):
     path = tmp_path / "big.json"
     path.write_text(json.dumps({"p": 10 ** 18 + 3, "sets": [[0, 1], [0, 2]]}))
     code, rep, _ = run_doc(capsys, ["sumset", str(path)])
     assert code == 0 and rep["sumset"] == [0, 1, 2, 3]
-
-
-def test_sumset_missing_file(capsys, tmp_path):
-    code, _, _ = run(capsys, ["sumset", str(tmp_path / "absent.json")])
-    assert code == 1
-
-
-def test_sumset_budget_exceeded(capsys, eh_file):
-    code, _, err = run(capsys, ["sumset", eh_file, "--budget", "3"])
-    assert code == 3 and "budget" in err.lower()
 
 
 def test_budget_env_var(capsys, eh_file, monkeypatch):
@@ -363,12 +229,6 @@ def test_budget_env_var(capsys, eh_file, monkeypatch):
     assert run(capsys, ["sumset", eh_file])[0] == 1
 
 
-def test_out_file_unwritable(tmp_path, eh_file):
-    code, err = run_process(["sumset", eh_file, "--out", str(tmp_path / "absent" / "x")])
-    assert code == 1
-    assert err.startswith("sumsetlab: error: ") and "Traceback" not in err
-
-
 def test_out_file(tmp_path, capsys, eh_file):
     target = tmp_path / "report.json"
     code, out, _ = run(capsys, ["sumset", eh_file, "--format", "doc", "--out", str(target)])
@@ -376,25 +236,9 @@ def test_out_file(tmp_path, capsys, eh_file):
     assert json.loads(target.read_text())["cardinality"] == 5
 
 
-def test_out_file_with_an_empty_path_is_an_error(capsys):
-    # --out= names no file: it fails to open like any unusable path, and
-    # nothing is written to stdout
-    code, out, err = run(capsys, ["thm4", "--p", "5", "--m", "1", "--out="])
-    assert code == 1 and out == ""
-    assert err.startswith("sumsetlab: error: ") and "Traceback" not in err
-
-
 # ----------------------------------------------------------------------
 # thm4
 # ----------------------------------------------------------------------
-
-def test_thm4_exhaustive(capsys):
-    code, rep, _ = run_doc(capsys, ["thm4", "--p", "7", "--m", "1"])
-    assert code == 0
-    assert rep["subsets_tested"] == 21
-    assert rep["failures"] == 0
-    assert all(row["covered"] for row in rep["rows"])
-
 
 def test_thm4_sampled(capsys):
     code, rep, _ = run_doc(
@@ -424,11 +268,6 @@ def test_thm4_table(capsys):
     ]
     assert len(lines) == 3 + 21 + 1
     assert lines[-1] == "subsets tested: 21   failures: 0"
-
-
-def test_thm4_budget(capsys):
-    code, _, _ = run(capsys, ["thm4", "--p", "13", "--m", "1", "--budget", "100"])
-    assert code == 3
 
 
 def test_thm4_sample_budget_checked_before_drawing(capsys, monkeypatch):
@@ -462,25 +301,12 @@ def test_thm4_sample_count_over_the_budget_is_refused(capsys, monkeypatch):
     assert code == 0 and rep["subsets_tested"] == 1000
 
 
-def test_thm4_huge_subset_count_is_budget_exit(capsys):
-    # C(10000019, 6325) has more digits than int allows to convert to str
-    code, out, err = run(capsys, ["thm4", "--p", "10000019", "--m", "1"])
-    assert code == 3 and out == "" and len(err) < 200
-
-
-def test_thm4_subset_count_stops_at_the_budget(capsys):
-    argv = ["thm4", "--p", "1000000007", "--m", "1", "--budget", "1000"]
-    code, out, err = run(capsys, argv)
-    assert code == 3 and out == ""
-    assert "more than 1000 subsets of size 63246" in err
-
-
 def test_thm4_missing_list_over_the_budget_is_budget_exit():
     # n = 1 summand passes the tuple check, but about 10^9 residues are
     # missing; they are refused before any p-sized object is built
     argv = ["thm4", "--p", "1000000007", "--m", "1", "--mode", "sample",
             "--count", "3", "--size", "3", "--format", "doc"]
-    code, err = run_process(argv, max_bytes=1 << 30)
+    code, _, err = run_process(argv, max_bytes=1 << 30)
     assert code == 3 and "Traceback" not in err
     assert "missing residues exceed the budget" in err
 
@@ -506,58 +332,23 @@ def test_thm4_budget_exit_leaves_no_out_file(capsys, tmp_path):
     assert not path.exists()
 
 
-def test_thm4_bad_size(capsys):
-    code, _, _ = run(capsys, ["thm4", "--p", "7", "--m", "1", "--size", "9"])
-    assert code == 1
-
-
-def test_thm4_forbidden_residue_out_of_range(capsys):
-    # size 1 means n = 0, so no instance is built that would catch the residue
-    code, out, err = run(capsys, ["thm4", "--p", "13", "--m", "1", "--forbidden", "20",
-                                  "--size", "1"])
-    assert code == 1 and out == "" and "outside [0, 13)" in err
-
-
-@pytest.mark.parametrize("argv", [
-    ["thm4", "--p", "3", "--m", "5"],
-    ["thm4", "--p", "3", "--m", "4", "--forbidden", "0,1,2"],
-])
-def test_thm4_m_above_p_is_refused_first(capsys, argv):
-    # no S of m > p residues exists, whether S is the default or given
-    code, out, err = run(capsys, argv)
-    assert code == 1 and out == ""
-    m = argv[argv.index("--m") + 1]
-    assert err == f"sumsetlab: error: m={m} exceeds p=3: S holds at most p residues\n"
-
-
-@pytest.mark.parametrize("argv", [
-    ["thm4", "--p", "5", "--m", "-1"],
-    ["thm4", "--p", "5", "--m", "0", "--forbidden", "1"],
-])
-def test_thm4_m_below_one_is_refused_first(capsys, argv):
-    # m < 1 has no coverage threshold; it is refused before S is read
-    code, out, err = run(capsys, argv)
-    assert code == 1 and out == ""
-    m = argv[argv.index("--m") + 1]
-    assert err == f"sumsetlab: error: m must be >= 1, got {m}\n"
-
-
-def test_thm4_threshold_above_p_is_named(capsys):
-    # without --size the subset size is the threshold, and the error says so
-    code, out, err = run(capsys, ["thm4", "--p", "2", "--m", "2"])
-    assert code == 1 and out == ""
-    assert err == "sumsetlab: error: coverage threshold 3 exceeds p=2\n"
-    code, _, err = run(capsys, ["thm4", "--p", "2", "--m", "2", "--size", "3"])
-    assert code == 1 and err == "sumsetlab: error: subset size 3 not in [1, 2]\n"
-
-
 def test_package_runs_as_a_module():
-    src = os.path.dirname(os.path.dirname(sumsetlab.__file__))
     proc = subprocess.run([sys.executable, "-m", "sumsetlab", "thm4", "--p", "7", "--m", "1"],
-                          capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": src})
+                          capture_output=True, text=True, env=child_env())
     assert proc.returncode == 0, proc.stderr
     assert "subsets tested: 21" in proc.stdout
+
+
+@pytest.mark.parametrize("fmt", ["table", "doc"])
+def test_a_closed_pipe_keeps_the_exit_code_and_says_nothing(fmt):
+    # the report is larger than the pipe and the reader's buffer, so the
+    # writer meets the closed pipe
+    argv = [sys.executable, "-m", "sumsetlab", "thm4", "--p", "13", "--m", "1", "--format", fmt]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          env=child_env()) as proc:
+        proc.stdout.readline()
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 0 and proc.stderr.read() == b""
 
 
 # ----------------------------------------------------------------------
@@ -573,53 +364,10 @@ def test_experiment_runs_clean(capsys):
     assert len(rep["rows"]) == 20
 
 
-def test_experiment_byte_identical(capsys):
-    argv = ["experiment", "--trials", "8", "--seed", "5", "--format", "doc"]
-    _, out1, _ = run(capsys, argv)
-    _, out2, _ = run(capsys, argv)
-    assert out1 == out2
-
-
 def test_experiment_zero_trials(capsys):
     code, rep, _ = run_doc(capsys, ["experiment", "--trials", "0"])
     assert code == 0
     assert rep["rows"] == []
-
-
-def test_experiment_unsatisfiable_enforce(capsys):
-    code, _, err = run(capsys, ["experiment", "--trials", "1", "--p-set", "5",
-                                "--n-set", "2", "--m-set", "3",
-                                "--enforce", "thm3"])
-    assert code == 1
-
-
-@pytest.mark.parametrize("argv", [
-    ["--k-max", "0"],
-    ["--k-max", "-3"],
-    ["--m-set", "-1"],
-    ["--m-set", "9", "--p-set", "5"],
-    ["--p-set", "0,5"],
-    ["--n-set", "0", "--enforce", "thm1"],
-])
-def test_experiment_out_of_range_is_usage_error(capsys, argv):
-    code, out, err = run(capsys, ["experiment", "--trials", "2"] + argv)
-    assert code == 1 and out == ""
-    assert err.startswith("sumsetlab: error: ")
-
-
-@pytest.mark.parametrize("listed, message", [
-    (["--p-set", "5,9"], "modulus 9 is composite"),
-    (["--n-set", "0,2"], "n must be >= 1, got 0"),
-    (["--m-set=-1,1"], "m must be >= 0, got -1"),
-])
-@pytest.mark.parametrize("trials, seed", [(1, 0), (1, 1), (1, 2), (1, 3), (0, 0)])
-def test_experiment_checks_every_listed_value_before_drawing(capsys, listed, message,
-                                                             trials, seed):
-    # whether or not the seed draws the bad value, and with no draw at all
-    code, out, err = run(capsys, ["experiment", "--trials", str(trials),
-                                  "--seed", str(seed)] + listed)
-    assert code == 1 and out == ""
-    assert err == f"sumsetlab: error: {message}\n"
 
 
 def test_experiment_huge_prime(capsys):
@@ -825,37 +573,138 @@ def test_doc_writer_refuses_what_has_no_document_form(doc):
 
 
 # ----------------------------------------------------------------------
-# usage
+# the exit contract
 # ----------------------------------------------------------------------
 
-@pytest.mark.parametrize("argv, message", [
-    (["thm4", "--p", "7", "--m", "1", "--forbidden", ",,,"],
-     "argument --forbidden: expected at least one integer"),
-    (["experiment", "--p-set", "x"],
-     "argument --p-set: expected comma-separated integers, got 'x'"),
-])
-def test_bad_integer_list_is_usage_error(capsys, argv, message):
-    code, out, err = run(capsys, argv)
-    assert code == 1 and out == ""
-    assert err.endswith(f"sumsetlab {argv[0]}: error: {message}\n")
-
-
-def test_budget_below_one_is_usage_error(capsys):
-    code, out, err = run(capsys, ["thm4", "--p", "7", "--m", "1", "--budget", "0"])
-    assert code == 1 and out == ""
-    assert err == "sumsetlab: error: budget must be >= 1, got 0\n"
+# One refused run per row: (argv, files, exit code, stderr, fresh).  Each
+# name in ``files`` is written with its text under TMP, which stands for
+# the test's own directory in argv and in stderr.  A refusal comes before
+# the first byte of a report, so stdout stays empty.  The stderr is exact,
+# but "..." in it stands for any text, as in a doctest; a usage error from
+# the parser prints its usage line first, which the help digests below
+# pin.  A fresh row runs in a new interpreter, where no traceback escapes.
+_REFUSALS = [
+    (["identities", "dyson", "--max-vars", "9"], {}, 1,
+     "sumsetlab: error: --max-vars must be in [2, 6]\n", False),
+    *[(["identities", scope, flag, value], {}, 1,
+       f"sumsetlab: error: identities {scope} does not read {flag}\n", False)
+      for scope, flag, value in [("dyson", "--max-a", "3"), ("zeilberger", "--slack", "1"),
+                                 ("prop21", "--chi-side", "a"), ("lemma22", "--max-n", "2"),
+                                 ("aomoto", "--fix-n", "2")]],
+    (["identities", "prop21", "--min-n", "3", "--max-n", "2"], {}, 1,
+     "sumsetlab: error: --min-n must not exceed --max-n\n", False),
+    (["sumset", "TMP/bad.json"], {"bad.json": "{nope"}, 1,
+     "sumsetlab: error: not valid JSON: Expecting property name enclosed in double quotes: "
+     "line 1 column 2 (char 1)\n", False),
+    (["sumset", "TMP/composite.json"], {"composite.json": '{"p": 6, "sets": [[0, 1]]}'}, 1,
+     "sumsetlab: error: modulus 6 is composite\n", False),
+    (["sumset", "TMP/latin1.json"], {"latin1.json": b'{"p": 7, "sets": [[0]], "note": "caf\xe9"}'},
+     1, "sumsetlab: error: not valid JSON: 'utf-8' codec can't decode byte 0xe9 in position 36: "
+        "invalid continuation byte\n", True),
+    # a non-ASCII digit passes str.isdigit
+    (["sumset", "TMP/digit.json"],
+     {"digit.json": '{"p": 7, "sets": [[0, 1], [0, 2]], "forbidden": {"\\u00b2,1": [0]}}'}, 1,
+     "sumsetlab: error: bad forbidden key '²,1', expected \"i,j\"\n", True),
+    # two spellings of one pair, and one key twice
+    (["sumset", "TMP/spelled.json"],
+     {"spelled.json": '{"p": 7, "sets": [[0, 1], [0, 2]], "forbidden": {"1,2": [0], "01,2": [1]}}'},
+     1, "sumsetlab: error: forbidden key '01,2' repeats the pair 1,2\n", True),
+    (["sumset", "TMP/twice.json"],
+     {"twice.json": '{"p": 7, "sets": [[0, 1], [0, 2]], "forbidden": {"1,2": [0], "1,2": [1]}}'},
+     1, "sumsetlab: error: not valid JSON: key '1,2' appears twice in one object\n", True),
+    # deeper than the parser recurses, and past the int digit limit
+    (["sumset", "TMP/deep.json"], {"deep.json": "[" * 200_000 + "]" * 200_000}, 1,
+     "sumsetlab: error: not valid JSON: ...\n", True),
+    (["sumset", "TMP/long.json"], {"long.json": '{"p": ' + "7" * 5_000 + ', "sets": [[0]]}'}, 1,
+     "sumsetlab: error: not valid JSON: ...\n", True),
+    (["sumset", "TMP/absent.json"], {}, 1,
+     "sumsetlab: error: [Errno 2] No such file or directory: 'TMP/absent.json'\n", False),
+    (["sumset", "TMP/eh.json", "--budget", "3"], {"eh.json": _EH}, 3,
+     "sumsetlab: budget exceeded: 16 tuples exceed the enumeration budget of 3\n", False),
+    (["sumset", "TMP/eh.json", "--out", "TMP/absent/x"], {"eh.json": _EH}, 1,
+     "sumsetlab: error: [Errno 2] No such file or directory: 'TMP/absent/x'\n", True),
+    # --out= names no file: it fails to open like any unusable path
+    (["thm4", "--p", "5", "--m", "1", "--out="], {}, 1,
+     "sumsetlab: error: [Errno 2] No such file or directory: ''\n", False),
+    (["thm4", "--p", "13", "--m", "1", "--budget", "100"], {}, 3,
+     "sumsetlab: budget exceeded: more than 100 subsets of size 7 exceed the budget\n", False),
+    # C(10000019, 6325) has more digits than int allows to convert to str
+    (["thm4", "--p", "10000019", "--m", "1"], {}, 3,
+     "sumsetlab: budget exceeded: more than 10000000 subsets of size 6325 exceed the budget\n",
+     False),
+    (["thm4", "--p", "1000000007", "--m", "1", "--budget", "1000"], {}, 3,
+     "sumsetlab: budget exceeded: more than 1000 subsets of size 63246 exceed the budget\n",
+     False),
+    (["thm4", "--p", "7", "--m", "1", "--size", "9"], {}, 1,
+     "sumsetlab: error: subset size 9 not in [1, 7]\n", False),
+    # size 1 means n = 0, so no instance is built that would catch the residue
+    (["thm4", "--p", "13", "--m", "1", "--forbidden", "20", "--size", "1"], {}, 1,
+     "sumsetlab: error: S has elements outside [0, 13)\n", False),
+    # no S of m > p residues exists, whether S is the default or given
+    (["thm4", "--p", "3", "--m", "5"], {}, 1,
+     "sumsetlab: error: m=5 exceeds p=3: S holds at most p residues\n", False),
+    (["thm4", "--p", "3", "--m", "4", "--forbidden", "0,1,2"], {}, 1,
+     "sumsetlab: error: m=4 exceeds p=3: S holds at most p residues\n", False),
+    # m < 1 has no coverage threshold; it is refused before S is read
+    (["thm4", "--p", "5", "--m", "-1"], {}, 1, "sumsetlab: error: m must be >= 1, got -1\n", False),
+    (["thm4", "--p", "5", "--m", "0", "--forbidden", "1"], {}, 1,
+     "sumsetlab: error: m must be >= 1, got 0\n", False),
+    # without --size the subset size is the threshold, and the error says so
+    (["thm4", "--p", "2", "--m", "2"], {}, 1,
+     "sumsetlab: error: coverage threshold 3 exceeds p=2\n", False),
+    (["thm4", "--p", "2", "--m", "2", "--size", "3"], {}, 1,
+     "sumsetlab: error: subset size 3 not in [1, 2]\n", False),
+    (["experiment", "--trials", "1", "--p-set", "5", "--n-set", "2", "--m-set", "3",
+      "--enforce", "thm3"], {}, 1,
+     "sumsetlab: error: no (p, n, k, m) draw satisfied 'thm3' in 1000 tries\n", False),
+    *[(["experiment", "--trials", "2"] + argv, {}, 1, f"sumsetlab: error: {message}\n", False)
+      for argv, message in [
+          (["--k-max", "0"], "k_max must be >= 1, got 0"),
+          (["--k-max", "-3"], "k_max must be >= 1, got -3"),
+          (["--m-set", "-1"], "m must be >= 0, got -1"),
+          (["--m-set", "9", "--p-set", "5"], "m must lie in [0, 5], got 9"),
+          (["--p-set", "0,5"], "modulus must be an integer >= 2, got 0"),
+          (["--n-set", "0", "--enforce", "thm1"], "n must be >= 1, got 0")]],
+    # every listed value is checked before drawing: whether or not the
+    # seed draws the bad value, and with no draw at all
+    *[(["experiment", "--trials", trials, "--seed", seed] + listed, {}, 1,
+       f"sumsetlab: error: {message}\n", False)
+      for listed, message in [(["--p-set", "5,9"], "modulus 9 is composite"),
+                              (["--n-set", "0,2"], "n must be >= 1, got 0"),
+                              (["--m-set=-1,1"], "m must be >= 0, got -1")]
+      for trials, seed in [("1", "0"), ("1", "1"), ("1", "2"), ("1", "3"), ("0", "0")]],
+    (["thm4", "--p", "7", "--m", "1", "--forbidden", ",,,"], {}, 1,
+     "...\nsumsetlab thm4: error: argument --forbidden: expected at least one integer\n", False),
+    (["experiment", "--p-set", "x"], {}, 1,
+     "...\nsumsetlab experiment: error: argument --p-set: expected comma-separated integers, "
+     "got 'x'\n", False),
+    (["thm4", "--p", "7", "--m", "1", "--budget", "0"], {}, 1,
+     "sumsetlab: error: budget must be >= 1, got 0\n", False),
     # a budget of 1 is taken, and the sweep exceeds it
-    code, out, err = run(capsys, ["thm4", "--p", "7", "--m", "1", "--budget", "1"])
-    assert code == 3 and err.startswith("sumsetlab: budget exceeded: ")
+    (["thm4", "--p", "7", "--m", "1", "--budget", "1"], {}, 3,
+     "sumsetlab: budget exceeded: more than 1 subsets of size 5 exceed the budget\n", False),
+    ([], {}, 1, "...\nsumsetlab: error: the following arguments are required: command\n", False),
+    (["identities", "nonsense"], {}, 1,
+     "...\nsumsetlab identities: error: argument scope: invalid choice: 'nonsense' (choose from "
+     "'dyson', 'zeilberger', 'aomoto', 'lemma22', 'prop21')\n", False),
+]
 
 
-def test_no_command_is_usage_error(capsys):
-    assert run(capsys, [])[0] == 1
+@pytest.mark.parametrize("argv, files, code, err, fresh", _REFUSALS,
+                         ids=[" ".join(row[0]) for row in _REFUSALS])
+def test_refused_run(capsys, tmp_path, argv, files, code, err, fresh):
+    for name, text in files.items():
+        (tmp_path / name).write_bytes(text if type(text) is bytes else text.encode())
+    argv = [token.replace("TMP", str(tmp_path)) for token in argv]
+    pattern = ".*".join(map(re.escape, err.replace("TMP", str(tmp_path)).split("...")))
+    got = run_process(argv) if fresh else run(capsys, argv)
+    assert got[:2] == (code, "") and "Traceback" not in got[2]
+    assert re.fullmatch(pattern, got[2], re.DOTALL), got[2]
 
 
-def test_unknown_scope_is_usage_error(capsys):
-    assert run(capsys, ["identities", "nonsense"])[0] == 1
-
+# ----------------------------------------------------------------------
+# usage
+# ----------------------------------------------------------------------
 
 # SHA-256 of each -h/--help text, "" for the top level's.  The texts hold
 # the usage lines that usage errors print too.  Each command's text was
@@ -937,9 +786,8 @@ def test_a_run_loads_no_argparse_gettext_or_locale(eh_file):
               "    loaded.append('sumsetlab.sumsets' in sys.modules)\n"
               "print(loaded)\n"
               "print(sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)))\n")
-    src = os.path.dirname(os.path.dirname(sumsetlab.__file__))
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": src})
+                          env=child_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-2:] == [str([False] * 3 + [True] * 3), "[]"]
     assert "sumsetlab thm4: error: argument --p: invalid int value: 'x'" in proc.stderr
@@ -1111,10 +959,11 @@ def _small_values(dest, kind, files, clean):
 @given(data=st.data())
 def test_exit_contract_holds_for_small_argvs(fuzz_files, data):
     # every run ends in 0, 1, 2 or 3 with no exception, a refusal says why
-    # on stderr, and a refused run leaves no --out file behind.  A clean
-    # argv gives an identities scope only the options it reads.  Without
-    # --budget the budget comes from $SUMSETLAB_BUDGET, drawn as small, so
-    # that no run has the default budget of 10^7.
+    # on stderr, and a refused run writes nothing on stdout and leaves no
+    # --out file behind.  A clean argv gives an identities scope only the
+    # options it reads.  Without --budget the budget comes from
+    # $SUMSETLAB_BUDGET, drawn as small, so that no run has the default
+    # budget of 10^7.
     clean = data.draw(st.booleans())
     command = data.draw(st.sampled_from(list(_COMMANDS)))
     _, positionals, flags, _ = _COMMANDS[command]
@@ -1137,7 +986,7 @@ def test_exit_contract_holds_for_small_argvs(fuzz_files, data):
     if code:
         assert err.getvalue().endswith("\n") and err.getvalue().strip(), argv
     if code in (1, 3):
-        assert not os.path.exists(out_file), argv
+        assert out.getvalue() == "" and not os.path.exists(out_file), argv
 
 
 def test_internal_check_failure_exits_2(capsys, monkeypatch):
