@@ -99,9 +99,7 @@ def eh_file(tmp_path):
 
 def test_identities_dyson(capsys):
     code, rep, _ = run_doc(capsys, ["identities", "dyson", "--max-vars", "3"])
-    assert code == 0
-    assert rep["all_agree"] is True
-    assert rep["first_failure"] is None
+    assert code == 0 and rep["all_agree"] is True and rep["first_failure"] is None
     assert len(rep["rows"]) == 9 + 27
 
 
@@ -143,9 +141,7 @@ def test_identities_aomoto_off_grid_swap(capsys, chi_side, expected_code):
 
 
 def test_identities_aomoto_wrong_orientation(capsys):
-    code, rep, err = run_doc(
-        capsys, ["identities", "aomoto", "--max-n", "2", "--chi-side", "b"]
-    )
+    code, rep, err = run_doc(capsys, ["identities", "aomoto", "--max-n", "2", "--chi-side", "b"])
     assert code == 2
     assert err == "sumsetlab: identities: disagreement, see the report\n"
     assert rep["all_agree"] is False
@@ -241,13 +237,9 @@ def test_out_file(tmp_path, capsys, eh_file):
 # ----------------------------------------------------------------------
 
 def test_thm4_sampled(capsys):
-    code, rep, _ = run_doc(
-        capsys, ["thm4", "--p", "11", "--m", "1", "--mode", "sample",
-                 "--count", "10", "--seed", "7"]
-    )
-    assert code == 0
-    assert rep["subsets_tested"] == 10
-    assert rep["config"]["threshold"] == 7
+    code, rep, _ = run_doc(capsys, ["thm4", "--p", "11", "--m", "1", "--mode", "sample",
+                                    "--count", "10", "--seed", "7"])
+    assert code == 0 and rep["subsets_tested"] == 10 and rep["config"]["threshold"] == 7
 
 
 def test_thm4_tiny_sets_vacuous(capsys):
@@ -356,18 +348,14 @@ def test_a_closed_pipe_keeps_the_exit_code_and_says_nothing(fmt):
 # ----------------------------------------------------------------------
 
 def test_experiment_runs_clean(capsys):
-    code, rep, _ = run_doc(
-        capsys, ["experiment", "--trials", "20", "--seed", "11", "--enforce", "thm3"]
-    )
-    assert code == 0
-    assert rep["violations_total"] == 0
-    assert len(rep["rows"]) == 20
+    code, rep, _ = run_doc(capsys, ["experiment", "--trials", "20", "--seed", "11",
+                                    "--enforce", "thm3"])
+    assert code == 0 and rep["violations_total"] == 0 and len(rep["rows"]) == 20
 
 
 def test_experiment_zero_trials(capsys):
     code, rep, _ = run_doc(capsys, ["experiment", "--trials", "0"])
-    assert code == 0
-    assert rep["rows"] == []
+    assert code == 0 and rep["rows"] == []
 
 
 def test_experiment_huge_prime(capsys):
@@ -586,11 +574,6 @@ def test_doc_writer_refuses_what_has_no_document_form(doc):
 _REFUSALS = [
     (["identities", "dyson", "--max-vars", "9"], {}, 1,
      "sumsetlab: error: --max-vars must be in [2, 6]\n", False),
-    *[(["identities", scope, flag, value], {}, 1,
-       f"sumsetlab: error: identities {scope} does not read {flag}\n", False)
-      for scope, flag, value in [("dyson", "--max-a", "3"), ("zeilberger", "--slack", "1"),
-                                 ("prop21", "--chi-side", "a"), ("lemma22", "--max-n", "2"),
-                                 ("aomoto", "--fix-n", "2")]],
     (["identities", "prop21", "--min-n", "3", "--max-n", "2"], {}, 1,
      "sumsetlab: error: --min-n must not exceed --max-n\n", False),
     (["sumset", "TMP/bad.json"], {"bad.json": "{nope"}, 1,
@@ -657,22 +640,6 @@ _REFUSALS = [
     (["experiment", "--trials", "1", "--p-set", "5", "--n-set", "2", "--m-set", "3",
       "--enforce", "thm3"], {}, 1,
      "sumsetlab: error: no (p, n, k, m) draw satisfied 'thm3' in 1000 tries\n", False),
-    *[(["experiment", "--trials", "2"] + argv, {}, 1, f"sumsetlab: error: {message}\n", False)
-      for argv, message in [
-          (["--k-max", "0"], "k_max must be >= 1, got 0"),
-          (["--k-max", "-3"], "k_max must be >= 1, got -3"),
-          (["--m-set", "-1"], "m must be >= 0, got -1"),
-          (["--m-set", "9", "--p-set", "5"], "m must lie in [0, 5], got 9"),
-          (["--p-set", "0,5"], "modulus must be an integer >= 2, got 0"),
-          (["--n-set", "0", "--enforce", "thm1"], "n must be >= 1, got 0")]],
-    # every listed value is checked before drawing: whether or not the
-    # seed draws the bad value, and with no draw at all
-    *[(["experiment", "--trials", trials, "--seed", seed] + listed, {}, 1,
-       f"sumsetlab: error: {message}\n", False)
-      for listed, message in [(["--p-set", "5,9"], "modulus 9 is composite"),
-                              (["--n-set", "0,2"], "n must be >= 1, got 0"),
-                              (["--m-set=-1,1"], "m must be >= 0, got -1")]
-      for trials, seed in [("1", "0"), ("1", "1"), ("1", "2"), ("1", "3"), ("0", "0")]],
     (["thm4", "--p", "7", "--m", "1", "--forbidden", ",,,"], {}, 1,
      "...\nsumsetlab thm4: error: argument --forbidden: expected at least one integer\n", False),
     (["experiment", "--p-set", "x"], {}, 1,
@@ -700,6 +667,40 @@ def test_refused_run(capsys, tmp_path, argv, files, code, err, fresh):
     got = run_process(argv) if fresh else run(capsys, argv)
     assert got[:2] == (code, "") and "Traceback" not in got[2]
     assert re.fullmatch(pattern, got[2], re.DOTALL), got[2]
+
+
+# Three groups of refusals keep their own names; like a table row, each
+# case asserts its exit code, an empty stdout and its exact stderr line.
+@pytest.mark.parametrize("argv", [["dyson", "--max-a", "3"], ["zeilberger", "--slack", "1"],
+                                  ["prop21", "--chi-side", "a"], ["lemma22", "--max-n", "2"],
+                                  ["aomoto", "--fix-n", "2"]])
+def test_identities_unread_option_is_usage_error(capsys, argv):
+    assert run(capsys, ["identities"] + argv) == (
+        1, "", f"sumsetlab: error: identities {argv[0]} does not read {argv[1]}\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--k-max", "0"], "k_max must be >= 1, got 0"),
+    (["--k-max", "-3"], "k_max must be >= 1, got -3"),
+    (["--m-set", "-1"], "m must be >= 0, got -1"),
+    (["--m-set", "9", "--p-set", "5"], "m must lie in [0, 5], got 9"),
+    (["--p-set", "0,5"], "modulus must be an integer >= 2, got 0"),
+    (["--n-set", "0", "--enforce", "thm1"], "n must be >= 1, got 0"),
+], ids=[f"argv{i}" for i in range(6)])
+def test_experiment_out_of_range_is_usage_error(capsys, argv, message):
+    assert run(capsys, ["experiment", "--trials", "2"] + argv) == (
+        1, "", f"sumsetlab: error: {message}\n")
+
+
+@pytest.mark.parametrize("listed, message", [(["--p-set", "5,9"], "modulus 9 is composite"),
+                                             (["--n-set", "0,2"], "n must be >= 1, got 0"),
+                                             (["--m-set=-1,1"], "m must be >= 0, got -1")])
+@pytest.mark.parametrize("trials, seed", [(1, 0), (1, 1), (1, 2), (1, 3), (0, 0)])
+def test_experiment_checks_every_listed_value_before_drawing(capsys, listed, message,
+                                                             trials, seed):
+    # whether or not the seed draws the bad value, and with no draw at all
+    assert run(capsys, ["experiment", "--trials", str(trials), "--seed", str(seed)]
+               + listed) == (1, "", f"sumsetlab: error: {message}\n")
 
 
 # ----------------------------------------------------------------------
