@@ -11,7 +11,6 @@ their factorial closed forms — all in exact integer arithmetic.
 from types import ModuleType as _ModuleType
 
 from .contract import (
-    BUDGET_ENV_VAR,
     DEFAULT_BUDGET,
     BudgetExceeded,
     CannotSatisfyHypothesis,

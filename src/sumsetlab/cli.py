@@ -1,8 +1,7 @@
 """Command-line front end.
 
 Subcommands: identities, sumset, thm4, experiment.  Every run is fully
-determined by its arguments (plus the SUMSETLAB_BUDGET environment
-variable when --budget is absent); structured output is canonical JSON.
+determined by its arguments alone; structured output is canonical JSON.
 
 Exit codes:
   0  everything verified / nothing to disagree with
@@ -24,7 +23,6 @@ from json.encoder import encode_basestring_ascii as _encode_str
 # the sumset, thm4 and experiment handlers import sumsets themselves, so
 # that an identities run does not load it
 from .contract import (
-    BUDGET_ENV_VAR,
     DEFAULT_BUDGET,
     HYPOTHESIS_CHOICES,
     BudgetExceeded,
@@ -129,8 +127,7 @@ _COMMON_FLAGS = {
     "format": (("table", "doc"), "table", None,
                "human table or structured JSON document (default: table)"),
     "out": (str, None, "PATH", "write the report to PATH instead of stdout"),
-    "budget": (int, None, "N", f"enumeration budget (default: ${BUDGET_ENV_VAR} "
-                               f"or {DEFAULT_BUDGET})"),
+    "budget": (int, DEFAULT_BUDGET, "N", f"enumeration budget (default: {DEFAULT_BUDGET})"),
 }
 _HELP_OPTIONS = {"-h": "help", "--help": "help"}
 
@@ -430,7 +427,7 @@ def _scope_config(args):
     return config
 
 
-def _cmd_identities(args, budget):
+def _cmd_identities(args):
     scope = args.scope
     config = _scope_config(args)
     if scope == "prop21":
@@ -486,11 +483,11 @@ def _analysis_dict(result, skip_prefix=""):
     }
 
 
-def _cmd_sumset(args, budget):
+def _cmd_sumset(args):
     from .sumsets import analyze, instance_to_dict, load_instance
 
     inst = load_instance(args.instance)
-    result = analyze(inst, budget)
+    result = analyze(inst, args.budget)
     report = {
         "command": "sumset",
         "instance": instance_to_dict(inst),
@@ -513,12 +510,12 @@ def _coverage_row(row):
             "covered": row.covered, "missing": row.missing}
 
 
-def _cmd_thm4(args, budget):
+def _cmd_thm4(args):
     from .sumsets import coverage_sweep
 
     sweep = coverage_sweep(
         args.p, args.m, mode=args.mode, count=args.count, seed=args.seed,
-        size=args.size, s_set=args.forbidden, budget=budget,
+        size=args.size, s_set=args.forbidden, budget=args.budget,
     )
     failures = sweep.failures()
     report = {
@@ -545,12 +542,12 @@ def _trial_row(trial):
             "m": trial.m, **_analysis_dict(trial.analysis)}
 
 
-def _cmd_experiment(args, budget):
+def _cmd_experiment(args):
     from .sumsets import run_experiment
 
     trials = run_experiment(
         args.seed, args.trials, args.p_set, args.n_set, args.m_set,
-        args.k_max, enforce=args.enforce, budget=budget,
+        args.k_max, enforce=args.enforce, budget=args.budget,
     )
     total = sum(len(t.analysis.violations) for t in trials)
     report = {
@@ -559,7 +556,7 @@ def _cmd_experiment(args, budget):
             "seed": args.seed, "trials": args.trials,
             "p_set": sorted(set(args.p_set)), "n_set": sorted(set(args.n_set)),
             "m_set": sorted(set(args.m_set)), "k_max": args.k_max,
-            "enforce": args.enforce, "budget": budget,
+            "enforce": args.enforce, "budget": args.budget,
         },
         "rows": _Rows(trials, _trial_row),
         "violations_total": total,
@@ -788,19 +785,24 @@ def _doc_pieces(report):
     yield "".join(text)
 
 
+def _write(stream, pieces):
+    """Write ``pieces`` to ``stream`` and flush it.  If the reader closed
+    the pipe, keep the exit code, and send what is still buffered to
+    devnull, so the flush at exit cannot fail."""
+    try:
+        stream.writelines(pieces)
+        stream.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+
+
 def _emit(report, args):
     pieces = (_doc_pieces if args.format == "doc" else _render)(report)
     if args.out is not None:  # --out= names no file, and fails to open
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.writelines(pieces)
     else:
-        try:
-            sys.stdout.writelines(pieces)
-            sys.stdout.flush()
-        except BrokenPipeError:
-            # the reader closed the pipe: keep the exit code, and send what
-            # is still buffered to devnull, so the flush at exit cannot fail
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        _write(sys.stdout, pieces)
 
 
 _HANDLERS = {
@@ -811,47 +813,30 @@ _HANDLERS = {
 }
 
 
-def _resolve_budget(args) -> int:
-    if args.budget is not None:
-        budget = args.budget
-    elif os.environ.get(BUDGET_ENV_VAR):
-        try:
-            budget = int(os.environ[BUDGET_ENV_VAR])
-        except ValueError:
-            raise _UsageError(
-                f"${BUDGET_ENV_VAR}={os.environ[BUDGET_ENV_VAR]!r} is not an integer"
-            )
-    else:
-        budget = DEFAULT_BUDGET
-    if budget < 1:
-        raise _UsageError(f"budget must be >= 1, got {budget}")
-    return budget
-
-
 def main(argv=None) -> int:
     try:
         args = parse_args(sys.argv[1:] if argv is None else argv)
-        budget = _resolve_budget(args)
-        code, report = _HANDLERS[args.command](args, budget)
+        _require(args.budget >= 1, f"budget must be >= 1, got {args.budget}")
+        code, report = _HANDLERS[args.command](args)
         _emit(report, args)
     except _Help as exc:
-        sys.stdout.write(str(exc))
+        _write(sys.stdout, [str(exc)])
         return EXIT_OK
     except _UsageError as exc:
-        sys.stderr.write(f"{exc.usage}{exc.prog}: error: {exc}\n")
+        _write(sys.stderr, [f"{exc.usage}{exc.prog}: error: {exc}\n"])
         return EXIT_USAGE
     except BudgetExceeded as exc:
-        sys.stderr.write(f"sumsetlab: budget exceeded: {exc}\n")
+        _write(sys.stderr, [f"sumsetlab: budget exceeded: {exc}\n"])
         return EXIT_BUDGET
     except (InstanceFormatError, NotPrime, OutOfRange, ParameterOutOfRange,
             CannotSatisfyHypothesis, OSError) as exc:
-        sys.stderr.write(f"sumsetlab: error: {exc}\n")
+        _write(sys.stderr, [f"sumsetlab: error: {exc}\n"])
         return EXIT_USAGE
     except ArithmeticError as exc:  # NonIntegerResult and the consistency checks
-        sys.stderr.write(f"sumsetlab: internal check failed: {exc}\n")
+        _write(sys.stderr, [f"sumsetlab: internal check failed: {exc}\n"])
         return EXIT_DISAGREEMENT
     if code != EXIT_OK:  # the report holds the disagreement; stderr says so
-        sys.stderr.write(f"sumsetlab: {args.command}: disagreement, see the report\n")
+        _write(sys.stderr, [f"sumsetlab: {args.command}: disagreement, see the report\n"])
     return code
 
 

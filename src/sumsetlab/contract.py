@@ -1,14 +1,13 @@
 """What the command line needs of the sumset layer before a handler runs.
 
-The budget's default and its environment variable, the bound names that
-``experiment --enforce`` accepts, and the three failures that ``main``
-maps to exit codes.  They live here, apart from :mod:`sumsetlab.sumsets`,
-so that a run which never enumerates does not load it; ``sumsets``
-re-exports all of them.  This module imports nothing.
+The budget's default, the bound names that ``experiment --enforce``
+accepts, and the three failures that ``main`` maps to exit codes.  They
+live here, apart from :mod:`sumsetlab.sumsets`, so that a run which
+never enumerates does not load it; ``sumsets`` re-exports all of them.
+This module imports nothing.
 """
 
 DEFAULT_BUDGET = 10 ** 7
-BUDGET_ENV_VAR = "SUMSETLAB_BUDGET"
 
 HYPOTHESIS_CHOICES = ("none", "thm1", "thm2", "thm3")
 

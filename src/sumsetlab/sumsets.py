@@ -22,7 +22,6 @@ from collections import namedtuple
 from math import comb, isqrt, prod
 
 from .contract import (
-    BUDGET_ENV_VAR,
     DEFAULT_BUDGET,
     HYPOTHESIS_CHOICES,
     BudgetExceeded,
@@ -153,31 +152,18 @@ def _count_text(count: int) -> str:
     return f"more than 2^{count.bit_length() - 1}"
 
 
-def _check_sum_budget(size: int, n: int, budget: int) -> None:
-    """Refuse sums of n elements of a size-set when size^n tuples exceed
-    the budget.  The caller guarantees size >= 2 whenever n >= 1, so
-    size^n > budget once n > budget.bit_length(); the power is then never
-    computed."""
+def _check_sum_budget(size: int, m: int, budget: int) -> int:
+    """The summand count n of :func:`coverage_check` for a size-set and
+    |S| = m, refused when size^n tuples exceed the budget.  n >= 1 needs
+    size >= m + 1 >= 2, so size^n > budget once n > budget.bit_length();
+    the power is then never computed."""
+    n = (size - 1 + m) // (2 * m)
     if n and (n > budget.bit_length() or size ** n > budget):
         raise BudgetExceeded(
             f"sums of {n} elements of a {size}-subset exceed the enumeration "
             f"budget of {budget} tuples"
         )
-
-
-def _capped_comb(p: int, size: int, cap: int) -> int:
-    """C(p, size) when it is at most ``cap``, else some count above ``cap``.
-
-    The running C(p, i) = C(p, i - 1) (p - i + 1) / i is exact at every
-    step and never decreases for i <= p/2, so it is built up to
-    min(size, p - size) and stops at the first step past the cap.
-    """
-    count = 1
-    for i in range(1, min(size, p - size) + 1):
-        count = count * (p - i + 1) // i
-        if count > cap:
-            break
-    return count
+    return n
 
 
 def _pair_differences(S, T, p: int) -> frozenset:
@@ -504,8 +490,7 @@ def coverage_check(p, s_set, a_set, budget: int = DEFAULT_BUDGET) -> CoverageRep
     if not A:
         raise ParameterOutOfRange("A must be nonempty")
     size = len(A)
-    n = (size - 1 + m) // (2 * m)  # n >= 1 needs size >= m + 1 >= 2
-    _check_sum_budget(size, n, budget)
+    n = _check_sum_budget(size, m, budget)
     threshold = coverage_threshold(p, m)
     sumset = _uniform_sums(p, S, A, n)
     if p - len(sumset) > budget:
@@ -630,7 +615,7 @@ def coverage_sweep(p: int, m: int, mode: str = "exhaustive", count: int = 50,
     the seeded generator (repeats possible).
     Either mode refuses more than ``budget`` subsets, before any is drawn.
     Every subset's check walks at most C(size + n - 1, n) nondecreasing
-    tuples, n = floor((size - 1 + m) / (2m)), but the budget still counts
+    tuples, n its summand count, but the budget still counts
     the size^n ordered ones, so a sweep whose subsets each exceed the
     budget is refused before any subset is drawn or any tuple visited.
 
@@ -672,8 +657,10 @@ def coverage_sweep(p: int, m: int, mode: str = "exhaustive", count: int = 50,
     if not 1 <= size <= p:
         raise ParameterOutOfRange(f"subset size {size} not in [1, {p}]")
     if mode == "exhaustive":
-        n_subsets = _capped_comb(p, size, budget)
-        if n_subsets > budget:
+        # C(p, size) = C(p, low) >= 2^low, as low <= p/2, so it exceeds
+        # the budget once low >= budget.bit_length(); it is then never computed
+        low = min(size, p - size)
+        if low >= budget.bit_length() or (n_subsets := comb(p, low)) > budget:
             raise BudgetExceeded(
                 f"more than {budget} subsets of size {size} exceed the budget"
             )
@@ -688,7 +675,7 @@ def coverage_sweep(p: int, m: int, mode: str = "exhaustive", count: int = 50,
     else:
         raise ParameterOutOfRange(f"mode must be 'exhaustive' or 'sample', got {mode!r}")
     if n_subsets:
-        _check_sum_budget(size, (size - 1 + m) // (2 * m), budget)
+        _check_sum_budget(size, m, budget)
     if mode == "exhaustive":
         rows = _orbit_table(field, S, size, n_subsets, budget)
     else:

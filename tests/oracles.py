@@ -49,7 +49,7 @@ from sumsetlab import (
     key_coefficient,
 )
 from sumsetlab.cli import EXIT_USAGE, _ID_OPTIONS, _SCOPE_LIMITS, _flag, _option_help
-from sumsetlab.sumsets import BUDGET_ENV_VAR, HYPOTHESIS_CHOICES
+from sumsetlab.sumsets import HYPOTHESIS_CHOICES
 
 
 class LengthMismatch(ValueError):
@@ -541,9 +541,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="human table or structured JSON document (default: table)")
     common.add_argument("--out", metavar="PATH", default=None,
                         help="write the report to PATH instead of stdout")
-    common.add_argument("--budget", type=int, default=None, metavar="N",
-                        help=f"enumeration budget (default: ${BUDGET_ENV_VAR} "
-                             f"or {DEFAULT_BUDGET})")
+    common.add_argument("--budget", type=int, default=DEFAULT_BUDGET, metavar="N",
+                        help=f"enumeration budget (default: {DEFAULT_BUDGET})")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p_id = sub.add_parser(

@@ -7,7 +7,6 @@ import re
 import subprocess
 import sys
 import tracemalloc
-from unittest import mock
 
 import pytest
 from hypothesis import event, example, given, settings, strategies as st
@@ -18,7 +17,6 @@ from oracles import (
     whole_table,
 )
 from sumsetlab import (
-    DEFAULT_BUDGET,
     AomotoParams,
     BudgetExceeded,
     NonIntegerResult,
@@ -216,15 +214,6 @@ def test_sumset_large_prime(capsys, tmp_path):
     assert code == 0 and rep["sumset"] == [0, 1, 2, 3]
 
 
-def test_budget_env_var(capsys, eh_file, monkeypatch):
-    monkeypatch.setenv("SUMSETLAB_BUDGET", "3")
-    assert run(capsys, ["sumset", eh_file])[0] == 3
-    # explicit flag wins over the environment
-    assert run(capsys, ["sumset", eh_file, "--budget", "1000"])[0] == 0
-    monkeypatch.setenv("SUMSETLAB_BUDGET", "zebra")
-    assert run(capsys, ["sumset", eh_file])[0] == 1
-
-
 def test_out_file(tmp_path, capsys, eh_file):
     target = tmp_path / "report.json"
     code, out, _ = run(capsys, ["sumset", eh_file, "--format", "doc", "--out", str(target)])
@@ -343,6 +332,20 @@ def test_a_closed_pipe_keeps_the_exit_code_and_says_nothing(fmt):
         assert proc.wait(timeout=60) == 0 and proc.stderr.read() == b""
 
 
+def test_a_closed_pipe_on_stderr_keeps_the_exit_code():
+    # stdout and stderr share one pipe whose reader is gone before the
+    # run starts: the report and then the disagreement line meet it
+    argv = [sys.executable, "-m", "sumsetlab", "identities", "aomoto", "--chi-side", "b",
+            "--max-n", "4"]
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(argv, stdout=write_end, stderr=write_end, env=child_env())
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
+
+
 # ----------------------------------------------------------------------
 # experiment
 # ----------------------------------------------------------------------
@@ -417,7 +420,7 @@ def test_doc_writer_matches_json_dumps(doc):
 
 def _report(argv):
     args = parse_args(argv)
-    return _HANDLERS[args.command](args, DEFAULT_BUDGET)[1]
+    return _HANDLERS[args.command](args)[1]
 
 
 def assert_doc_is_json_dumps_of_the_row_dicts(report):
@@ -713,10 +716,10 @@ def test_experiment_checks_every_listed_value_before_drawing(capsys, listed, mes
 # columns); the top level's lists the commands in a section of its own.
 _HELP_DIGESTS = {
     "": "05bd03f43da2a53aa564c6e1ca1c064e4d697ad6d7b735816495e707a9692d0c",
-    "identities": "8425f980884493ec29df16daaedbc8d87eb7ba29a131375f84b67163f9e2c552",
-    "sumset": "7657f0f378c45b338c77c563a59d9af2c69093925c0644e9b89c9c365dd19c06",
-    "thm4": "16f540ee721a9d5278891725c1160a25c3cfdde0b4d28dc489c59d1c9c829c90",
-    "experiment": "fff0055ea9e7142fb09bbe45d4d52c02c5e58c7787ed5c595faf2bd99c87b49e",
+    "identities": "5a6a1b783e4d1399378fbbf089dc42cf21c16f4c0cf70552897e297cc8d72681",
+    "sumset": "6a096be0617b06a30b6e743129efc2b5de602214235ffde41813af9926d022b7",
+    "thm4": "c20a0acfd68d4674d3456c5deace11fd4f337a280db6798c7d98f3b3ea1cdcfd",
+    "experiment": "0a905c82b625ba7d36700fd7c0bd640dba94e334e633e0a2ca5d32182de90fa7",
 }
 
 
@@ -962,9 +965,8 @@ def test_exit_contract_holds_for_small_argvs(fuzz_files, data):
     # every run ends in 0, 1, 2 or 3 with no exception, a refusal says why
     # on stderr, and a refused run writes nothing on stdout and leaves no
     # --out file behind.  A clean argv gives an identities scope only the
-    # options it reads.  Without --budget the budget comes from
-    # $SUMSETLAB_BUDGET, drawn as small, so that no run has the default
-    # budget of 10^7.
+    # options it reads.  A small --budget comes last, where it overrides
+    # any drawn before it, so that no run has the default budget of 10^7.
     clean = data.draw(st.booleans())
     command = data.draw(st.sampled_from(list(_COMMANDS)))
     _, positionals, flags, _ = _COMMANDS[command]
@@ -974,13 +976,12 @@ def test_exit_contract_holds_for_small_argvs(fuzz_files, data):
         unread = clean and dest in _ID_OPTIONS and dest not in _SCOPE_LIMITS[argv[1]]
         if default is _REQUIRED or not unread and data.draw(st.booleans()):
             argv.append(f"{_flag(dest)}={data.draw(_small_values(dest, kind, fuzz_files, clean))}")
-    budget = data.draw(_small_ints("budget", clean).map(str))
+    argv.append(f"--budget={data.draw(_small_ints('budget', clean))}")
     out_file = fuzz_files["out"][0][0]
     if os.path.exists(out_file):
         os.unlink(out_file)
     out, err = io.StringIO(), io.StringIO()
-    with mock.patch.dict(os.environ, SUMSETLAB_BUDGET=budget), \
-            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     assert code in (0, 1, 2, 3), argv
     event(f"exit {code}")

@@ -99,7 +99,7 @@ def test_cli_import_leaves_heavy_modules_out():
 # sumsetlab.__all__ as it was when the package still imported sumsets
 # eagerly; the lazy names must not change it
 PACKAGE_NAMES = [
-    "AomotoParams", "BUDGET_ENV_VAR", "BoundEntry", "BoundReport", "BudgetExceeded",
+    "AomotoParams", "BoundEntry", "BoundReport", "BudgetExceeded",
     "CannotSatisfyHypothesis", "CertificateReport", "CoverageReport",
     "CoverageSweepResult", "DEFAULT_BUDGET", "DegreeInfeasible", "ExperimentTrial",
     "HypothesisViolated", "InstanceAnalysis", "InstanceFormatError",
@@ -141,7 +141,7 @@ def test_an_unknown_package_name_is_an_attribute_error():
 
 
 def test_sumsets_re_exports_the_contract():
-    for name in ("BUDGET_ENV_VAR", "DEFAULT_BUDGET", "HYPOTHESIS_CHOICES", "BudgetExceeded",
+    for name in ("DEFAULT_BUDGET", "HYPOTHESIS_CHOICES", "BudgetExceeded",
                  "CannotSatisfyHypothesis", "InstanceFormatError"):
         assert getattr(sumsets, name) is getattr(contract, name), name
     assert [(error.__name__, error.__bases__) for error in (

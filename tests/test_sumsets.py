@@ -684,16 +684,23 @@ def test_budget_message_prints_a_huge_count_as_a_power_of_two():
     assert sumsets_module._count_text(2 ** 64) == "more than 2^64"
 
 
-def test_capped_comb_matches_comb():
-    for p in range(1, 26):
-        for size in range(p + 1):
+def test_exhaustive_sweep_refuses_exactly_the_subset_counts_over_the_budget(monkeypatch):
+    # m = p makes n = 0 summands, so only the subset count can be refused;
+    # an accepted sweep hands the orbit table the exact count C(p, size)
+    counts = []
+    monkeypatch.setattr(sumsets_module, "_orbit_table",
+                        lambda field, S, size, count, budget: counts.append(count))
+    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23):
+        for size in range(1, p + 1):
             exact = comb(p, size)
             for cap in {0, 1, 7, exact - 1, exact, exact + 1, 10**6}:
-                got = sumsets_module._capped_comb(p, size, cap)
-                if exact <= cap:
-                    assert got == exact
+                counts.clear()
+                if exact > cap:
+                    with pytest.raises(BudgetExceeded, match=f"^more than {cap} subsets "):
+                        coverage_sweep(p, p, size=size, budget=cap)
                 else:
-                    assert got > cap
+                    coverage_sweep(p, p, size=size, budget=cap)
+                assert counts == ([exact] if exact <= cap else [])
 
 
 def test_coverage_exhaustive_small():
