@@ -130,6 +130,8 @@ _COMMON_FLAGS = {
     "budget": (int, DEFAULT_BUDGET, "N", f"enumeration budget (default: {DEFAULT_BUDGET})"),
 }
 _HELP_OPTIONS = {"-h": "help", "--help": "help"}
+_DESCRIPTION = ("Exact verification of restricted-sumset bounds over Z/pZ "
+                "and the constant-term identities behind them.")
 
 
 def _command(help_text, positionals, **flags):
@@ -229,8 +231,7 @@ def _help_text(command):
         options += [entry(f"{_flag(dest)} {_metavar(kind, metavar)}", text)
                     for dest, (kind, _, metavar, text) in flags.items()]
     else:
-        description = ("Exact verification of restricted-sumset bounds over Z/pZ "
-                       "and the constant-term identities behind them.")
+        description = _DESCRIPTION
         sections = [("commands", [entry(name, spec[0]) for name, spec in _COMMANDS.items()])]
     sections.append(("options", options))
     return _usage(command) + f"\n{textwrap.fill(description, 78)}\n" + "".join(
@@ -679,7 +680,11 @@ def _render(report):
         yield f"violations total: {report['violations_total']}\n"
 
 
-_INT_ONLY = frozenset({int})
+# The document text of each scalar type.  json.dumps writes a subclass of
+# str or int as its base type; _doc_text finds that base only after a miss.
+_SCALARS = {str: _encode_str, int: int.__repr__,
+            bool: {False: "false", True: "true"}.__getitem__,
+            types.NoneType: {None: "null"}.__getitem__}
 
 
 def _doc_text(value, pad="\n"):
@@ -688,10 +693,10 @@ def _doc_text(value, pad="\n"):
     None; anything else raises TypeError.
 
     ``pad`` is a newline and the indentation of the line ``value`` starts
-    on.  A dict writes its scalar values inline (see :func:`_dict_parts`)
-    and a list of plain ints is joined in one call, the two shapes that
-    make up most of a report; bools, a subclass of int, take the general
-    path.
+    on.  A scalar's text is its type's entry in _SCALARS.  A dict writes
+    its scalar values inline (see :func:`_dict_parts`), and a list whose
+    items all have one scalar type is mapped through that entry in one
+    call, the two shapes that make up most of a report.
 
     Each container's text is made by one join, and a child's text is
     never copied again by ``+`` or a format string.  A dict hands the
@@ -706,30 +711,23 @@ def _doc_text(value, pad="\n"):
         if not value:
             return "[]"
         inner = pad + "  "
-        if set(map(type, value)) == _INT_ONLY:
-            texts = list(map(int.__repr__, value))
-        else:
-            texts = [_doc_text(item, inner) for item in value]
+        kind, *others = set(map(type, value))
+        text = None if others else _SCALARS.get(kind)
+        texts = list(map(text or functools.partial(_doc_text, pad=inner), value))
         texts[0] = "[" + inner + texts[0]
         texts[-1] += pad + "]"
         return ("," + inner).join(texts)
-    if isinstance(value, str):
-        return _encode_str(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    raise TypeError(f"{type(value).__name__} values have no document form")
+    text = _SCALARS.get(type(value)) or next(
+        (text for kind, text in _SCALARS.items() if isinstance(value, kind)), None)
+    if text is None:
+        raise TypeError(f"{type(value).__name__} values have no document form")
+    return text(value)
 
 
 def _dict_parts(value, pad, render):
     """The parts whose join is the document form of dict ``value``: keys
     sorted and checked to be str, scalar values inline with their keys,
-    and a container value as the part ``render(item, pad + "  ")``."""
+    and any other value as the part ``render(item, pad + "  ")``."""
     if not value:
         return ["{}"]
     inner = pad + "  "
@@ -740,20 +738,11 @@ def _dict_parts(value, pad, render):
             raise TypeError(f"document keys must be str, not {type(key).__name__}")
         head = sep + _encode_str(key) + ": "
         sep = "," + inner
-        kind = type(item)
-        if kind is str:
-            parts.append(head + _encode_str(item))
-        elif kind is int:
-            parts.append(head + int.__repr__(item))
-        elif item is None:
-            parts.append(head + "null")
-        elif item is True:
-            parts.append(head + "true")
-        elif item is False:
-            parts.append(head + "false")
+        text = _SCALARS.get(type(item))
+        if text is None:
+            parts += (head, render(item, inner))
         else:
-            parts.append(head)
-            parts.append(render(item, inner))
+            parts.append(head + text(item))
     parts.append(pad + "}")
     return parts
 
@@ -800,7 +789,7 @@ def _emit(report, args):
     pieces = (_doc_pieces if args.format == "doc" else _render)(report)
     if args.out is not None:  # --out= names no file, and fails to open
         with open(args.out, "w", encoding="utf-8") as handle:
-            handle.writelines(pieces)
+            _write(handle, pieces)
     else:
         _write(sys.stdout, pieces)
 

@@ -26,8 +26,9 @@ tests check the engine against it.
   ``leading_coefficient_check`` replaced.  The integer closed forms are
   checked against the constant terms and expansions they evaluate.
 - The CLI: ``whole_table`` makes the table as one string, for the table
-  written a batch of rows at a time, and ``build_parser`` is the argparse
-  parser, for ``sumsetlab.cli.parse_args``.
+  written a batch of rows at a time, and ``build_parser`` builds the
+  argparse parser of the CLI's command tables, for
+  ``sumsetlab.cli.parse_args``.
 - ``trial_division_is_prime`` is the reference for ``is_prime``, and
   ``list_sample`` for the dict-backed ``SplitMix64.sample``.
 """
@@ -48,8 +49,7 @@ from sumsetlab import (
     coverage_threshold,
     key_coefficient,
 )
-from sumsetlab.cli import EXIT_USAGE, _ID_OPTIONS, _SCOPE_LIMITS, _flag, _option_help
-from sumsetlab.sumsets import HYPOTHESIS_CHOICES
+from sumsetlab import cli
 
 
 class LengthMismatch(ValueError):
@@ -515,7 +515,7 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         sys.stderr.write(f"{self.prog}: error: {message}\n")
-        raise SystemExit(EXIT_USAGE)
+        raise SystemExit(cli.EXIT_USAGE)
 
 
 def _int_list(text):
@@ -528,69 +528,26 @@ def _int_list(text):
     return values
 
 
+def _argparse_kind(kind, metavar):
+    """The argparse keywords of a table kind: its choices, or its type,
+    with this module's _int_list for the CLI's, and ``metavar``."""
+    if type(kind) is tuple:
+        return {"choices": kind}
+    return {"type": _int_list if kind is cli._int_list else kind, "metavar": metavar}
+
+
 @cache
 def build_parser() -> argparse.ArgumentParser:
-    """The CLI parser, built on first use and shared by every main() call."""
-    parser = _Parser(
-        prog="sumsetlab",
-        description="Exact verification of restricted-sumset bounds over Z/pZ "
-                    "and the constant-term identities behind them.",
-    )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("table", "doc"), default="table",
-                        help="human table or structured JSON document (default: table)")
-    common.add_argument("--out", metavar="PATH", default=None,
-                        help="write the report to PATH instead of stdout")
-    common.add_argument("--budget", type=int, default=DEFAULT_BUDGET, metavar="N",
-                        help=f"enumeration budget (default: {DEFAULT_BUDGET})")
+    """The argparse parser of the command tables in sumsetlab.cli, built on
+    first use: the reference for sumsetlab.cli.parse_args."""
+    parser = _Parser(prog="sumsetlab", description=cli._DESCRIPTION)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    p_id = sub.add_parser(
-        "identities", parents=[common],
-        help="brute-force vs closed-form sweeps of the constant-term identities",
-    )
-    p_id.add_argument("scope", choices=("dyson", "zeilberger", "aomoto", "lemma22", "prop21"),
-                      help="which identity family to sweep")
-    for dest in _ID_OPTIONS:
-        kind = ({"choices": _SCOPE_LIMITS["aomoto"]["chi_side"][1:]} if dest == "chi_side"
-                else {"type": int, "metavar": "N"})
-        p_id.add_argument(_flag(dest), default=None, help=_option_help(dest), **kind)
-
-    p_sum = sub.add_parser(
-        "sumset", parents=[common],
-        help="enumerate one instance file and report bounds and certificate",
-    )
-    p_sum.add_argument("instance", metavar="FILE",
-                       help="JSON instance document (fields p, sets, forbidden)")
-
-    p_t4 = sub.add_parser(
-        "thm4", parents=[common],
-        help="coverage sweep: do restricted n-fold sums of threshold-size sets "
-             "hit every residue",
-    )
-    p_t4.add_argument("--p", type=int, required=True, help="prime modulus")
-    p_t4.add_argument("--m", type=int, required=True, help="forbidden-set size")
-    p_t4.add_argument("--mode", choices=("exhaustive", "sample"), default="exhaustive")
-    p_t4.add_argument("--count", type=int, default=50,
-                      help="sample mode: number of seeded subsets (default 50)")
-    p_t4.add_argument("--seed", type=int, default=0, help="sample mode seed")
-    p_t4.add_argument("--size", type=int, default=None,
-                      help="subset size to test (default: the coverage threshold)")
-    p_t4.add_argument("--forbidden", type=_int_list, default=None, metavar="LIST",
-                      help="comma-separated forbidden differences "
-                           "(default: 0,..,m-1)")
-
-    p_exp = sub.add_parser(
-        "experiment", parents=[common],
-        help="seeded random soundness sweep over instances",
-    )
-    p_exp.add_argument("--seed", type=int, default=0)
-    p_exp.add_argument("--trials", type=int, default=100)
-    p_exp.add_argument("--p-set", type=_int_list, default=[5, 7, 11, 13], metavar="LIST")
-    p_exp.add_argument("--n-set", type=_int_list, default=[2, 3], metavar="LIST")
-    p_exp.add_argument("--m-set", type=_int_list, default=[0, 1], metavar="LIST")
-    p_exp.add_argument("--k-max", type=int, default=6)
-    p_exp.add_argument("--enforce", choices=HYPOTHESIS_CHOICES, default="none",
-                       help="resample parameter tuples until this bound's "
-                            "hypothesis holds")
+    for command, (text, positionals, flags, _) in cli._COMMANDS.items():
+        command_parser = sub.add_parser(command, help=text, description=text)
+        for dest, name, kind, help_text in positionals:
+            command_parser.add_argument(dest, help=help_text, **_argparse_kind(kind, name))
+        for dest, (kind, default, metavar, help_text) in flags.items():
+            presence = {"required": True} if default is cli._REQUIRED else {"default": default}
+            command_parser.add_argument(cli._flag(dest), help=help_text, **presence,
+                                        **_argparse_kind(kind, metavar))
     return parser
